@@ -22,7 +22,7 @@ from repro.core.config import CleaningPolicy
 from repro.core.constants import BlockKind
 from repro.core.errors import MediaError, TrimmedBlockError
 from repro.core.inode import unpack_inode_block
-from repro.core.summary import try_parse_summary
+from repro.core.summary import SegmentGap, walk_segment
 from repro.obs.attribution import CLEANING_READ
 from repro.obs.events import CLEAN_PASS, CLEAN_QUARANTINE, CLEAN_SEGMENT
 from repro.victims import LazyVictimHeap, partial_sort
@@ -380,52 +380,42 @@ class Cleaner:
                 blocks = fs.disk.read_blocks(start, seg_blocks)
                 self.stats.blocks_read += seg_blocks
 
-            def block_at(i: int) -> bytes:
+            def block_at(addr: int) -> bytes:
                 if blocks is not None:
-                    return blocks[i]
+                    return blocks[addr - start]
                 self.stats.blocks_read += 1
-                return fs.disk.read_block(start + i)
+                return fs.disk.read_block(addr)
 
-            moved = 0
-            offset = 0
-            prev_seq = 0
-            while offset < seg_blocks:
+            trimmed = False
+
+            def read_summary(addr: int) -> bytes | None:
+                nonlocal trimmed
                 try:
-                    raw = block_at(offset)
+                    return block_at(addr)
                 except TrimmedBlockError:
                     # Trimmed and never reprogrammed: nothing was written
                     # here this epoch, so the segment's log ends.
-                    break
-                summary = try_parse_summary(raw, fs.config.block_size)
-                bad_walk = (
-                    summary is None
-                    or summary.seq <= prev_seq
-                    or summary.seq >= fs.writer.seq
-                    or offset + 1 + len(summary.entries) > seg_blocks
-                )
-                if bad_walk:
-                    # End of the segment's log — unless a later current-
-                    # epoch summary exists (peek-located: seqs within an
-                    # epoch strictly increase, so stale residue cannot
-                    # match), in which case the walk broke on a *rotted*
-                    # summary and ending here would strand every live
-                    # block after it. Escalate to a rescue instead.
-                    for off in range(offset + 1, seg_blocks):
-                        cand = try_parse_summary(
-                            fs.disk.peek(start + off), fs.config.block_size
+                    trimmed = True
+                    return None
+
+            moved = 0
+            bs = fs.config.block_size
+            for step in walk_segment(
+                read_summary, fs.disk.peek, start, seg_blocks, bs, seq_limit=fs.writer.seq
+            ):
+                if isinstance(step, SegmentGap):
+                    if step.resume is not None and not trimmed:
+                        # Not the end of the segment's log: the walk broke
+                        # on a *rotted* summary, and ending here would
+                        # strand every live block after it. Escalate to a
+                        # rescue instead.
+                        raise MediaError(
+                            "summary block failed to parse mid-segment during cleaning",
+                            addr=start + step.offset,
+                            op="read",
                         )
-                        if (
-                            cand is not None
-                            and prev_seq < cand.seq < fs.writer.seq
-                            and off + 1 + len(cand.entries) <= seg_blocks
-                        ):
-                            raise MediaError(
-                                "summary block failed to parse mid-segment "
-                                "during cleaning",
-                                addr=start + offset,
-                                op="read",
-                            )
                     break
+                offset, _, summary = step
                 n = len(summary.entries)
                 if blocks is not None and not summary.verify(blocks[offset + 1 : offset + 1 + n]):
                     # A valid current-epoch summary whose payloads fail the
@@ -438,12 +428,11 @@ class Cleaner:
                         addr=start + offset,
                         op="read",
                     )
-                prev_seq = summary.seq
                 for i, entry in enumerate(summary.entries):
                     addr = start + offset + 1 + i
 
-                    def checked_payload(i=i, off=offset, e=entry):
-                        p = block_at(off + 1 + i)
+                    def checked_payload(addr=addr, e=entry):
+                        p = block_at(addr)
                         # Selective reads skip the whole-write CRC, so
                         # verify each lazily fetched payload individually.
                         if (
@@ -453,7 +442,7 @@ class Cleaner:
                         ):
                             raise MediaError(
                                 "block failed CRC during selective cleaning",
-                                addr=start + off + 1 + i,
+                                addr=addr,
                                 op="read",
                             )
                         return p
@@ -462,7 +451,6 @@ class Cleaner:
                         self.stats.live_blocks_seen += 1
                         self.stats.live_blocks_moved += 1
                         moved += 1
-                offset += 1 + n
             return moved
 
     # ------------------------------------------------------------------
@@ -523,101 +511,63 @@ class Cleaner:
         rescued = lost = 0
         with fs._cause(CLEANING_READ):
 
-            def safe_read(i: int) -> bytes | None:
+            def safe_read(addr: int) -> bytes | None:
                 try:
                     self.stats.blocks_read += 1
-                    return fs.disk.read_block(start + i)
+                    return fs.disk.read_block(addr)
                 except MediaError:
                     return None
 
-            def find_resume(from_off: int, prev: int) -> int | None:
-                # Locate the next current-epoch summary past a damaged one
-                # (peek is a locator only; the resumed summary is re-read
-                # for real before anything is trusted). Seqs within an
-                # epoch strictly increase, so prev < seq < writer.seq
-                # cannot match stale residue.
-                for off in range(from_off + 1, seg_blocks):
-                    cand = try_parse_summary(fs.disk.peek(start + off), bs)
-                    if (
-                        cand is not None
-                        and prev < cand.seq < fs.writer.seq
-                        and off + 1 + len(cand.entries) <= seg_blocks
-                    ):
-                        return off
-                return None
-
-            offset = 0
-            prev_seq = 0
-            while offset < seg_blocks:
-                raw = safe_read(offset)
-                summary = (
-                    try_parse_summary(raw, bs) if raw is not None else None
-                )
-                if (
-                    summary is None
-                    or summary.seq <= prev_seq
-                    or summary.seq >= fs.writer.seq
-                    or offset + 1 + len(summary.entries) > seg_blocks
-                ):
-                    # An unreadable or invalid summary: the blocks it
-                    # described can no longer be identified, but writes
-                    # beyond it may still be salvageable.
-                    resume = find_resume(offset, prev_seq)
-                    if resume is None:
-                        break
-                    offset = resume
+            # An unreadable or invalid summary is a gap: the blocks it
+            # described can no longer be identified, but the walker resumes
+            # at the next current-epoch write, which may still be salvageable.
+            for step in walk_segment(
+                safe_read, fs.disk.peek, start, seg_blocks, bs, seq_limit=fs.writer.seq
+            ):
+                if isinstance(step, SegmentGap):
                     continue
-                prev_seq = summary.seq
+                offset, _, summary = step
                 for i, entry in enumerate(summary.entries):
                     addr = start + offset + 1 + i
-                    payload = safe_read(offset + 1 + i)
+                    payload = safe_read(addr)
                     ok = payload is not None and (
                         not entry.block_crc or checksum([payload]) == entry.block_crc
                     )
-                    if ok:
-                        if self._revive(entry, addr, lambda p=payload: p):
-                            self.stats.live_blocks_seen += 1
-                            self.stats.blocks_rescued += 1
-                            rescued += 1
-                        continue
-                    if entry.kind in (BlockKind.INODE_MAP, BlockKind.SEG_USAGE):
-                        # Regenerated from the in-memory tables; the damaged
-                        # payload is never consulted.
-                        if self._revive(entry, addr, _refuse_payload):
-                            self.stats.live_blocks_seen += 1
-                            self.stats.blocks_rescued += 1
-                            rescued += 1
-                        continue
-                    if entry.kind == BlockKind.DATA:
+                    if not ok and entry.kind == BlockKind.DATA:
                         cached = fs.cache.peek(entry.inum, entry.offset)
                         if cached is not None and cached.dirty:
                             continue  # a newer copy is already queued
-                        try:
-                            # A clean cached copy can stand in for the
-                            # damaged on-disk block.
-                            if self._revive(entry, addr, _refuse_payload):
-                                self.stats.live_blocks_seen += 1
-                                self.stats.blocks_rescued += 1
-                                rescued += 1
-                                continue
-                        except _UnreadablePayload:
-                            pass
-                    if self._entry_live(entry, addr):
+                    # Without a verified payload, only map and usage blocks
+                    # (regenerated from the in-memory tables) and data blocks
+                    # with a clean cached copy can still be requeued.
+                    tryable = ok or entry.kind in (
+                        BlockKind.DATA, BlockKind.INODE_MAP, BlockKind.SEG_USAGE
+                    )
+                    source = (lambda p=payload: p) if ok else _refuse_payload
+                    try:
+                        revived = tryable and self._revive(entry, addr, source)
+                    except _UnreadablePayload:
+                        revived = False
+                    if revived:
+                        self.stats.live_blocks_seen += 1
+                        self.stats.blocks_rescued += 1
+                        rescued += 1
+                    elif not ok and self._entry_live(entry, addr):
                         self.stats.live_blocks_seen += 1
                         self.stats.blocks_lost += 1
                         lost += 1
-                offset += 1 + len(summary.entries)
         return rescued, lost
 
     def _entry_live(self, entry, addr: int) -> bool:
-        """Liveness probe mirroring :meth:`_revive`, without side effects."""
+        """The liveness rule: is ``addr`` still the current home of the
+        block ``entry`` describes? No side effects beyond loading maps."""
         fs = self.fs
         kind = entry.kind
         if kind in (BlockKind.DATA, BlockKind.INDIRECT, BlockKind.DINDIRECT):
             if not fs.imap.is_allocated(entry.inum):
                 return False
             if fs.imap.version_of(entry.inum) != entry.version:
-                return False
+                return False  # the paper's fast uid check: no inode read
             if kind == BlockKind.DATA:
                 return fs.block_addr(entry.inum, entry.offset) == addr
             fmap = fs.filemap(entry.inum)
@@ -634,55 +584,17 @@ class Cleaner:
             return fs.imap.block_addrs[entry.offset] == addr
         if kind == BlockKind.SEG_USAGE:
             return fs.usage.block_addrs[entry.offset] == addr
+        # DIROP blocks are dead once the pass's opening checkpoint ran;
+        # SUMMARY entries never appear inside summaries.
         return False
 
     def _revive(self, entry, addr: int, get_payload) -> bool:
         """If the block at ``addr`` is live, queue it for rewriting."""
         fs = self.fs
         kind = entry.kind
-        if kind == BlockKind.DATA:
-            if not fs.imap.is_allocated(entry.inum):
-                return False
-            if fs.imap.version_of(entry.inum) != entry.version:
-                return False  # the paper's fast uid check: no inode read
-            if fs.block_addr(entry.inum, entry.offset) != addr:
-                return False
-            # peek, not lookup: the cleaner's liveness probe must not
-            # count as a cache hit/miss or refresh LRU order.
-            cached = fs.cache.peek(entry.inum, entry.offset)
-            inode = fs.get_inode(entry.inum)
-            if cached is not None:
-                if cached.dirty:
-                    return False  # a newer copy is already queued
-                fs.cache.write(entry.inum, entry.offset, cached.payload, inode.mtime)
-            else:
-                fs.cache.write(entry.inum, entry.offset, get_payload(), inode.mtime)
-            return True
-        if kind in (BlockKind.INDIRECT, BlockKind.DINDIRECT):
-            if not fs.imap.is_allocated(entry.inum):
-                return False
-            if fs.imap.version_of(entry.inum) != entry.version:
-                return False
-            fmap = fs.filemap(entry.inum)
-            if kind == BlockKind.DINDIRECT:
-                if fmap.inode.dindirect != addr:
-                    return False
-                fmap._load_l2()
-                fmap.l2_dirty = True
-                return True
-            if entry.offset == 0:
-                if fmap.inode.indirect != addr:
-                    return False
-                fmap._load_l1()
-                fmap.l1_dirty = True
-                return True
-            child_idx = entry.offset - 1
-            if fmap._load_l2()[child_idx] != addr:
-                return False
-            fmap._load_child(child_idx)
-            fmap.dirty_children.add(child_idx)
-            return True
         if kind == BlockKind.INODE:
+            # Judged per inode, from the payload: a block mixes live and
+            # superseded inodes, and only the live ones are requeued.
             revived = False
             for inode in unpack_inode_block(get_payload(), fs.config.block_size):
                 slot = fs.imap.get(inode.inum) if fs.imap.is_allocated(inode.inum) else None
@@ -693,16 +605,30 @@ class Cleaner:
                 fs._dirty_inodes.add(inode.inum)
                 revived = True
             return revived
-        if kind == BlockKind.INODE_MAP:
-            if fs.imap.block_addrs[entry.offset] == addr:
-                fs.imap._dirty_blocks.add(entry.offset)
-                return True
+        if not self._entry_live(entry, addr):
             return False
-        if kind == BlockKind.SEG_USAGE:
-            if fs.usage.block_addrs[entry.offset] == addr:
-                fs.usage._dirty_blocks.add(entry.offset)
-                return True
-            return False
-        # DIROP blocks are dead once the pass's opening checkpoint ran;
-        # SUMMARY entries never appear inside summaries.
-        return False
+        if kind == BlockKind.DATA:
+            # peek, not lookup: the cleaner's liveness probe must not
+            # count as a cache hit/miss or refresh LRU order.
+            cached = fs.cache.peek(entry.inum, entry.offset)
+            inode = fs.get_inode(entry.inum)
+            if cached is not None and cached.dirty:
+                return False  # a newer copy is already queued
+            payload = cached.payload if cached is not None else get_payload()
+            fs.cache.write(entry.inum, entry.offset, payload, inode.mtime)
+        elif kind == BlockKind.INODE_MAP:
+            fs.imap._dirty_blocks.add(entry.offset)
+        elif kind == BlockKind.SEG_USAGE:
+            fs.usage._dirty_blocks.add(entry.offset)
+        else:  # INDIRECT / DINDIRECT: load the map block and mark it dirty
+            fmap = fs.filemap(entry.inum)
+            if kind == BlockKind.DINDIRECT:
+                fmap._load_l2()
+                fmap.l2_dirty = True
+            elif entry.offset == 0:
+                fmap._load_l1()
+                fmap.l1_dirty = True
+            else:
+                fmap._load_child(entry.offset - 1)
+                fmap.dirty_children.add(entry.offset - 1)
+        return True

@@ -19,7 +19,16 @@ from repro.core.cache import BlockCache
 from repro.core.checkpoint import Checkpoint, read_latest_checkpoint, write_checkpoint
 from repro.core.cleaner import Cleaner
 from repro.core.config import DiskLayout, LFSConfig, compute_layout
-from repro.core.constants import NULL_ADDR, PENDING_ADDR, ROOT_INUM, BlockKind, DirOp, FileType
+from repro.core.constants import (
+    INODE_SIZE,
+    NO_SEGMENT,
+    NULL_ADDR,
+    PENDING_ADDR,
+    ROOT_INUM,
+    BlockKind,
+    DirOp,
+    FileType,
+)
 from repro.core import directory as dirfmt
 from repro.core.dirlog import DirOpRecord, pack_records
 from repro.core.errors import (
@@ -44,6 +53,7 @@ from repro.core.mapping import FileMap
 from repro.core.nvlog import NVDirOp, NVMeta, NVPatch, pack_body
 from repro.core.seg_usage import SegmentUsageTable
 from repro.core.segments import LogItem, LogWriter
+from repro.core.summary import SegmentGap, walk_segment
 from repro.core.superblock import Superblock
 from repro.disk.device import Disk
 from repro.obs.attribution import CHECKPOINT, CLEANING_WRITE, DATA_WRITE, NVM_DESTAGE
@@ -343,8 +353,6 @@ class LFS:
         for idx in range(self.usage.num_blocks):
             self.usage.clear_dirty(idx)
         self.imap._next_inum = cp.next_inum
-        from repro.core.constants import NO_SEGMENT
-
         next_segment = None if cp.next_segment == NO_SEGMENT else cp.next_segment
         self.writer.restore_cursor(cp.tail_segment, cp.tail_offset, cp.log_seq, next_segment)
         self._checkpoint_seq = cp.seq + 1
@@ -527,78 +535,39 @@ class LFS:
         Runs once per segment, via :meth:`Disk.peek` — on a real system the
         summary block is read alongside the first access to the segment and
         cached, so no extra simulated I/O is charged. Stale summaries from
-        a previous epoch of a reused segment are cut off by the monotonic
-        sequence-number rule (global ``seq`` ordering guarantees them
-        lower) and by the current-write-cursor bound.
+        a previous epoch of a reused segment are cut off by the epoch rule
+        of :func:`~repro.core.summary.walk_segment`.
         """
         if seg_no in self._crc_indexed_segments:
             return
         self._crc_indexed_segments.add(seg_no)
-        from repro.core.summary import try_parse_summary
-
         start = self.layout.segment_start(seg_no)
         seg_blocks = self.config.segment_blocks
-        offset = 0
-        prev_seq = -1
         sink = self.writer.block_crcs
-        while offset < seg_blocks:
-            raw = self.disk.peek(start + offset)
-            summary = try_parse_summary(raw, self.config.block_size)
-            if (
-                summary is None
-                or summary.seq <= prev_seq
-                or summary.seq >= self.writer.seq
-                or offset + 1 + len(summary.entries) > seg_blocks
-            ):
-                if (
-                    summary is not None
-                    and summary.seq > prev_seq
-                    and summary.seq >= self.writer.seq
-                    and offset + 1 + len(summary.entries) <= seg_blocks
-                ):
+        peek, bs = self.disk.peek, self.config.block_size
+        for step in walk_segment(peek, peek, start, seg_blocks, bs, seq_limit=self.writer.seq):
+            if isinstance(step, SegmentGap):
+                if step.beyond is not None:
                     # A write from beyond the restored cursor — the
                     # checkpoint tail before roll-forward has replayed it.
-                    # Stale residue always carries a lower seq than the
-                    # cursor, so this is not rot: stop without tainting
-                    # and let the post-recovery re-index walk it with the
-                    # advanced bound.
+                    # Not rot: stop without tainting and let the
+                    # post-recovery re-index walk it with the advanced bound.
                     break
-                # A parseable summary further on with a later (still
-                # in-bounds) seq proves the walk broke on a rotted summary
-                # rather than the end of the segment's log: stale residue
-                # always carries a lower seq.
-                resume = None
-                for off in range(offset + 1, seg_blocks):
-                    cand = try_parse_summary(
-                        self.disk.peek(start + off), self.config.block_size
-                    )
-                    if (
-                        cand is not None
-                        and prev_seq < cand.seq < self.writer.seq
-                        and off + 1 + len(cand.entries) <= seg_blocks
-                    ):
-                        resume = off
-                        break
                 # Nothing from here to the resume point (or segment end)
                 # is vouched for by a valid summary. For an unused tail
                 # that is moot — no live block points there — but a live
                 # block in this range lost its CRC to summary rot and
                 # must not be read back as if intact.
-                end = resume if resume is not None else seg_blocks
-                self._tainted_addrs.update(range(start + offset, start + end))
-                if resume is None:
-                    break
-                offset = resume
+                end = step.resume if step.resume is not None else seg_blocks
+                self._tainted_addrs.update(range(start + step.offset, start + end))
                 continue
-            addr = start + offset
+            addr = start + step.offset
             # setdefault: this session's write-through CRCs are fresher
             # than anything parsed off the platter.
-            sink.setdefault(addr, checksum([raw]))
-            for i, entry in enumerate(summary.entries):
+            sink.setdefault(addr, checksum([step.raw]))
+            for i, entry in enumerate(step.summary.entries):
                 if entry.block_crc:
                     sink.setdefault(addr + 1 + i, entry.block_crc)
-            prev_seq = summary.seq
-            offset += 1 + len(summary.entries)
 
     def get_inode(self, inum: int) -> Inode:
         """Fetch an inode, reading it from the log if necessary."""
@@ -1055,8 +1024,6 @@ class LFS:
             self.usage.remove_live(self.layout.segment_of(addr), bs)
         old = self.imap.get(inum).addr
         if old not in (NULL_ADDR, PENDING_ADDR):
-            from repro.core.constants import INODE_SIZE
-
             self.usage.remove_live(self.layout.segment_of(old), INODE_SIZE)
         self.imap.free(inum)
         self.cache.drop_file(inum)
@@ -1308,8 +1275,6 @@ class LFS:
         self.usage.add_live(self.layout.segment_of(addr), bs, self.disk.clock.now)
 
     def _place_inodes(self, inums: list[int], addr: int) -> None:
-        from repro.core.constants import INODE_SIZE
-
         for inum in inums:
             old = self.imap.get(inum).addr
             if old not in (NULL_ADDR, PENDING_ADDR):
@@ -1441,8 +1406,6 @@ class LFS:
                     self.imap.clear_dirty(idx)
                 for idx in range(self.usage.num_blocks):
                     self.usage.clear_dirty(idx)
-
-                from repro.core.constants import NO_SEGMENT
 
                 now = self.disk.clock.now
                 cp = Checkpoint(
@@ -1745,8 +1708,6 @@ class LFS:
                     data += bs
                 else:
                     indirect += bs
-        from repro.core.constants import INODE_SIZE
-
         imap_bytes = sum(1 for a in self.imap.block_addrs if a != NULL_ADDR) * bs
         usage_bytes = sum(1 for a in self.usage.block_addrs if a != NULL_ADDR) * bs
         return {

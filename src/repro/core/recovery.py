@@ -37,7 +37,7 @@ from repro.core.errors import CorruptionError, MediaError, TrimmedBlockError
 from repro.core.inode import Inode, unpack_inode_block
 from repro.core.mapping import FileMap
 from repro.core.nvlog import NVDirOp, NVMeta, NVPatch, unpack_body
-from repro.core.summary import SegmentSummary, try_parse_summary
+from repro.core.summary import SegmentGap, SegmentSummary, try_parse_summary, walk_segment
 from repro.obs.events import RECOVER_SCAVENGE
 
 
@@ -566,14 +566,11 @@ def _scan_all_segments(fs, report: RecoveryReport) -> list[_PartialWrite]:
 
     Unlike roll-forward, the log threading cannot be trusted here (it
     starts from a checkpoint we no longer have), so each segment is walked
-    independently from its first block. Within one segment the writes of
-    the current epoch are contiguous from offset 0 with strictly
-    increasing sequence numbers; any stale summary left over from an
-    earlier life of the segment carries a *lower* seq (sequence numbers
-    are global and never reused), so requiring monotonic growth cuts the
-    walk off exactly at the epoch boundary. Fully stale segments (cleaned
-    but not yet rewritten) replay harmlessly: the global seq-ordered
-    replay supersedes every block they describe.
+    independently from its first block under the epoch rule of
+    :func:`~repro.core.summary.walk_segment` — with no ``seq_limit``,
+    since there is no writer yet. Fully stale segments (cleaned but not
+    yet rewritten) replay harmlessly: the global seq-ordered replay
+    supersedes every block they describe.
 
     Each write is verified against its whole-write CRC; torn tails, rotted
     payloads, and writes hit by latent sector errors are dropped (counted
@@ -583,46 +580,27 @@ def _scan_all_segments(fs, report: RecoveryReport) -> list[_PartialWrite]:
     seg_blocks = fs.config.segment_blocks
     bs = fs.config.block_size
 
-    def find_resume(seg_start: int, from_off: int, prev: int) -> int | None:
-        # A damaged summary must not hide the intact writes after it:
-        # locate the next current-epoch summary by peek (locator only —
-        # the resumed block is re-read for real), relying on seqs within
-        # an epoch strictly increasing so stale residue cannot match.
-        for off in range(from_off + 1, seg_blocks - 1):
-            cand = try_parse_summary(fs.disk.peek(seg_start + off), bs)
-            if (
-                cand is not None
-                and cand.seq > prev
-                and off + 1 + len(cand.entries) <= seg_blocks
-            ):
-                return off
-        return None
-
     for seg in range(fs.layout.num_segments):
         report.segments_scanned += 1
         start = fs.layout.segment_start(seg)
-        offset = 0
-        prev_seq = 0
-        while offset < seg_blocks - 1:
+
+        def read(addr: int) -> bytes | None:
+            # A summary cannot start in a segment's last block (the writer
+            # moves on with fewer than 2 blocks left): never pay for it.
+            if addr >= start + seg_blocks - 1:
+                return None
             try:
-                block = fs.disk.read_block(start + offset)
+                return fs.disk.read_block(addr)
             except MediaError:
-                block = None
-            summary = (
-                try_parse_summary(block, bs) if block is not None else None
-            )
-            bad_walk = (
-                summary is None
-                or summary.seq <= prev_seq
-                or offset + 1 + len(summary.entries) > seg_blocks
-            )
-            if bad_walk:
-                resume = find_resume(start, offset, prev_seq)
-                if resume is None:
-                    break
-                report.torn_writes_dropped += 1
-                offset = resume
+                return None
+
+        # A damaged summary must not hide the intact writes after it.
+        for step in walk_segment(read, fs.disk.peek, start, seg_blocks, bs):
+            if isinstance(step, SegmentGap):
+                if step.resume is not None:
+                    report.torn_writes_dropped += 1
                 continue
+            offset, _, summary = step
             n = len(summary.entries)
             try:
                 full = fs.disk.read_blocks(start + offset + 1, n) if n else []
@@ -641,8 +619,6 @@ def _scan_all_segments(fs, report: RecoveryReport) -> list[_PartialWrite]:
                 )
             else:
                 report.torn_writes_dropped += 1
-            prev_seq = summary.seq
-            offset += 1 + n
     return writes
 
 

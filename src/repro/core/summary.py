@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field, replace
+from typing import Iterator, NamedTuple
 
 from repro.core.blocks import checksum, require
 from repro.core.constants import (
@@ -190,3 +191,84 @@ def try_parse_summary(payload: bytes, block_size: int) -> SegmentSummary | None:
         return SegmentSummary.unpack(payload, block_size)
     except CorruptionError:
         return None
+
+
+class SegmentWrite(NamedTuple):
+    """One current-epoch partial write found by :func:`walk_segment`."""
+
+    offset: int  # of the summary block, in blocks from the segment start
+    raw: bytes  # the summary block exactly as ``read`` returned it
+    summary: SegmentSummary
+
+
+class SegmentGap(NamedTuple):
+    """A position where :func:`walk_segment` found no current-epoch write."""
+
+    offset: int
+    resume: int | None  # next current-epoch summary; None = the log ends here
+    stale: SegmentSummary | None  # a well-formed summary of an earlier epoch
+    beyond: SegmentSummary | None  # a well-formed one at or past ``seq_limit``
+
+
+def walk_segment(
+    read, peek, start: int, seg_blocks: int, block_size: int, *, seq_limit: int | None = None
+) -> Iterator[SegmentWrite | SegmentGap]:
+    """Walk the current-epoch partial writes of the segment at block
+    address ``start``, in log order.
+
+    The epoch rule, written here and nowhere else: starting at offset 0,
+    a summary is accepted only if its ``seq`` is strictly above the
+    previous write's (sequence numbers are global and never reused, so
+    residue from an earlier life of a reused segment always carries a
+    lower one), below ``seq_limit`` (mounted callers pass ``writer.seq``;
+    the scavenger has no writer and passes nothing), and its extent fits
+    the segment. Anything else is a gap. To tell a rotted summary from
+    the end of the log, the blocks after a gap are scanned for a summary
+    passing the same rule: the walk continues at that ``resume`` offset,
+    or is over when there is none.
+
+    ``read(addr) -> bytes | None`` fetches a summary position (None =
+    unreadable), once per position, in order, only when the next step is
+    asked for; ``peek(addr)`` serves the look-ahead and must be free.
+    What a read costs and what a gap means stay with the caller.
+
+    Callers: ``Cleaner._gather_live`` and ``_salvage``,
+    ``LFS._index_segment_crcs``, ``recovery._scan_all_segments``,
+    ``scrub._scrub_segment``, ``dumplog.dump_segment``. Deliberately not
+    among them: ``recovery._collect_partial_writes`` follows a different
+    rule (consecutive ``seq`` from the checkpoint, threaded across
+    segments by ``next_segment``), and ``tools/lfsck.py`` is the oracle
+    the file system is checked against — a checker that shares the
+    walker it checks can no longer catch a bug in it.
+    """
+    offset = 0
+    prev_seq = 0
+
+    def current(s: SegmentSummary | None, off: int) -> bool:
+        return (
+            s is not None
+            and s.seq > prev_seq
+            and (seq_limit is None or s.seq < seq_limit)
+            and off + 1 + len(s.entries) <= seg_blocks
+        )
+
+    while offset < seg_blocks:
+        raw = read(start + offset)
+        summary = try_parse_summary(raw, block_size) if raw is not None else None
+        if current(summary, offset):
+            yield SegmentWrite(offset, raw, summary)
+            prev_seq = summary.seq
+            offset += 1 + len(summary.entries)
+            continue
+        ahead = range(offset + 1, seg_blocks)
+        resume = next(
+            (o for o in ahead if current(try_parse_summary(peek(start + o), block_size), o)), None
+        )
+        fits = summary is not None and offset + 1 + len(summary.entries) <= seg_blocks
+        stale = summary if fits and summary.seq <= prev_seq else None
+        # in extent and above prev_seq: only seq_limit can have rejected it
+        beyond = summary if fits and stale is None else None
+        yield SegmentGap(offset, resume, stale, beyond)
+        if resume is None:
+            return
+        offset = resume

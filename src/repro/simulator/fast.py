@@ -29,14 +29,11 @@ Why it is fast:
   and ``file_slot[f] == i``. Enumerating a victim's live files is one
   gather + compare, and the resulting order is log order — the same
   order the reference's insertion-ordered dicts iterate in.
-
-Use :func:`make_simulator` to pick an engine; without numpy installed it
-silently falls back to the reference implementation.
 """
 
 from __future__ import annotations
 
-from repro.simulator.model import SimConfig, Simulator, SimResult
+from repro.simulator.model import SimConfig, SimResult
 from repro.simulator.patterns import AccessPattern, UniformPattern
 from repro.simulator.policies import GroupingPolicy, SelectionPolicy
 from repro.simulator.writecost import measured_write_cost
@@ -46,10 +43,7 @@ try:  # pragma: no cover - exercised via HAVE_NUMPY in both states
 except ImportError:  # pragma: no cover
     np = None
 
-from repro.simulator.fastrand import HAVE_NUMPY, make_sampler
-
-#: Engines accepted by :func:`make_simulator`.
-ENGINES = ("auto", "fast", "reference")
+from repro.simulator.fastrand import make_sampler
 
 # largest single vectorized batch; bounds scratch-array sizes
 _MAX_BATCH = 1 << 16
@@ -840,24 +834,3 @@ class FastSimulator:
             cleaned_utilizations=cleaned,
             utilization_histogram=hist,
         )
-
-
-def make_simulator(
-    config: SimConfig,
-    pattern: AccessPattern | None = None,
-    engine: str = "auto",
-):
-    """Build a simulator for ``config`` under the requested engine.
-
-    ``auto`` picks the vectorized engine when numpy is importable and the
-    reference engine otherwise — results are identical either way.
-    ``fast`` requires numpy; ``reference`` always uses the pure-Python
-    oracle.
-    """
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
-    if engine == "fast" and not HAVE_NUMPY:
-        raise RuntimeError("engine 'fast' requires numpy (the 'perf' extra)")
-    if engine == "reference" or not HAVE_NUMPY:
-        return Simulator(config, pattern)
-    return FastSimulator(config, pattern)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from repro.core.checkpoint import read_checkpoint
 from repro.core.constants import NO_SEGMENT, NULL_ADDR, BlockKind
 from repro.core.errors import CorruptionError
-from repro.core.summary import try_parse_summary
+from repro.core.summary import SegmentGap, walk_segment
 from repro.core.superblock import Superblock
 from repro.disk.device import Disk
 
@@ -78,12 +78,16 @@ def dump_segment(disk: Disk, seg_no: int, *, max_entries: int = 8) -> str:
     start = layout.segment_start(seg_no)
     seg_blocks = layout.segment_blocks
     lines = [f"segment {seg_no} (blocks {start}..{start + seg_blocks - 1}):"]
-    offset = 0
     found = 0
-    while offset < seg_blocks:
-        summary = try_parse_summary(disk.peek(start + offset), sb.block_size)
-        if summary is None:
-            break
+    # An image has no mounted writer, hence no seq_limit.
+    for step in walk_segment(disk.peek, disk.peek, start, seg_blocks, sb.block_size):
+        if isinstance(step, SegmentGap):
+            if step.resume is not None:
+                lines.append(f"  +{step.offset:4}: damaged summary; log resumes at +{step.resume}")
+            elif step.stale is not None:
+                lines.append(f"  +{step.offset:4}: stale residue (seq={step.stale.seq}); log ends")
+            continue
+        offset, _, summary = step
         found += 1
         nxt = "-" if summary.next_segment == NO_SEGMENT else summary.next_segment
         lines.append(
@@ -97,7 +101,6 @@ def dump_segment(disk: Disk, seg_no: int, *, max_entries: int = 8) -> str:
             )
         if len(summary.entries) > max_entries:
             lines.append(f"         ... {len(summary.entries) - max_entries} more")
-        offset += 1 + len(summary.entries)
     if not found:
         lines.append("  (no valid summaries — clean or never written)")
     return "\n".join(lines)

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 from repro.core.blocks import checksum
 from repro.core.errors import MediaError
-from repro.core.summary import try_parse_summary
+from repro.core.summary import SegmentGap, walk_segment
 from repro.obs.events import SCRUB_SEGMENT
 
 
@@ -135,54 +135,24 @@ def _scrub_segment(fs, seg_no: int, report: ScrubReport) -> bool:
                 report.corrupt_blocks.append(addr)
                 damaged = True
 
-    def next_summary_offset(from_offset: int, prev_seq: int) -> int | None:
-        """Resume point after a damaged summary: seqs within an epoch are
-        strictly increasing, so a parseable summary further on with
-        ``prev_seq < seq < writer.seq`` proves the walk broke on rot, not
-        on the end of the log."""
-        for off in range(from_offset + 1, seg_blocks):
-            cand = try_parse_summary(fs.disk.peek(start + off), bs)
-            if (
-                cand is not None
-                and prev_seq < cand.seq < fs.writer.seq
-                and off + 1 + len(cand.entries) <= seg_blocks
-            ):
-                return off
-        return None
-
-    offset = 0
-    prev_seq = 0
-    while offset < seg_blocks:
-        # Discover the walk via peek: parsing must work even when the
-        # summary's sector is unreadable, and discovery itself is free.
-        summary = try_parse_summary(fs.disk.peek(start + offset), bs)
-        if (
-            summary is None
-            or summary.seq <= prev_seq
-            or summary.seq >= fs.writer.seq
-            or offset + 1 + len(summary.entries) > seg_blocks
-        ):
-            resume = next_summary_offset(offset, prev_seq)
-            if resume is None:
-                # End of this segment's log — unless the in-memory CRC
-                # index says a summary was written here, in which case
-                # rot ate the *last* write's summary (nothing after it
-                # to resume from, so only this check can tell).
-                expected = fs.writer.block_crcs.get(start + offset)
-                if expected and checksum([fs.disk.peek(start + offset)]) != expected:
-                    report.corrupt_summaries.append(start + offset)
-                    damaged = True
-                sink_sweep(offset + 1, seg_blocks)
-                break
-            # Rot ate the summary block itself; the write it led is
-            # unidentifiable, but the walk can pick up at the next one —
-            # and the CRC index can still vouch for the skipped payloads.
-            report.corrupt_summaries.append(start + offset)
-            damaged = True
-            sink_sweep(offset + 1, resume)
-            offset = resume
+    peek = fs.disk.peek
+    # Discover the walk via peek: parsing must work even when the summary's
+    # sector is unreadable, and discovery itself is free.
+    for step in walk_segment(peek, peek, start, seg_blocks, bs, seq_limit=fs.writer.seq):
+        if isinstance(step, SegmentGap):
+            offset, resume = step.offset, step.resume
+            # A resume point proves rot ate this summary block. Without
+            # one the log ends here — unless the in-memory CRC index says
+            # a summary was written here, in which case rot ate the *last*
+            # write's summary (only this check can tell). Either way the
+            # index can still vouch for the payloads no summary covers.
+            expected = fs.writer.block_crcs.get(start + offset)
+            if resume is not None or (expected and checksum([peek(start + offset)]) != expected):
+                report.corrupt_summaries.append(start + offset)
+                damaged = True
+            sink_sweep(offset + 1, resume if resume is not None else seg_blocks)
             continue
-        prev_seq = summary.seq
+        offset, _, summary = step
         report.writes_checked += 1
         blocks_here += 1 + len(summary.entries)
         raw = probe(start + offset)
@@ -212,7 +182,6 @@ def _scrub_segment(fs, seg_no: int, report: ScrubReport) -> bool:
             # does not: the summary block itself is the rotted one.
             report.corrupt_summaries.append(start + offset)
             damaged = True
-        offset += 1 + len(summary.entries)
 
     report.blocks_checked += blocks_here
     if fs.obs is not None:

@@ -5,7 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.core.config import LFSConfig
+from repro.core.constants import BlockKind
 from repro.core.filesystem import LFS
+from repro.core.summary import SegmentSummary, SummaryEntry
 from repro.disk.device import Disk
 from repro.disk.geometry import DiskGeometry
 
@@ -28,6 +30,17 @@ def small_config(**overrides) -> LFSConfig:
     )
     defaults.update(overrides)
     return LFSConfig(**defaults)
+
+
+def lay_write(disk: Disk, start: int, offset: int, seq: int, n: int, bs: int) -> int:
+    """Poke one well-formed ``n``-block partial write into the segment at
+    ``start`` (no time, no stats); returns the offset just past it."""
+    payloads = [bytes([seq % 251]) * bs for _ in range(n)]
+    entries = [SummaryEntry(kind=BlockKind.DATA, inum=seq, offset=i, version=1) for i in range(n)]
+    summary = SegmentSummary(seq=seq, write_time=float(seq), entries=entries)
+    for i, block in enumerate([summary.pack(payloads, bs)] + payloads):
+        disk.corrupt_block(start + offset + i, block)
+    return offset + 1 + n
 
 
 @pytest.fixture

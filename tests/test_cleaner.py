@@ -3,8 +3,9 @@
 import pytest
 
 from repro.core.config import CleaningPolicy
-from repro.core.constants import NULL_ADDR
+from repro.core.constants import NULL_ADDR, BlockKind
 from repro.core.filesystem import LFS
+from repro.core.summary import SegmentWrite, SummaryEntry, walk_segment
 from repro.disk.device import Disk
 from repro.disk.geometry import DiskGeometry
 
@@ -127,6 +128,53 @@ class TestVersionFastPath:
         fs.clean_now(fs.usage.clean_count + 2)
         # nothing live in those segments: nothing may be moved
         assert fs.cleaner.stats.live_blocks_moved == moved_before
+
+
+class TestOneLivenessRule:
+    @pytest.mark.parametrize("kind", list(BlockKind), ids=lambda k: k.name)
+    def test_probe_and_revive_agree_for_every_entry_on_disk(self, fs, kind):
+        """``_revive`` requeues a block exactly when ``_entry_live`` calls
+        it live — checked against every summary entry of ``kind`` in a log
+        holding live and dead copies of every kind of block."""
+        bs = fs.config.block_size
+        sparse = (10 + bs // 8 + 3) * bs  # past direct + single indirect
+        for i in range(6):
+            fs.write_file(f"/f{i}", bytes([i + 1]) * 9000)
+        fs.create("/big")
+        fs.write("/big", b"tail", offset=sparse)  # indirect + double-indirect
+        fs.write("/big", b"head" * 4000)
+        fs.checkpoint()  # inode-map and usage blocks enter the log
+        fs.write_file("/f0", b"rewritten" * 1000)  # dead data + dead inode
+        fs.unlink("/f1")  # dead by version
+        fs.write("/big", b"TAIL", offset=sparse)  # dead indirect chain
+        fs.checkpoint()  # supersedes the first map and usage blocks
+        payloads = {}
+        entries = []
+        for seg in fs.usage.dirty_segments():
+            start = fs.layout.segment_start(seg)
+            for step in walk_segment(
+                fs.disk.peek, fs.disk.peek, start, fs.config.segment_blocks, bs,
+                seq_limit=fs.writer.seq,
+            ):
+                if isinstance(step, SegmentWrite):
+                    for i, entry in enumerate(step.summary.entries):
+                        addr = start + step.offset + 1 + i
+                        payloads[addr] = fs.disk.peek(addr)
+                        entries.append((entry, addr))
+        if kind == BlockKind.SUMMARY:  # never described by a summary
+            entries.append((SummaryEntry(kind=kind), payloads.popitem()[0]))
+        of_kind = [(e, a) for e, a in entries if e.kind == kind]
+        verdicts = {fs.cleaner._entry_live(e, a) for e, a in of_kind}
+        expected = {False} if kind in (BlockKind.DIROP_LOG, BlockKind.SUMMARY) else {True, False}
+        assert verdicts == expected, f"log holds no live+dead mix of {kind.name}"
+        for entry, addr in of_kind:
+            live = fs.cleaner._entry_live(entry, addr)
+            assert fs.cleaner._revive(entry, addr, lambda a=addr: payloads[a]) == live
+        # requeueing everything live is what a cleaning pass does: no harm
+        fs.checkpoint()
+        assert fs.read("/f0") == b"rewritten" * 1000
+        assert fs.read("/big", offset=sparse) == b"TAIL"
+        assert fs.read("/big", length=16000) == b"head" * 4000
 
 
 class TestWriteCostAccounting:

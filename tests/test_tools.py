@@ -8,7 +8,7 @@ from repro.disk.geometry import DiskGeometry
 from repro.tools.dumplog import dump_checkpoints, dump_segment, dump_superblock
 from repro.tools.lfsck import check_filesystem
 
-from tests.conftest import small_config
+from tests.conftest import lay_write, small_config
 
 
 @pytest.fixture
@@ -114,6 +114,21 @@ class TestDumplog:
         assert "summary seq=" in out or "no valid summaries" in out
         # the very first segment holds the mkfs writes
         assert "segment 0" in out
+
+    def test_segment_dump_reports_stale_residue_not_writes(self, populated):
+        """A valid lower-seq summary right after the epoch's last write is
+        the previous life of a reused segment, not part of the log."""
+        disk, bs = populated.disk, populated.config.block_size
+        seg_no = populated.layout.num_segments - 1
+        start = populated.layout.segment_start(seg_no)
+        lay_write(disk, start, 0, 40, 2, bs)
+        lay_write(disk, start, 3, 41, 2, bs)
+        lay_write(disk, start, 6, 17, 2, bs)  # earlier epoch, right after the log's end
+        out = dump_segment(disk, seg_no)
+        assert "summary seq=40" in out and "summary seq=41" in out
+        assert "summary seq=17" not in out
+        (residue,) = [line for line in out.splitlines() if "stale residue" in line]
+        assert "+   6" in residue and "seq=17" in residue
 
     def test_segment_dump_out_of_range(self, populated):
         assert "out of range" in dump_segment(populated.disk, 10 ** 6)
