@@ -58,10 +58,6 @@ class SegmentUsageTable:
         self.num_blocks = (num_segments + entries_per_block - 1) // entries_per_block
         self._segments = [SegmentUsage() for _ in range(num_segments)]
         self._dirty_blocks: set[int] = set()
-        # Segments whose liveness/cleanliness changed since the cleaner's
-        # victim heap last synced (everything, initially). Cheap to feed
-        # on the write path; drained by Cleaner._sync_victims.
-        self._score_dirty: set[int] = set(range(num_segments))
         self.block_addrs: list[int] = [NULL_ADDR] * self.num_blocks
         # Optional mutation observer: called as observer(seg_no, record,
         # when) after every per-segment state change (when is the write
@@ -101,7 +97,6 @@ class SegmentUsageTable:
         if when > seg.last_write:
             seg.last_write = when
         self._dirty_blocks.add(self.block_of(seg_no))
-        self._score_dirty.add(seg_no)
         self._notify(seg_no, when)
 
     def remove_live(self, seg_no: int, nbytes: int) -> None:
@@ -109,7 +104,6 @@ class SegmentUsageTable:
         seg = self.get(seg_no)
         seg.live_bytes = max(0, seg.live_bytes - nbytes)
         self._dirty_blocks.add(self.block_of(seg_no))
-        self._score_dirty.add(seg_no)
         self._notify(seg_no)
 
     def mark_clean(self, seg_no: int) -> None:
@@ -122,7 +116,6 @@ class SegmentUsageTable:
         seg.live_bytes = 0
         seg.clean = True
         self._dirty_blocks.add(self.block_of(seg_no))
-        self._score_dirty.add(seg_no)
         self._notify(seg_no)
 
     def mark_in_use(self, seg_no: int) -> None:
@@ -134,7 +127,6 @@ class SegmentUsageTable:
             )
         seg.clean = False
         self._dirty_blocks.add(self.block_of(seg_no))
-        self._score_dirty.add(seg_no)
         self._notify(seg_no)
 
     def quarantine(self, seg_no: int) -> None:
@@ -150,7 +142,6 @@ class SegmentUsageTable:
         seg.clean = False
         seg.quarantined = True
         self._dirty_blocks.add(self.block_of(seg_no))
-        self._score_dirty.add(seg_no)
         self._notify(seg_no)
 
     # ------------------------------------------------------------------
@@ -195,17 +186,6 @@ class SegmentUsageTable:
             idx = min(bins - 1, int(u * bins))
             counts[idx] += 1
         return counts
-
-    def consume_score_dirty(self) -> set[int]:
-        """Drain the set of segments whose cleaner score may have moved.
-
-        The cleaner's incremental victim heap calls this before each
-        selection; between calls the write path only pays a set-add per
-        touched segment instead of the legacy full-table rescan.
-        """
-        dirty = self._score_dirty
-        self._score_dirty = set()
-        return dirty
 
     # ------------------------------------------------------------------
     # block (de)serialization
@@ -252,7 +232,6 @@ class SegmentUsageTable:
             len(payload) >= count * SEG_USAGE_ENTRY_SIZE,
             "segment usage block truncated",
         )
-        self._score_dirty.update(range(first, first + count))
         for i in range(count):
             live, last, flags = _ENTRY.unpack_from(payload, i * SEG_USAGE_ENTRY_SIZE)
             seg = self._segments[first + i]

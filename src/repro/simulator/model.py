@@ -18,14 +18,8 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 
 from repro.simulator.patterns import AccessPattern, UniformPattern
-from repro.simulator.policies import (
-    GroupingPolicy,
-    SelectionPolicy,
-    cost_benefit_key,
-    rank,
-)
+from repro.simulator.policies import GroupingPolicy, SelectionPolicy, rank
 from repro.simulator.writecost import measured_write_cost
-from repro.victims import LazyVictimHeap, partial_sort
 
 
 @dataclass
@@ -61,11 +55,6 @@ class SimConfig:
         max_windows: hard cap on measurement windows. Hot-and-cold runs
             need many windows: the cold-segment free-space hoarding that
             drives Figure 5 develops over several cold-file lifetimes.
-        incremental: use the incremental victim-selection engine (a
-            lazy-invalidation heap for greedy, top-k partial selection
-            for cost-benefit). Victim choice is bit-identical to the
-            legacy full-scan/full-sort path, which remains available as
-            a reference oracle with ``incremental=False``.
     """
 
     num_segments: int = 100
@@ -81,7 +70,6 @@ class SimConfig:
     stable_tol: float = 0.04
     stable_windows: int = 2
     max_windows: int = 40
-    incremental: bool = True
 
     def __post_init__(self) -> None:
         if self.num_segments < 4 or self.blocks_per_segment < 1:
@@ -139,7 +127,7 @@ class Simulator:
         self.rng = random.Random(config.seed)
         self.pattern.bind(config.num_files, self.rng)
 
-        S, B = config.num_segments, config.blocks_per_segment
+        S = config.num_segments
         self.file_seg = [-1] * config.num_files
         self.file_mtime = [0.0] * config.num_files
         self.seg_live = [0] * S
@@ -175,14 +163,6 @@ class Simulator:
         self.cleaned_utilizations: list[float] = []
         self.util_snapshots: list[float] = []
 
-        # Incremental victim selection: segments whose live count changed
-        # since the heap last saw them. The hot write path only records
-        # the segment number; scores are folded into the heap right
-        # before a selection, so a pass costs O(changed log S) instead of
-        # the legacy O(S log S) full re-sort.
-        self._victims = LazyVictimHeap()
-        self._score_dirty: set[int] = set(range(S))
-
         # initial layout: every file written once, in file order
         for f in range(config.num_files):
             self._append_new(f)
@@ -209,7 +189,6 @@ class Simulator:
         self.file_seg[f] = seg
         self.seg_live[seg] += 1
         self.seg_files[seg][f] = None
-        self._score_dirty.add(seg)
         if self.file_mtime[f] > self.seg_mtime[seg]:
             self.seg_mtime[seg] = self.file_mtime[f]
         self.cur_fill += 1
@@ -230,7 +209,6 @@ class Simulator:
         self.file_seg[f] = seg
         self.seg_live[seg] += 1
         self.seg_files[seg][f] = None
-        self._score_dirty.add(seg)
         if self.file_mtime[f] > self.seg_mtime[seg]:
             self.seg_mtime[seg] = self.file_mtime[f]
         self.out_fill += 1
@@ -246,7 +224,6 @@ class Simulator:
         if old >= 0:
             self.seg_live[old] -= 1
             self.seg_files[old].pop(f, None)
-            self._score_dirty.add(old)
         self.file_mtime[f] = float(self.step_no)
         self._append_new(f)
 
@@ -260,31 +237,12 @@ class Simulator:
             s for s in self._inlog if s != self.cur_seg and s != self.out_seg
         ]
 
-    def _victim_excluded(self, seg: int) -> bool:
-        return seg in self.clean_set or seg == self.cur_seg or seg == self.out_seg
-
-    def _flush_victim_scores(self) -> None:
-        """Fold deferred live-count changes into the victim heap."""
-        update = self._victims.update
-        remove = self._victims.remove
-        live = self.seg_live
-        clean = self.clean_set
-        for seg in self._score_dirty:
-            if seg in clean:
-                remove(seg)
-            else:
-                update(seg, live[seg])
-        self._score_dirty.clear()
-
-    def _legacy_victims(self, count: int) -> list[int]:
-        """Reference oracle: the original full-scan, full-sort selection."""
-        candidates = self._candidates()
-        if not candidates:
-            return []
+    def _select_victims(self, count: int) -> list[int]:
+        """The ``count`` best candidates under the selection policy."""
         B = self.config.blocks_per_segment
         ranked = rank(
             self.config.selection,
-            candidates,
+            self._candidates(),
             self,
             float(self.step_no),
             B,
@@ -294,28 +252,6 @@ class Simulator:
         # one while anything better exists.
         ranked = [s for s in ranked if self.seg_live[s] < B]
         return ranked[:count]
-
-    def _select_victims(self, count: int) -> list[int]:
-        """Pick the next ``count`` victims; bit-identical to the oracle.
-
-        Greedy scores depend only on live counts, so they live in a
-        persistent lazy-invalidation heap updated from the deferred
-        dirty set. Cost-benefit scores move with the clock and cannot be
-        cached across passes; they use top-k partial selection instead
-        of a full sort.
-        """
-        if not self.config.incremental:
-            return self._legacy_victims(count)
-        B = self.config.blocks_per_segment
-        if self.config.selection is SelectionPolicy.GREEDY:
-            self._flush_victim_scores()
-            return self._victims.select(
-                count, exclude=self._victim_excluded, stop_score=B
-            )
-        ratio = cost_benefit_key(self, float(self.step_no), B)
-        live = self.seg_live
-        candidates = [s for s in self._candidates() if live[s] < B]
-        return partial_sort(candidates, count, key=lambda s: -ratio(s))
 
     def _run_cleaner(self) -> None:
         """Clean until the threshold of clean segments is available."""
@@ -343,7 +279,6 @@ class Simulator:
                 self.clean_segs.append(v)
                 self.clean_set.add(v)
                 del self._inlog[bisect_left(self._inlog, v)]
-                self._score_dirty.add(v)
                 self.segments_cleaned += 1
             if self.config.grouping == GroupingPolicy.AGE_SORT:
                 live_files.sort(key=lambda f: self.file_mtime[f])

@@ -46,9 +46,7 @@ def cost_benefit_key(view: SegmentView, now: float, blocks_per_segment: int):
     """The benefit-to-cost ratio as a scoring function (Section 3.5).
 
     benefit/cost = (1 - u) * age / (1 + u), with age taken from the most
-    recent modified time of any block in the segment. Shared by the full
-    sort and the incremental top-k path so both compute bit-identical
-    floats.
+    recent modified time of any block in the segment.
     """
 
     def ratio(seg: int) -> float:

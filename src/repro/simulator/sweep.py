@@ -24,6 +24,7 @@ import time
 import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -68,9 +69,16 @@ class SweepPoint:
     pattern: str = "uniform"
 
 
-def run_point(point: SweepPoint) -> SimResult:
-    """Run one sweep point to steady state (the pool's work function)."""
-    return Simulator(point.config, make_pattern(point.pattern)).run()
+def run_point(point: SweepPoint, engine: str = "reference") -> SimResult:
+    """Run one sweep point to steady state (the pool's work function).
+
+    ``engine`` is a concrete engine name (see :func:`resolve_engine`).
+    """
+    if engine == "vectorized":
+        from repro.simulator.fast import FastSimulator as sim
+    else:
+        sim = Simulator
+    return sim(point.config, make_pattern(point.pattern)).run()
 
 
 def have_numpy() -> bool:
@@ -100,13 +108,6 @@ def resolve_engine(engine: str = "auto") -> str:
             "use --engine reference or auto"
         )
     return engine
-
-
-def _run_fleet_chunk(points: Sequence[SweepPoint]) -> list[SimResult]:
-    """Vectorized work function: one worker's chunk as a fused fleet."""
-    from repro.simulator.batch import run_fleet
-
-    return run_fleet([(p.config, make_pattern(p.pattern)) for p in points])
 
 
 def result_digest(results: Iterable[SimResult]) -> str:
@@ -153,7 +154,10 @@ def resolve_workers(workers: int | None, njobs: int) -> int:
     """Worker count to use: explicit > $REPRO_SWEEP_WORKERS > cpu count."""
     if workers is None:
         env = os.environ.get(WORKERS_ENV, "").strip()
-        workers = int(env) if env else (os.cpu_count() or 1)
+        try:
+            workers = int(env) if env else (os.cpu_count() or 1)
+        except ValueError:
+            raise ValueError(f"${WORKERS_ENV} must be an integer, got {env!r}") from None
     return max(1, min(workers, njobs))
 
 
@@ -170,27 +174,14 @@ def run_sweep(
     carries its own seed and the simulator is deterministic — and
     bit-identical across ``engine`` choices too (the vectorized engine
     is proven equivalent to the reference simulator).
-
-    The vectorized engine batches each worker's points into one fused
-    fleet (shared numpy kernels across points), so it splits the sweep
-    into ``nworkers`` contiguous chunks instead of one task per point;
-    ordering stays deterministic because chunks are mapped in order and
-    re-concatenated.
     """
     points = list(points)
     nworkers = resolve_workers(workers, len(points))
-    if resolve_engine(engine) == "vectorized":
-        if nworkers <= 1:
-            return _run_fleet_chunk(points)
-        size = -(-len(points) // nworkers)
-        chunks = [points[i : i + size] for i in range(0, len(points), size)]
-        with ProcessPoolExecutor(max_workers=nworkers) as pool:
-            parts = list(pool.map(_run_fleet_chunk, chunks, chunksize=1))
-        return [r for part in parts for r in part]
+    run = partial(run_point, engine=resolve_engine(engine))
     if nworkers <= 1:
-        return [run_point(p) for p in points]
+        return [run(p) for p in points]
     with ProcessPoolExecutor(max_workers=nworkers) as pool:
-        return list(pool.map(run_point, points, chunksize=1))
+        return list(pool.map(run, points, chunksize=1))
 
 
 def parallel_map(

@@ -114,6 +114,40 @@ class TestPolicySelection:
         assert fs.writer.current_segment not in victims
         assert fs.writer.next_segment not in victims
 
+    @staticmethod
+    def _stage(fs, segments):
+        """Make clean segments dirty with chosen ``seg: live_bytes``, all
+        written at the same instant (so equal bytes means equal score)."""
+        assert fs.cleaner._candidates() == []
+        for seg, live in segments.items():
+            assert fs.usage.get(seg).clean
+            fs.usage.add_live(seg, live, when=1.0)
+        fs.disk.clock.advance(100.0)
+
+    @pytest.mark.parametrize("policy", [CleaningPolicy.GREEDY, CleaningPolicy.COST_BENEFIT])
+    def test_equal_utilization_ties_break_by_segment_number(self, fs, policy):
+        """Every pinned digest depends on this order."""
+        fs.config.cleaning_policy = policy
+        self._stage(fs, {30: 4096, 12: 4096, 21: 4096, 17: 8192, 40: 4096})
+        assert fs.cleaner.select_segments(3) == [12, 21, 30]
+        assert fs.cleaner.select_segments(100) == [12, 21, 30, 40, 17]
+
+    @pytest.mark.parametrize("policy", [CleaningPolicy.GREEDY, CleaningPolicy.COST_BENEFIT])
+    def test_quarantined_and_cold_open_segments_never_selected(self, fs, policy):
+        fs.config.cleaning_policy = policy
+        self._stage(fs, {12: 4096, 21: 8192, 30: 12288})
+        fs.usage.quarantine(12)  # would otherwise rank first (and as an empty)
+        fs.writer.cold_segment = 21
+        assert fs.cleaner.select_segments(100) == [30]
+
+    @pytest.mark.parametrize("policy", [CleaningPolicy.GREEDY, CleaningPolicy.COST_BENEFIT])
+    def test_empties_crowd_out_everything_else(self, fs, policy):
+        """Any empty candidate means only empties, lowest numbers first."""
+        fs.config.cleaning_policy = policy
+        self._stage(fs, {40: 0, 11: 4096, 9: 0, 25: 0})
+        assert fs.cleaner.select_segments(2) == [9, 25]
+        assert fs.cleaner.select_segments(100) == [9, 25, 40]
+
 
 class TestVersionFastPath:
     def test_deleted_file_blocks_discarded_without_inode_read(self, fs):

@@ -1,8 +1,13 @@
 """Tests for configuration and disk layout computation."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.config import CleaningPolicy, LFSConfig, compute_layout
+from repro.core.filesystem import LFS
+
+from tests.conftest import small_config
 
 
 class TestLFSConfig:
@@ -39,6 +44,33 @@ class TestLFSConfig:
 
     def test_usage_entries_per_block(self):
         assert LFSConfig().seg_usage_entries_per_block == 4096 // 24
+
+
+def _non_default(value):
+    """A valid value of the same type that differs from ``value``."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, CleaningPolicy):
+        return next(p for p in CleaningPolicy if p is not value)
+    return value + 0.25 if isinstance(value, float) else value + 1
+
+
+class TestMountKeepsRuntimeConfig:
+    def test_every_runtime_field_survives_mount(self, disk):
+        """A field added to LFSConfig must not be dropped at remount."""
+        on_disk = small_config()
+        LFS.format(disk, on_disk).unmount()
+        geometry = {"block_size": 8192, "segment_bytes": 1 << 20, "max_inodes": 64}
+        knobs = {
+            f.name: _non_default(f.default)
+            for f in dataclasses.fields(LFSConfig)
+            if f.name not in geometry
+        }
+        mounted = LFS.mount(disk, LFSConfig(**geometry, **knobs)).config
+        for name, value in knobs.items():
+            assert getattr(mounted, name) == value, name
+        for name, value in geometry.items():
+            assert getattr(mounted, name) == getattr(on_disk, name) != value, name
 
 
 class TestLayout:

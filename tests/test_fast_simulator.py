@@ -1,9 +1,9 @@
 """The vectorized engine's identity oracle.
 
-``FastSimulator`` (and the fused-fleet driver ``run_fleet``) exist only
-for speed: every observable output — victims cleaned, block counters,
-write cost, cleaned-segment utilizations, utilization histogram — must
-be *bit-identical* to the reference ``Simulator``. These tests assert
+``FastSimulator`` exists only for speed: every observable output —
+victims cleaned, block counters, write cost, cleaned-segment
+utilizations, utilization histogram — must be *bit-identical* to the
+reference ``Simulator``. These tests assert
 exactly that, over the policy/pattern/utilization matrix, over
 hypothesis-generated configurations, and at the sampler layer (the
 batched RNG must replay ``random.Random`` draw for draw).
@@ -24,7 +24,6 @@ from hypothesis import strategies as st
 
 np = pytest.importorskip("numpy")
 
-from repro.simulator.batch import run_fleet  # noqa: E402
 from repro.simulator.fast import FastSimulator  # noqa: E402
 from repro.simulator.fastrand import make_sampler  # noqa: E402
 from repro.simulator.model import SimConfig, Simulator  # noqa: E402
@@ -186,27 +185,6 @@ class TestSamplerParity:
 
 
 class TestFleetIdentity:
-    def test_fused_fleet_matches_solo_runs(self):
-        pairs = matrix_pairs()
-        fleet = run_fleet([(cfg, make_pattern(p)) for cfg, p in pairs])
-        solo = [FastSimulator(cfg, make_pattern(p)).run() for cfg, p in pairs]
-        assert fleet == solo
-
-    def test_mixed_geometry_fleet_groups_and_falls_back(self):
-        # Two fusable cohorts plus a singleton geometry: results must
-        # come back in input order, identical to solo runs.
-        pairs = [
-            (small_config(0.6, SelectionPolicy.GREEDY, GroupingPolicy.AGE_SORT), "uniform"),
-            (small_config(0.6, SelectionPolicy.COST_BENEFIT, GroupingPolicy.NONE,
-                          num_segments=20, blocks_per_segment=16), "hot-cold"),
-            (small_config(0.75, SelectionPolicy.COST_BENEFIT, GroupingPolicy.AGE_SORT), "hot-cold"),
-            (small_config(0.4, SelectionPolicy.GREEDY, GroupingPolicy.NONE,
-                          num_segments=12, blocks_per_segment=8), "uniform"),
-        ]
-        fleet = run_fleet([(cfg, make_pattern(p)) for cfg, p in pairs])
-        solo = [FastSimulator(cfg, make_pattern(p)).run() for cfg, p in pairs]
-        assert fleet == solo
-
     def test_run_sweep_engines_agree_and_digest_matches(self):
         points = [
             SweepPoint(small_config(u, s, GroupingPolicy.AGE_SORT,

@@ -55,6 +55,13 @@ class TestDeterminism:
         for a, b in zip(sequential, pooled):
             assert a == b  # SimResult is a dataclass: full field equality
 
+    def test_vectorized_pool_matches_in_process(self):
+        pytest.importorskip("numpy")
+        points = _tiny_points()
+        sequential = run_sweep(points, workers=1, engine="vectorized")
+        assert run_sweep(points, workers=2, engine="vectorized") == sequential
+        assert sequential == run_sweep(points, workers=1, engine="reference")
+
     def test_rerun_is_identical(self):
         points = _tiny_points()
         assert run_sweep(points, workers=1) == run_sweep(points, workers=1)
@@ -115,6 +122,11 @@ class TestWorkers:
     def test_env_fallback(self, monkeypatch):
         monkeypatch.setenv("REPRO_SWEEP_WORKERS", "5")
         assert resolve_workers(None, njobs=100) == 5
+
+    def test_env_typo_names_the_variable(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SWEEP_WORKERS", "two")
+        with pytest.raises(ValueError, match=r"REPRO_SWEEP_WORKERS.*'two'"):
+            resolve_workers(None, njobs=100)
 
     def test_capped_by_jobs(self):
         assert resolve_workers(16, njobs=2) == 2
