@@ -39,6 +39,10 @@ class BlockCache:
         self.capacity_blocks = capacity_blocks
         self._entries: "OrderedDict[tuple[int, int], CacheEntry]" = OrderedDict()
         self._dirty: set[tuple[int, int]] = set()
+        # Cached block numbers per file, so unlink/truncate cost the
+        # blocks of that file instead of a scan of every entry. Always
+        # the keys of ``_entries`` grouped by inum; no empty sets kept.
+        self._by_file: dict[int, set[int]] = {}
         self.hits = 0
         self.misses = 0
         # Optional observability hook (repro.obs.Observation); None = off.
@@ -86,6 +90,7 @@ class BlockCache:
             )
         self._entries[key] = CacheEntry(payload=payload, dirty=False, mtime=mtime)
         self._entries.move_to_end(key)
+        self._index(inum, fbn)
         self._evict_if_needed()
 
     def write(self, inum: int, fbn: int, payload: bytes, mtime: float) -> None:
@@ -94,6 +99,7 @@ class BlockCache:
         self._entries[key] = CacheEntry(payload=payload, dirty=True, mtime=mtime)
         self._entries.move_to_end(key)
         self._dirty.add(key)
+        self._index(inum, fbn)
         self._evict_if_needed()
 
     def mark_clean(self, inum: int, fbn: int) -> None:
@@ -106,22 +112,20 @@ class BlockCache:
 
     def drop(self, inum: int, fbn: int) -> None:
         """Forget one block (dirty or not) — used by delete/truncate."""
-        self._entries.pop((inum, fbn), None)
+        if self._entries.pop((inum, fbn), None) is not None:
+            self._unindex(inum, fbn)
         self._dirty.discard((inum, fbn))
 
     def drop_file(self, inum: int) -> None:
         """Forget every cached block of one file."""
-        doomed = [key for key in self._entries if key[0] == inum]
-        for key in doomed:
-            del self._entries[key]
-            self._dirty.discard(key)
+        for fbn in self._by_file.pop(inum, ()):
+            del self._entries[inum, fbn]
+            self._dirty.discard((inum, fbn))
 
     def drop_from(self, inum: int, first_fbn: int) -> None:
         """Forget blocks of ``inum`` at or past ``first_fbn`` (truncate)."""
-        doomed = [key for key in self._entries if key[0] == inum and key[1] >= first_fbn]
-        for key in doomed:
-            del self._entries[key]
-            self._dirty.discard(key)
+        for fbn in [f for f in self._by_file.get(inum, ()) if f >= first_fbn]:
+            self.drop(inum, fbn)
 
     def dirty_blocks(self) -> list[tuple[int, int, CacheEntry]]:
         """Every dirty block as ``(inum, fbn, entry)``, sorted by key."""
@@ -136,6 +140,20 @@ class BlockCache:
         """Drop everything (crash simulation: RAM contents are lost)."""
         self._entries.clear()
         self._dirty.clear()
+        self._by_file.clear()
+
+    def _index(self, inum: int, fbn: int) -> None:
+        fbns = self._by_file.get(inum)
+        if fbns is None:
+            self._by_file[inum] = {fbn}
+        else:
+            fbns.add(fbn)
+
+    def _unindex(self, inum: int, fbn: int) -> None:
+        fbns = self._by_file[inum]
+        fbns.discard(fbn)
+        if not fbns:
+            del self._by_file[inum]
 
     def _evict_if_needed(self) -> None:
         """Evict clean LRU entries while over capacity.
@@ -156,6 +174,7 @@ class BlockCache:
                 scans -= 1
                 continue
             scans -= 1
+            self._unindex(*key)
             if self.obs is not None:
                 self.obs.emit("cache.evict", inum=key[0], fbn=key[1])
 

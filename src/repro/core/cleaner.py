@@ -14,6 +14,7 @@ into them.
 
 from __future__ import annotations
 
+import weakref
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 
@@ -79,7 +80,9 @@ class Cleaner:
     """Regenerates clean segments for one :class:`~repro.core.filesystem.LFS`."""
 
     def __init__(self, fs) -> None:
-        self.fs = fs
+        # The file system owns its cleaner; a strong back-pointer would
+        # make every LFS a cycle only the collector can free.
+        self.fs = weakref.proxy(fs)
         self.stats = CleanerStats()
 
     # ------------------------------------------------------------------

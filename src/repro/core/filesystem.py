@@ -12,6 +12,7 @@ free space management is entirely segment-based, as in the paper.
 from __future__ import annotations
 
 import dataclasses
+import weakref
 from contextlib import nullcontext
 from dataclasses import dataclass
 
@@ -143,6 +144,15 @@ class LFS:
         self._inodes: dict[int, Inode] = {}
         self._dirty_inodes: set[int] = set()
         self._filemaps: dict[int, FileMap] = {}
+        # The two hooks every FileMap calls back through, built once.
+        # They reach this object through a weak proxy: the maps live in
+        # ``_filemaps``, so a strong reference would make every LFS a
+        # cycle that only the collector can free.
+        weak = weakref.proxy(self)
+        self._filemap_hooks = (
+            lambda addr: weak._read_log_block(addr),
+            lambda inum: weak._mark_inode_dirty(inum),
+        )
         self._dir_states: dict[int, _DirState] = {}
         self._pending_dirops: list[DirOpRecord] = []
         self._dirop_addrs: list[int] = []
@@ -373,10 +383,17 @@ class LFS:
         self.nvram = nvram
 
     def unmount(self) -> None:
-        """Checkpoint and detach."""
+        """Checkpoint and detach.
+
+        The detached instance accepts no further calls, so it gives up
+        its cache and every other piece of in-memory state exactly as
+        :meth:`crash` does (:meth:`_drop_memory_state`); use
+        :meth:`LFS.mount` for a fresh instance.
+        """
         self._require_mounted()
         self.checkpoint()
         self._mounted = False
+        self._drop_memory_state()
 
     def crash(self) -> None:
         """Simulate an OS crash: all in-memory state is lost.
@@ -385,6 +402,8 @@ class LFS:
         :meth:`LFS.mount` afterwards to recover. With
         ``battery_backed_buffer`` the write buffer drains to the log
         before the system halts (unless the disk itself lost power).
+        What is lost is the list in :meth:`_drop_memory_state`, shared
+        with :meth:`unmount`.
         """
         if (
             self._mounted
@@ -396,6 +415,10 @@ class LFS:
             except LFSError:
                 pass  # the battery could not save everything; recover normally
         self._mounted = False
+        self._drop_memory_state()
+
+    def _drop_memory_state(self) -> None:
+        """Forget everything held in RAM; the end of this instance's life."""
         self.cache.clear_all()
         self._inodes.clear()
         self._dirty_inodes.clear()
@@ -576,12 +599,7 @@ class LFS:
         fmap = self._filemaps.get(inum)
         if fmap is None:
             inode = self.get_inode(inum)
-            fmap = FileMap(
-                inode,
-                self.config.block_size,
-                self._read_log_block,
-                lambda i=inum: self._mark_inode_dirty(i),
-            )
+            fmap = FileMap(inode, self.config.block_size, *self._filemap_hooks)
             self._filemaps[inum] = fmap
         return fmap
 

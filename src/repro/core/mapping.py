@@ -25,8 +25,9 @@ class FileMap:
 
     The map calls back into its owner through two hooks supplied at
     construction: ``read_block(addr) -> bytes`` to load an indirect block
-    from the log, and ``mark_inode_dirty()`` when a pointer stored in the
-    inode itself changes.
+    from the log, and ``mark_inode_dirty(inum)`` when a pointer stored in
+    the inode itself changes. Neither hook is specific to the file, so an
+    owner can hand the same two callables to every map it builds.
     """
 
     def __init__(self, inode: Inode, block_size: int, read_block, mark_inode_dirty) -> None:
@@ -117,7 +118,7 @@ class FileMap:
         if level == "direct":
             old = self.inode.direct[slot]
             self.inode.direct[slot] = addr
-            self._mark_inode_dirty()
+            self._mark_inode_dirty(self.inode.inum)
             return old
         if level == "single":
             l1 = self._load_l1()
@@ -167,7 +168,7 @@ class FileMap:
         """Record the single-indirect block's new log address."""
         old = self.inode.indirect
         self.inode.indirect = addr
-        self._mark_inode_dirty()
+        self._mark_inode_dirty(self.inode.inum)
         self.l1_dirty = False
         return old
 
@@ -175,7 +176,7 @@ class FileMap:
         """Record the double-indirect block's new log address."""
         old = self.inode.dindirect
         self.inode.dindirect = addr
-        self._mark_inode_dirty()
+        self._mark_inode_dirty(self.inode.inum)
         self.l2_dirty = False
         return old
 
@@ -244,7 +245,7 @@ class FileMap:
             if self.inode.direct[fbn] != NULL_ADDR:
                 freed.append(("data", self.inode.direct[fbn]))
                 self.inode.direct[fbn] = NULL_ADDR
-        self._mark_inode_dirty()
+        self._mark_inode_dirty(self.inode.inum)
         if nblocks > NUM_DIRECT and (
             self.inode.indirect != NULL_ADDR or self._l1 is not None
         ):

@@ -154,7 +154,7 @@ def _collect_partial_writes(fs, cp: Checkpoint, report: RecoveryReport) -> list[
 
 def _inode_block_addrs(fs, inode: Inode) -> list[tuple[str, int]]:
     """All allocated (kind, addr) blocks of one inode, reading indirects."""
-    fmap = FileMap(inode, fs.config.block_size, fs._read_log_block, lambda: None)
+    fmap = FileMap(inode, fs.config.block_size, fs._read_log_block, lambda inum: None)
     return fmap.all_block_addrs(inode.nblocks(fs.config.block_size))
 
 

@@ -57,6 +57,10 @@ class SegmentUsageTable:
         self.entries_per_block = entries_per_block
         self.num_blocks = (num_segments + entries_per_block - 1) // entries_per_block
         self._segments = [SegmentUsage() for _ in range(num_segments)]
+        #: How many segments are clean — the number Section 3.4's threshold
+        #: policy compares on every operation. Kept current by
+        #: :meth:`_set_clean`, the only writer of ``SegmentUsage.clean``.
+        self.clean_count = num_segments
         self._dirty_blocks: set[int] = set()
         self.block_addrs: list[int] = [NULL_ADDR] * self.num_blocks
         # Optional mutation observer: called as observer(seg_no, record,
@@ -68,6 +72,11 @@ class SegmentUsageTable:
     def _notify(self, seg_no: int, when: float | None = None) -> None:
         if self.observer is not None:
             self.observer(seg_no, self._segments[seg_no], when)
+
+    def _set_clean(self, seg: SegmentUsage, clean: bool) -> None:
+        if seg.clean != clean:
+            seg.clean = clean
+            self.clean_count += 1 if clean else -1
 
     # ------------------------------------------------------------------
 
@@ -93,7 +102,7 @@ class SegmentUsageTable:
         """Account newly written live bytes in a segment."""
         seg = self.get(seg_no)
         seg.live_bytes += nbytes
-        seg.clean = False
+        self._set_clean(seg, False)
         if when > seg.last_write:
             seg.last_write = when
         self._dirty_blocks.add(self.block_of(seg_no))
@@ -114,7 +123,7 @@ class SegmentUsageTable:
                 f"segment {seg_no} is quarantined and cannot rejoin the clean pool"
             )
         seg.live_bytes = 0
-        seg.clean = True
+        self._set_clean(seg, True)
         self._dirty_blocks.add(self.block_of(seg_no))
         self._notify(seg_no)
 
@@ -125,7 +134,7 @@ class SegmentUsageTable:
             raise InvalidOperationError(
                 f"segment {seg_no} is quarantined and cannot take log traffic"
             )
-        seg.clean = False
+        self._set_clean(seg, False)
         self._dirty_blocks.add(self.block_of(seg_no))
         self._notify(seg_no)
 
@@ -139,7 +148,7 @@ class SegmentUsageTable:
         """
         seg = self.get(seg_no)
         seg.live_bytes = 0
-        seg.clean = False
+        self._set_clean(seg, False)
         seg.quarantined = True
         self._dirty_blocks.add(self.block_of(seg_no))
         self._notify(seg_no)
@@ -150,11 +159,6 @@ class SegmentUsageTable:
     def clean_segments(self) -> list[int]:
         """Segment numbers currently clean, ascending."""
         return [i for i, s in enumerate(self._segments) if s.clean]
-
-    @property
-    def clean_count(self) -> int:
-        """How many segments are clean."""
-        return sum(1 for s in self._segments if s.clean)
 
     def dirty_segments(self) -> list[int]:
         """Segments holding (possibly zero) live data from the log.
@@ -238,5 +242,5 @@ class SegmentUsageTable:
             seg.live_bytes = live
             seg.last_write = last
             seg.quarantined = bool(flags & _FLAG_QUARANTINED)
-            seg.clean = live == 0 and not seg.quarantined
+            self._set_clean(seg, live == 0 and not seg.quarantined)
             self._notify(first + i)

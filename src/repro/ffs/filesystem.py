@@ -215,7 +215,7 @@ class FFS:
                 inode,
                 self.config.block_size,
                 lambda addr: self.disk.read_block(addr),
-                lambda: None,
+                lambda inum: None,
             )
             self._filemaps[inum] = fmap
         return fmap

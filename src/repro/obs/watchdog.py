@@ -18,6 +18,9 @@ the invariant and carrying the offending event):
 - **ledger-mirrors-usage** — on segment-lifecycle events, the ledger's
   live-byte mirror equals ``SegmentUsageTable.total_live_bytes()``
   exactly, and per-segment on every ``log.write``;
+- **clean-count-matches-scan** — on segment-lifecycle events, the usage
+  table's running ``clean_count`` (what the cleaning threshold reads on
+  every operation) equals a fresh count of its ``clean`` flags;
 - **cleaner-conservation** — every live block the cleaner identified
   was rewritten, rescued, or declared lost: ``live_blocks_seen ==
   live_blocks_moved + blocks_rescued + blocks_lost`` at every
@@ -169,6 +172,7 @@ class Watchdog:
         if kind == NVM_TRUNCATE:
             self._check_nvm_truncate(event)
         if kind in _LIFECYCLE_KINDS:
+            self._check_clean_count(event)
             self._check_ledger_totals(event)
             self._check_cleaner_conservation(event)
             self._check_erase_conservation(event)
@@ -250,6 +254,20 @@ class Watchdog:
                 "cleaned-u-matches-mirror",
                 f"segment {seg_no}: clean.segment reports u={reported!r} but "
                 f"the ledger mirror computes u={mirrored!r}",
+                event,
+            )
+
+    def _check_clean_count(self, event: Event) -> None:
+        if self._fs is None or not hasattr(self._fs, "usage"):
+            return
+        self.checks_run += 1
+        usage = self._fs.usage
+        scanned = len(usage.clean_segments())
+        if usage.clean_count != scanned:
+            raise InvariantViolation(
+                "clean-count-matches-scan",
+                f"usage table counts {usage.clean_count} clean segments, a "
+                f"scan of its flags finds {scanned}",
                 event,
             )
 

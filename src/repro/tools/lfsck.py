@@ -255,14 +255,8 @@ def check_filesystem(disk: Disk) -> CheckReport:
     entry_counts: dict[int, int] = {}
     reachable: set[int] = set()
 
-    def walk(dir_inum: int) -> None:
-        if dir_inum in reachable:
-            report.error(f"directory cycle involving inode {dir_inum}")
-            return
-        reachable.add(dir_inum)
-        inode = inodes.get(dir_inum)
-        if inode is None:
-            return
+    def dir_entries(dir_inum: int, inode):
+        """``(name, child)`` of one directory, bad blocks reported as reached."""
         addrs = [a for k, a in _file_blocks(view, bs, inode) if k == "data"]
         for addr in addrs:
             try:
@@ -270,22 +264,40 @@ def check_filesystem(disk: Disk) -> CheckReport:
             except CorruptionError as exc:
                 report.error(f"directory {dir_inum}: bad block at {addr}: {exc}")
                 continue
-            for name, child in entries:
-                if child not in inodes:
-                    report.error(
-                        f"directory {dir_inum}: entry {name!r} -> dead inode {child}"
-                    )
-                    continue
-                entry_counts[child] = entry_counts.get(child, 0) + 1
-                if inodes[child].is_directory:
-                    walk(child)
-                else:
-                    reachable.add(child)
+            yield from entries
+
+    # Depth-first from the root, a subdirectory entered where its entry
+    # is met. The stack of half-read directories is explicit so that no
+    # function refers to itself: a recursive closure is a reference
+    # cycle, and would keep ``view`` (and the disk) alive after return.
+    stack = []
+
+    def enter(dir_inum: int) -> None:
+        if dir_inum in reachable:
+            report.error(f"directory cycle involving inode {dir_inum}")
+            return
+        reachable.add(dir_inum)
+        stack.append((dir_inum, dir_entries(dir_inum, inodes[dir_inum])))
 
     if ROOT_INUM in inodes:
-        walk(ROOT_INUM)
+        enter(ROOT_INUM)
     else:
         report.error("root inode missing")
+    while stack:
+        dir_inum, entries = stack[-1]
+        for name, child in entries:
+            if child not in inodes:
+                report.error(
+                    f"directory {dir_inum}: entry {name!r} -> dead inode {child}"
+                )
+                continue
+            entry_counts[child] = entry_counts.get(child, 0) + 1
+            if inodes[child].is_directory:
+                enter(child)
+                break  # its entries come first; this directory resumes after
+            reachable.add(child)
+        else:
+            stack.pop()
 
     for inum, inode in inodes.items():
         if inum == ROOT_INUM:

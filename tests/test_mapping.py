@@ -33,7 +33,7 @@ def store():
 def fmap(store):
     inode = Inode(inum=1)
     dirty = []
-    return FileMap(inode, BS, store.read, lambda: dirty.append(1))
+    return FileMap(inode, BS, store.read, lambda inum: dirty.append(inum))
 
 
 class TestDirect:
@@ -68,7 +68,7 @@ class TestSingleIndirect:
         addrs[7] = 4242
         store.blocks[50] = pack_addrs(addrs, BS)
         inode = Inode(inum=1, indirect=50)
-        fmap = FileMap(inode, BS, store.read, lambda: None)
+        fmap = FileMap(inode, BS, store.read, lambda inum: None)
         assert fmap.get(NUM_DIRECT + 7) == 4242
         assert store.reads == 1
 
@@ -135,7 +135,7 @@ class TestEnumeration:
         addrs = [NULL_ADDR] * PER
         addrs[0], addrs[1] = 100, 101
         store.blocks[50] = pack_addrs(addrs, BS)
-        fmap = FileMap(inode, BS, store.read, lambda: None)
+        fmap = FileMap(inode, BS, store.read, lambda inum: None)
         got = fmap.all_block_addrs(NUM_DIRECT + 2)
         assert ("indirect", 50) in got
         assert ("data", 100) in got and ("data", 101) in got

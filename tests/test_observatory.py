@@ -288,6 +288,15 @@ class TestWatchdog:
         assert exc_info.value.invariant == "no-reopen-quarantined"
         assert exc_info.value.event.fields["segment"] == victim
 
+    def test_fires_on_drifted_clean_count(self):
+        obs, _, _, _, fs = observed_fs()
+        fs.write_file("/f", b"x" * 60000)
+        fs.checkpoint()  # passes: the running count equals the scan
+        fs.usage.clean_count += 1  # a lost flag edge
+        with pytest.raises(InvariantViolation) as exc_info:
+            fs.checkpoint()
+        assert exc_info.value.invariant == "clean-count-matches-scan"
+
     def test_fires_on_tampered_mirror(self):
         obs, ledger, _, _, fs = observed_fs()
         for i in range(8):

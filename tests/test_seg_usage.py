@@ -1,6 +1,8 @@
 """Tests for the segment usage table."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.errors import InvalidOperationError
 from repro.core.seg_usage import SegmentUsageTable
@@ -107,3 +109,70 @@ class TestSerialization:
         assert table.dirty_block_indexes() == [0]
         table.clear_dirty(0)
         assert table.dirty_block_indexes() == []
+
+
+class TestCleanCount:
+    """``clean_count`` is a running count; it must equal a scan at every instant."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        steps=st.lists(
+            st.tuples(
+                st.sampled_from(
+                    ("add_live", "remove_live", "mark_clean", "mark_in_use", "quarantine",
+                     "load_block")
+                ),
+                st.integers(min_value=0, max_value=11),
+                st.integers(min_value=0, max_value=3),
+            ),
+            max_size=80,
+        )
+    )
+    def test_count_matches_scan_after_every_step(self, steps):
+        # 12 segments over 3 table blocks, so load_block replaces a part
+        table = SegmentUsageTable(num_segments=12, segment_bytes=4096, entries_per_block=5)
+        other = SegmentUsageTable(num_segments=12, segment_bytes=4096, entries_per_block=5)
+        for op, seg, n in steps:
+            if op == "add_live":
+                table.add_live(seg, n * 512, when=float(n))
+            elif op == "remove_live":
+                table.remove_live(seg, n * 512)
+            elif op in ("mark_clean", "mark_in_use"):
+                if table.get(seg).quarantined:
+                    with pytest.raises(InvalidOperationError):
+                        getattr(table, op)(seg)
+                else:
+                    getattr(table, op)(seg)
+            elif op == "quarantine":
+                table.quarantine(seg)
+            else:
+                # what a mount does: flags assigned from another table's bytes
+                block = n % table.num_blocks
+                other.load_block(block, table.pack_block(block, 512))
+                assert other.clean_count == len(other.clean_segments())
+                table, other = other, table
+            assert table.clean_count == len(table.clean_segments())
+
+    def test_quarantine_of_a_clean_segment_leaves_the_pool(self, table):
+        table.quarantine(7)
+        assert table.clean_count == 31 == len(table.clean_segments())
+        table.quarantine(7)
+        assert table.clean_count == 31
+
+    def test_repeated_edges_count_once(self, table):
+        table.mark_in_use(2)
+        table.add_live(2, 10, when=0.0)
+        table.mark_in_use(2)
+        assert table.clean_count == 31
+        table.mark_clean(2)
+        table.mark_clean(2)
+        assert table.clean_count == 32
+
+    def test_load_block_recounts_from_disk_flags(self, table):
+        table.add_live(1, 10, when=0.0)
+        table.quarantine(4)
+        table.mark_in_use(9)  # dirty but empty: loads back as clean
+        other = SegmentUsageTable(32, 128 * 1024, 170)
+        other.mark_in_use(20)  # overwritten by the load
+        other.load_block(0, table.pack_block(0, 4096))
+        assert other.clean_count == 30 == len(other.clean_segments())

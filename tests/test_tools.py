@@ -1,5 +1,8 @@
 """Tests for the offline checker (lfsck) and the log inspector."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.core.filesystem import LFS
@@ -95,6 +98,99 @@ class TestLfsckDetectsCorruption:
         report = check_filesystem(disk)
         assert not report.ok
         assert any("checkpoint" in e for e in report.errors)
+
+
+class TestLfsckDirectoryWalk:
+    """The connectivity walk reports in depth-first order, a subdirectory
+    entered where its entry is met."""
+
+    def test_cycle_and_dead_entries_reported_in_walk_order(self, disk):
+        fs = LFS.format(disk, small_config())
+        fs.mkdir("/a")
+        fs.mkdir("/a/b")
+        fs.mkdir("/c")
+        fs.write_file("/a/b/deep", b"deep")
+        a, b, c = (fs.stat(p).inum for p in ("/a", "/a/b", "/c"))
+        fs._dir_insert(b, "loop", a)  # /a/b/loop -> /a
+        fs._dir_insert(b, "ghost2", 1998)
+        fs._dir_insert(a, "ghost", 1999)
+        fs._dir_insert(c, "again", b)  # a second way into /a/b
+        fs.checkpoint()
+        report = check_filesystem(disk)
+        assert report.errors == [
+            f"directory cycle involving inode {a}",
+            f"directory {b}: entry 'ghost2' -> dead inode 1998",
+            f"directory {a}: entry 'ghost' -> dead inode 1999",
+            f"directory cycle involving inode {b}",
+            f"inode {a}: link count 1 but 2 directory entries",
+            f"inode {b}: link count 1 but 2 directory entries",
+        ]
+
+    def test_bad_directory_block_reported_where_reached(self, disk):
+        fs = LFS.format(disk, small_config())
+        fs.mkdir("/a")
+        fs.write_file("/a/f", b"f")
+        fs.write_file("/z", b"z")
+        fs.checkpoint()
+        a = fs.stat("/a").inum
+        addr = fs.filemap(a).get(0)
+        disk.corrupt_block(addr, b"\xff" * 4096)
+        report = check_filesystem(disk)
+        assert report.errors[0].startswith(f"directory {a}: bad block at {addr}:")
+        assert any("unreachable from the root" in e for e in report.errors[1:])
+
+
+class TestInstancesFreeThemselves:
+    """An LFS whose life has ended, and a checked Disk, are freed by
+    reference count: nothing may wait for the cycle collector."""
+
+    @pytest.fixture(autouse=True)
+    def collector_off(self):
+        gc.collect()
+        gc.disable()
+        yield
+        gc.enable()
+
+    @staticmethod
+    def written():
+        disk = Disk(DiskGeometry.wren4(num_blocks=4096))
+        fs = LFS.format(disk, small_config())
+        fs.mkdir("/d")
+        for i in range(40):
+            fs.write_file(f"/d/f{i}", bytes([i]) * 6000)
+        fs.unlink("/d/f3")
+        fs.sync()
+        return disk, fs
+
+    @pytest.mark.parametrize("end", ["crash", "unmount", "drop"])
+    def test_lfs_and_checked_disk_die_with_their_last_name(self, end):
+        disk, fs = self.written()
+        if end != "drop":
+            getattr(fs, end)()
+        fs_ref, cache_ref, disk_ref = weakref.ref(fs), weakref.ref(fs.cache), weakref.ref(disk)
+        del fs
+        assert fs_ref() is None and cache_ref() is None
+        assert check_filesystem(disk).ok
+        del disk
+        assert disk_ref() is None
+
+    def test_remounted_and_read_back_leaves_the_collector_nothing(self):
+        disk, fs = self.written()
+        fs.crash()
+        disk.power_on()
+        fs = LFS.mount(disk, small_config())
+        assert fs.read("/d/f7") == bytes([7]) * 6000
+        fs.unmount()
+        report = check_filesystem(disk)
+        assert report.ok
+        del fs, disk, report
+        assert gc.collect() == 0
+
+    def test_unmount_drops_what_crash_drops(self):
+        _, fs = self.written()
+        fs.unmount()
+        assert len(fs.cache) == 0
+        assert not (fs._inodes or fs._dirty_inodes or fs._filemaps or fs._dir_states)
 
 
 class TestDumplog:
