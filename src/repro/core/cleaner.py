@@ -15,14 +15,15 @@ into them.
 from __future__ import annotations
 
 import weakref
+import zlib
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 from repro.core.blocks import checksum
 from repro.core.config import CleaningPolicy
-from repro.core.constants import BlockKind
+from repro.core.constants import INODE_SIZE, BlockKind
 from repro.core.errors import MediaError, TrimmedBlockError
-from repro.core.inode import unpack_inode_block
+from repro.core.inode import Inode, inode_slot_ids
 from repro.core.summary import SegmentGap, walk_segment
 from repro.obs.attribution import CLEANING_READ
 from repro.obs.events import CLEAN_PASS, CLEAN_QUARANTINE, CLEAN_SEGMENT
@@ -32,7 +33,7 @@ class _UnreadablePayload(Exception):
     """Internal sentinel: a rescue declined to supply a damaged payload."""
 
 
-def _refuse_payload() -> bytes:
+def _refuse_payload(addr: int, entry) -> bytes:
     raise _UnreadablePayload()
 
 
@@ -346,6 +347,16 @@ class Cleaner:
                 self.stats.blocks_read += 1
                 return fs.disk.read_block(addr)
 
+            def payload_at(addr: int, entry) -> bytes:
+                payload = block_at(addr)
+                # Selective reads skip the whole-write CRC, so verify
+                # each lazily fetched payload individually.
+                if blocks is None and entry.block_crc and zlib.crc32(payload) != entry.block_crc:
+                    raise MediaError(
+                        "block failed CRC during selective cleaning", addr=addr, op="read"
+                    )
+                return payload
+
             trimmed = False
 
             def read_summary(addr: int) -> bytes | None:
@@ -388,26 +399,10 @@ class Cleaner:
                         addr=start + offset,
                         op="read",
                     )
-                for i, entry in enumerate(summary.entries):
-                    addr = start + offset + 1 + i
-
-                    def checked_payload(addr=addr, e=entry):
-                        p = block_at(addr)
-                        # Selective reads skip the whole-write CRC, so
-                        # verify each lazily fetched payload individually.
-                        if (
-                            blocks is None
-                            and e.block_crc
-                            and checksum([p]) != e.block_crc
-                        ):
-                            raise MediaError(
-                                "block failed CRC during selective cleaning",
-                                addr=addr,
-                                op="read",
-                            )
-                        return p
-
-                    if self._revive(entry, addr, checked_payload):
+                addr = start + offset
+                for entry in summary.entries:
+                    addr += 1
+                    if self._revive(entry, addr, payload_at):
                         self.stats.live_blocks_seen += 1
                         self.stats.live_blocks_moved += 1
                         moved += 1
@@ -503,7 +498,7 @@ class Cleaner:
                     tryable = ok or entry.kind in (
                         BlockKind.DATA, BlockKind.INODE_MAP, BlockKind.SEG_USAGE
                     )
-                    source = (lambda p=payload: p) if ok else _refuse_payload
+                    source = (lambda a, e, p=payload: p) if ok else _refuse_payload
                     try:
                         revived = tryable and self._revive(entry, addr, source)
                     except _UnreadablePayload:
@@ -548,21 +543,35 @@ class Cleaner:
         # SUMMARY entries never appear inside summaries.
         return False
 
-    def _revive(self, entry, addr: int, get_payload) -> bool:
-        """If the block at ``addr`` is live, queue it for rewriting."""
+    def _revive(self, entry, addr: int, payload_at) -> bool:
+        """If the block at ``addr`` is live, queue it for rewriting.
+
+        ``payload_at(addr, entry)`` fetches the block's bytes; it is
+        called only when the verdict needs them (inode blocks) or the
+        move does (data blocks not in the cache).
+        """
         fs = self.fs
         kind = entry.kind
         if kind == BlockKind.INODE:
             # Judged per inode, from the payload: a block mixes live and
-            # superseded inodes, and only the live ones are requeued.
+            # superseded inodes, and only the live ones are requeued. A
+            # slot's (inum, version) is enough to judge it, so only the
+            # slots the inode map still points at are parsed.
+            payload = payload_at(addr, entry)
+            imap = fs.imap
             revived = False
-            for inode in unpack_inode_block(get_payload(), fs.config.block_size):
-                slot = fs.imap.get(inode.inum) if fs.imap.is_allocated(inode.inum) else None
-                if slot is None or slot.addr != addr or slot.version != inode.version:
+            for slot, (inum, version) in enumerate(inode_slot_ids(payload)):
+                if inum == 0:
+                    break  # zero padding ends the block
+                if not imap.is_allocated(inum):
                     continue
-                if inode.inum not in fs._inodes:
-                    fs._inodes[inode.inum] = inode
-                fs._dirty_inodes.add(inode.inum)
+                current = imap.get(inum)
+                if current.addr != addr or current.version != version:
+                    continue
+                inode = Inode.from_bytes(payload[slot * INODE_SIZE : (slot + 1) * INODE_SIZE])
+                if inum not in fs._inodes:
+                    fs._inodes[inum] = inode
+                fs._dirty_inodes.add(inum)
                 revived = True
             return revived
         if not self._entry_live(entry, addr):
@@ -574,7 +583,7 @@ class Cleaner:
             inode = fs.get_inode(entry.inum)
             if cached is not None and cached.dirty:
                 return False  # a newer copy is already queued
-            payload = cached.payload if cached is not None else get_payload()
+            payload = cached.payload if cached is not None else payload_at(addr, entry)
             fs.cache.write(entry.inum, entry.offset, payload, inode.mtime)
         elif kind == BlockKind.INODE_MAP:
             fs.imap._dirty_blocks.add(entry.offset)

@@ -1113,7 +1113,7 @@ class LFS:
                     LogItem(
                         kind=BlockKind.DIROP_LOG,
                         mtime=now,
-                        get_payload=lambda p=payload: p,
+                        payload=payload,
                         on_placed=self._place_dirop,
                     )
                 )
@@ -1123,6 +1123,7 @@ class LFS:
         dirty = self.cache.dirty_blocks()
         if cleaning and self.config.age_sort:
             dirty.sort(key=lambda t: (t[2].mtime, t[0], t[1]))
+        place_data = self._place_data
         for inum, fbn, entry in dirty:
             self.filemap(inum).ensure_structures(fbn)
             items.append(
@@ -1132,8 +1133,8 @@ class LFS:
                     offset=fbn,
                     version=self.imap.version_of(inum),
                     mtime=entry.mtime,
-                    get_payload=lambda e=entry: e.payload,
-                    on_placed=lambda addr, i=inum, f=fbn: self._place_data(i, f, addr),
+                    payload=entry.payload,
+                    on_placed=place_data,
                 )
             )
 
@@ -1151,8 +1152,8 @@ class LFS:
                         version=version,
                         mtime=mtime,
                         get_payload=lambda m=fmap, c=child_idx: m.pack_child(c),
-                        on_placed=lambda addr, i=inum, m=fmap, c=child_idx: (
-                            self._place_indirect(i, m.place_child(c, addr), addr)
+                        on_placed=lambda item, addr, m=fmap, c=child_idx: (
+                            self._place_indirect(m.place_child(c, addr), addr)
                         ),
                     )
                 )
@@ -1165,8 +1166,8 @@ class LFS:
                         version=version,
                         mtime=mtime,
                         get_payload=fmap.pack_l1,
-                        on_placed=lambda addr, i=inum, m=fmap: (
-                            self._place_indirect(i, m.place_l1(addr), addr)
+                        on_placed=lambda item, addr, m=fmap: (
+                            self._place_indirect(m.place_l1(addr), addr)
                         ),
                     )
                 )
@@ -1180,8 +1181,8 @@ class LFS:
                         version=version,
                         mtime=mtime,
                         get_payload=fmap.pack_l2,
-                        on_placed=lambda addr, i=inum, m=fmap: (
-                            self._place_indirect(i, m.place_l2(addr), addr)
+                        on_placed=lambda item, addr, m=fmap: (
+                            self._place_indirect(m.place_l2(addr), addr)
                         ),
                     )
                 )
@@ -1201,7 +1202,7 @@ class LFS:
                     get_payload=lambda g=group: pack_inode_block(
                         [self._inodes[i] for i in g], bs
                     ),
-                    on_placed=lambda addr, g=group: self._place_inodes(g, addr),
+                    on_placed=lambda item, addr, g=group: self._place_inodes(g, addr),
                 )
             )
         self._dirty_inodes.clear()
@@ -1229,8 +1230,8 @@ class LFS:
                     offset=idx,
                     mtime=now,
                     get_payload=lambda i=idx: self.imap.pack_block(i, bs),
-                    on_placed=lambda addr, i=idx: self._place_map_block(
-                        self.imap.block_addrs, i, addr
+                    on_placed=lambda item, addr: self._place_map_block(
+                        self.imap.block_addrs, item.offset, addr
                     ),
                 )
             )
@@ -1242,8 +1243,8 @@ class LFS:
                     offset=idx,
                     mtime=now,
                     get_payload=lambda i=idx: self.usage.pack_block(i, bs),
-                    on_placed=lambda addr, i=idx: self._place_map_block(
-                        self.usage.block_addrs, i, addr
+                    on_placed=lambda item, addr: self._place_map_block(
+                        self.usage.block_addrs, item.offset, addr
                     ),
                 )
             )
@@ -1251,13 +1252,14 @@ class LFS:
 
     # ---- placement callbacks ----------------------------------------
 
-    def _place_dirop(self, addr: int) -> None:
+    def _place_dirop(self, item: LogItem, addr: int) -> None:
         self._dirop_addrs.append(addr)
         self.usage.add_live(
             self.layout.segment_of(addr), self.config.block_size, self.disk.clock.now
         )
 
-    def _place_data(self, inum: int, fbn: int, addr: int) -> None:
+    def _place_data(self, item: LogItem, addr: int) -> None:
+        inum, fbn = item.inum, item.offset
         fmap = self.filemap(inum)
         old = fmap.set(fbn, addr)
         bs = self.config.block_size
@@ -1270,7 +1272,7 @@ class LFS:
         self.usage.add_live(self.layout.segment_of(addr), bs, mtime)
         self.cache.mark_clean(inum, fbn)
 
-    def _place_indirect(self, inum: int, old: int, addr: int) -> None:
+    def _place_indirect(self, old: int, addr: int) -> None:
         bs = self.config.block_size
         if old != NULL_ADDR:
             self.usage.remove_live(self.layout.segment_of(old), bs)

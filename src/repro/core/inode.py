@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from repro.core.blocks import require
 from repro.core.constants import INODE_SIZE, NULL_ADDR, NUM_DIRECT, FileType
@@ -20,6 +21,8 @@ from repro.core.errors import CorruptionError, InvalidOperationError
 # indirect, double-indirect  (144 bytes packed, padded to INODE_SIZE)
 _INODE = struct.Struct("<QQB3xIQdd10QQQ")
 assert _INODE.size <= INODE_SIZE
+# one whole slot, keeping only its identity: inum, version, the rest skipped
+_SLOT_ID = struct.Struct(f"<QQ{INODE_SIZE - 16}x")
 
 
 @dataclass
@@ -152,6 +155,14 @@ def unpack_inode_block(payload: bytes, block_size: int) -> list[Inode]:
             break
         out.append(Inode.from_bytes(chunk))
     return out
+
+
+def inode_slot_ids(payload: bytes) -> Iterator[tuple[int, int]]:
+    """``(inum, version)`` of every slot of an inode-block payload, in
+    slot order, without parsing the rest of any inode. Zero padding reads
+    as inum 0; the caller decides where the block ends."""
+    slots = len(payload) // INODE_SIZE
+    return _SLOT_ID.iter_unpack(memoryview(payload)[: slots * INODE_SIZE])
 
 
 def addrs_per_indirect(block_size: int) -> int:

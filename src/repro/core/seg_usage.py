@@ -69,9 +69,9 @@ class SegmentUsageTable:
         # installs one to mirror liveness; None costs a single check.
         self.observer = None
 
-    def _notify(self, seg_no: int, when: float | None = None) -> None:
+    def _notify(self, seg_no: int) -> None:
         if self.observer is not None:
-            self.observer(seg_no, self._segments[seg_no], when)
+            self.observer(seg_no, self._segments[seg_no], None)
 
     def _set_clean(self, seg: SegmentUsage, clean: bool) -> None:
         if seg.clean != clean:
@@ -98,22 +98,34 @@ class SegmentUsageTable:
         """Fraction of the segment occupied by live bytes (0..1)."""
         return min(1.0, self.get(seg_no).live_bytes / self.segment_bytes)
 
+    # add_live and remove_live run for every block the log places or
+    # kills, so they spell out get/_check/block_of/_notify inline: one
+    # range check, then the same updates in the same order.
+
     def add_live(self, seg_no: int, nbytes: int, when: float) -> None:
         """Account newly written live bytes in a segment."""
-        seg = self.get(seg_no)
+        if seg_no < 0 or seg_no >= self.num_segments:
+            raise InvalidOperationError(f"segment {seg_no} out of range")
+        seg = self._segments[seg_no]
         seg.live_bytes += nbytes
-        self._set_clean(seg, False)
+        if seg.clean:
+            self._set_clean(seg, False)
         if when > seg.last_write:
             seg.last_write = when
-        self._dirty_blocks.add(self.block_of(seg_no))
-        self._notify(seg_no, when)
+        self._dirty_blocks.add(seg_no // self.entries_per_block)
+        if self.observer is not None:
+            self.observer(seg_no, seg, when)
 
     def remove_live(self, seg_no: int, nbytes: int) -> None:
         """Account bytes that just died (overwrite, delete, truncate)."""
-        seg = self.get(seg_no)
-        seg.live_bytes = max(0, seg.live_bytes - nbytes)
-        self._dirty_blocks.add(self.block_of(seg_no))
-        self._notify(seg_no)
+        if seg_no < 0 or seg_no >= self.num_segments:
+            raise InvalidOperationError(f"segment {seg_no} out of range")
+        seg = self._segments[seg_no]
+        live = seg.live_bytes - nbytes
+        seg.live_bytes = live if live > 0 else 0
+        self._dirty_blocks.add(seg_no // self.entries_per_block)
+        if self.observer is not None:
+            self.observer(seg_no, seg, None)
 
     def mark_clean(self, seg_no: int) -> None:
         """Return a segment to the clean pool (after cleaning)."""

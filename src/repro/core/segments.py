@@ -11,20 +11,20 @@ come out consistent.
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass, field
 from typing import Callable
 
-from repro.core.blocks import checksum
 from repro.core.config import DiskLayout, LFSConfig
 from repro.core.constants import NO_SEGMENT, BlockKind
-from repro.core.errors import NoSpaceError
+from repro.core.errors import InvalidOperationError, NoSpaceError
 from repro.core.seg_usage import SegmentUsageTable
 from repro.core.summary import SegmentSummary, SummaryEntry, summary_capacity
 from repro.disk.device import Disk
 from repro.obs.events import LOG_SEGMENT_OPEN, LOG_WRITE
 
 
-@dataclass
+@dataclass(slots=True)
 class LogItem:
     """One block queued for the log.
 
@@ -37,11 +37,17 @@ class LogItem:
         mtime: the block's modification time; the summary's
             ``youngest_mtime`` is the max over its items, and age-sorting
             orders by this.
-        get_payload: produces the final block payload; called only after
-            every item in the same partial write has been placed.
-        on_placed: called with the assigned disk address; updates
-            in-memory pointers (inode/indirect/map) and segment usage
-            accounting.
+        payload: the block's bytes, when they are known at queueing time
+            (data blocks, directory-op records).
+        get_payload: produces the payload of a block whose contents
+            depend on where other blocks land (indirect, inode and map
+            blocks); called only after every item in the same partial
+            write has been placed, and only when ``payload`` is None.
+            ``append`` refuses an item with neither.
+        on_placed: called as ``on_placed(item, addr)`` with the assigned
+            disk address; updates in-memory pointers (inode/indirect/map)
+            and segment usage accounting. The item says which block it
+            is, so every data item shares one bound method.
     """
 
     kind: BlockKind
@@ -49,8 +55,9 @@ class LogItem:
     offset: int = 0
     version: int = 0
     mtime: float = 0.0
-    get_payload: Callable[[], bytes] = lambda: b""
-    on_placed: Callable[[int], None] = lambda addr: None
+    payload: bytes | None = None
+    get_payload: Callable[[], bytes] | None = None
+    on_placed: Callable[[LogItem, int], None] | None = None
 
 
 @dataclass
@@ -252,10 +259,18 @@ class LogWriter:
         """
         if not items:
             return 0
+        for item in items:
+            if item.payload is None and item.get_payload is None:
+                raise InvalidOperationError(
+                    f"{item.kind.name} item (inum {item.inum}, offset {item.offset}) "
+                    "has neither a payload nor a way to produce one"
+                )
         cold = cleaning and self.config.hot_cold_segregation
         writes = 0
         pos = 0
         now = self.disk.clock.now
+        stats = self.stats
+        block_crcs = self.block_crcs
         while pos < len(items):
             if cold:
                 if self.cold_segment is None or self._remaining_in_cold_segment() < 2:
@@ -277,22 +292,21 @@ class LogWriter:
 
             start_addr = self.layout.segment_start(segment) + offset
             entries = []
+            kinds: dict[BlockKind, int] = {}
             youngest = 0.0
-            for i, item in enumerate(batch):
-                addr = start_addr + 1 + i
-                item.on_placed(addr)
-                entries.append(
-                    SummaryEntry(
-                        kind=item.kind,
-                        inum=item.inum,
-                        offset=item.offset,
-                        version=item.version,
-                    )
-                )
+            for addr, item in enumerate(batch, start_addr + 1):
+                if item.on_placed is not None:
+                    item.on_placed(item, addr)
+                kind = item.kind
+                entries.append(SummaryEntry(kind, item.inum, item.offset, item.version))
+                kinds[kind] = kinds.get(kind, 0) + 1
                 if item.mtime > youngest:
                     youngest = item.mtime
 
-            payloads = [item.get_payload() for item in batch]
+            payloads = []
+            for item in batch:
+                payload = item.payload
+                payloads.append(payload if payload is not None else item.get_payload())
             summary = SegmentSummary(
                 seq=self.seq,
                 write_time=now,
@@ -301,13 +315,14 @@ class LogWriter:
                 next_segment=chain,
             )
             summary_block = summary.pack(payloads, self.config.block_size)
-            self.block_crcs[start_addr] = checksum([summary_block])
-            for i, entry in enumerate(summary.entries):
-                self.block_crcs[start_addr + 1 + i] = entry.block_crc
+            block_crcs[start_addr] = zlib.crc32(summary_block)
+            for addr, entry in enumerate(summary.entries, start_addr + 1):
+                block_crcs[addr] = entry.block_crc
 
+            payloads.insert(0, summary_block)
             self.disk.write_blocks(
                 start_addr,
-                [summary_block] + payloads,
+                payloads,
                 force_latency=barrier and writes == 0,
             )
             self.usage.add_live(segment, 0, now)  # stamp write time
@@ -315,33 +330,30 @@ class LogWriter:
             if obs is not None:
                 # Mirrors the stats.count() calls below exactly, so trace
                 # derivation reproduces blocks_by_kind bit-for-bit.
-                kinds = {BlockKind.SUMMARY.name: 1}
-                for item in batch:
-                    kinds[item.kind.name] = kinds.get(item.kind.name, 0) + 1
                 evt = dict(
                     segment=segment,
                     seq=self.seq,
                     offset=offset,
                     blocks=1 + len(batch),
                     cleaning=cleaning,
-                    kinds=kinds,
+                    kinds={BlockKind.SUMMARY.name: 1, **{k.name: n for k, n in kinds.items()}},
                 )
                 if cold:
                     evt["cold"] = True
                 obs.emit(LOG_WRITE, **evt)
             if cold:
                 self.cold_offset += 1 + len(batch)
-                self.stats.cold_blocks += 1 + len(batch)
+                stats.cold_blocks += 1 + len(batch)
             else:
                 self.offset += 1 + len(batch)
             self.seq += 1
             writes += 1
-            self.stats.partial_writes += 1
-            self.stats.count(BlockKind.SUMMARY)
-            for item in batch:
-                self.stats.count(item.kind)
+            stats.partial_writes += 1
+            stats.count(BlockKind.SUMMARY)
+            for kind, n in kinds.items():
+                stats.count(kind, n)
             if cleaning:
-                self.stats.cleaner_blocks += 1 + len(batch)
+                stats.cleaner_blocks += 1 + len(batch)
         return writes
 
     def blocks_needed(self, item_count: int) -> int:

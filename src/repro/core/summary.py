@@ -10,7 +10,8 @@ described payloads makes a torn partial write self-invalidating.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field, replace
+import zlib
+from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple
 
 from repro.core.blocks import checksum, require
@@ -31,6 +32,9 @@ from repro.core.errors import CorruptionError, InvalidOperationError
 # summaries are accepted unchecked for backward compatibility.
 _HEADER = struct.Struct("<IIQdIIdQ")
 assert _HEADER.size == SUMMARY_HEADER_SIZE
+_SELF_CRC = struct.Struct("<I")
+_SELF_CRC_AT = 4
+_NO_CRC = bytes(_SELF_CRC.size)
 
 # kind, pad, block_crc, inum, offset, version — the per-block CRC lives in
 # what used to be pad bytes, so the entry (and the whole summary) keeps its
@@ -44,8 +48,7 @@ def summary_capacity(block_size: int) -> int:
     return (block_size - SUMMARY_HEADER_SIZE) // SUMMARY_ENTRY_SIZE
 
 
-@dataclass(frozen=True)
-class SummaryEntry:
+class SummaryEntry(NamedTuple):
     """Identity of one block within a partial-segment write.
 
     ``offset`` is the block's position within its owning structure: the
@@ -63,21 +66,9 @@ class SummaryEntry:
     version: int = 0
     block_crc: int = 0
 
-    def pack(self) -> bytes:
-        return _ENTRY.pack(
-            int(self.kind), self.block_crc, self.inum, self.offset, self.version
-        )
 
-    @classmethod
-    def unpack(cls, raw: bytes, pos: int) -> "SummaryEntry":
-        kind_raw, block_crc, inum, offset, version = _ENTRY.unpack_from(raw, pos)
-        try:
-            kind = BlockKind(kind_raw)
-        except ValueError as exc:
-            raise CorruptionError(f"bad block kind {kind_raw} in summary") from exc
-        return cls(
-            kind=kind, inum=inum, offset=offset, version=version, block_crc=block_crc
-        )
+#: on-disk kind byte -> kind; a byte missing here is corruption
+_KINDS = {int(k): k for k in BlockKind}
 
 
 @dataclass
@@ -107,38 +98,49 @@ class SegmentSummary:
     next_segment: int = 0xFFFFFFFFFFFFFFFF
 
     def pack(self, payloads: list[bytes], block_size: int) -> bytes:
-        """Serialize the summary, computing the CRC over ``payloads``."""
-        if len(payloads) != len(self.entries):
-            raise InvalidOperationError(
-                f"{len(self.entries)} entries describe {len(payloads)} payloads"
-            )
-        if len(self.entries) > summary_capacity(block_size):
-            raise InvalidOperationError(
-                f"{len(self.entries)} entries exceed summary capacity "
-                f"{summary_capacity(block_size)}"
-            )
-        self.crc = checksum(payloads)
-        self.entries = [
-            replace(e, block_crc=checksum([p]))
-            for e, p in zip(self.entries, payloads)
-        ]
-        body = b"".join(e.pack() for e in self.entries)
+        """Serialize the summary, computing the CRC over ``payloads``.
 
-        def header(self_crc: int) -> bytes:
-            return _HEADER.pack(
-                SUMMARY_MAGIC,
-                self_crc,
-                self.seq,
-                self.write_time,
-                len(self.entries),
-                self.crc,
-                self.youngest_mtime,
-                self.next_segment,
+        Fills ``crc`` and replaces ``entries`` with copies carrying each
+        payload's ``block_crc``. One buffer, written in place: entries,
+        then the header, then the self-CRC over the finished block with
+        its own field still zero.
+        """
+        entries = self.entries
+        n = len(entries)
+        if len(payloads) != n:
+            raise InvalidOperationError(f"{n} entries describe {len(payloads)} payloads")
+        if n > summary_capacity(block_size):
+            raise InvalidOperationError(
+                f"{n} entries exceed summary capacity {summary_capacity(block_size)}"
             )
-
-        # Self-CRC over the final block contents with the field zeroed.
-        block = (header(0) + body).ljust(block_size, b"\0")
-        return header(checksum([block])) + block[_HEADER.size :]
+        crc32 = zlib.crc32
+        pack_entry = _ENTRY.pack_into
+        block = bytearray(block_size)
+        stamped = []
+        total = 0
+        pos = SUMMARY_HEADER_SIZE
+        for (kind, inum, offset, version, _), payload in zip(entries, payloads):
+            block_crc = crc32(payload)
+            total = crc32(payload, total)
+            pack_entry(block, pos, kind, block_crc, inum, offset, version)
+            stamped.append(SummaryEntry(kind, inum, offset, version, block_crc))
+            pos += SUMMARY_ENTRY_SIZE
+        self.crc = total
+        self.entries = stamped
+        _HEADER.pack_into(
+            block,
+            0,
+            SUMMARY_MAGIC,
+            0,
+            self.seq,
+            self.write_time,
+            n,
+            total,
+            self.youngest_mtime,
+            self.next_segment,
+        )
+        _SELF_CRC.pack_into(block, _SELF_CRC_AT, crc32(block))
+        return bytes(block)
 
     @classmethod
     def unpack(cls, payload: bytes, block_size: int) -> "SegmentSummary":
@@ -155,22 +157,30 @@ class SegmentSummary:
             next_segment,
         ) = _HEADER.unpack_from(payload, 0)
         require(magic == SUMMARY_MAGIC, "bad summary magic")
+        view = memoryview(payload)
         if self_crc:
-            zeroed = payload[:4] + b"\0\0\0\0" + payload[8:]
+            # the CRC of the block with its own field zeroed, chained so
+            # the block is never copied
+            zeroed = zlib.crc32(view[:_SELF_CRC_AT])
+            zeroed = zlib.crc32(_NO_CRC, zeroed)
+            zeroed = zlib.crc32(view[_SELF_CRC_AT + _SELF_CRC.size :], zeroed)
             require(
-                checksum([zeroed]) == self_crc,
+                zeroed == self_crc,
                 "summary block fails its self-CRC (bit-rot inside the summary)",
             )
         require(0 <= nentries <= summary_capacity(block_size), "summary entry count out of range")
-        entries = []
-        pos = SUMMARY_HEADER_SIZE
-        require(
-            len(payload) >= SUMMARY_HEADER_SIZE + nentries * SUMMARY_ENTRY_SIZE,
-            "summary entries truncated",
-        )
-        for _ in range(nentries):
-            entries.append(SummaryEntry.unpack(payload, pos))
-            pos += SUMMARY_ENTRY_SIZE
+        end = SUMMARY_HEADER_SIZE + nentries * SUMMARY_ENTRY_SIZE
+        require(len(payload) >= end, "summary entries truncated")
+        kinds = _KINDS
+        try:
+            entries = [
+                SummaryEntry(kinds[kind], inum, offset, version, block_crc)
+                for kind, block_crc, inum, offset, version in _ENTRY.iter_unpack(
+                    view[SUMMARY_HEADER_SIZE:end]
+                )
+            ]
+        except KeyError as exc:
+            raise CorruptionError(f"bad block kind {exc.args[0]} in summary") from None
         return cls(
             seq=seq,
             write_time=write_time,

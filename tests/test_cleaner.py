@@ -3,8 +3,10 @@
 import pytest
 
 from repro.core.config import CleaningPolicy
-from repro.core.constants import NULL_ADDR, BlockKind
+from repro.core.constants import INODE_SIZE, NULL_ADDR, BlockKind
+from repro.core.errors import CorruptionError
 from repro.core.filesystem import LFS
+from repro.core.inode import inode_slot_ids
 from repro.core.summary import SegmentWrite, SummaryEntry, walk_segment
 from repro.disk.device import Disk
 from repro.disk.geometry import DiskGeometry
@@ -203,12 +205,68 @@ class TestOneLivenessRule:
         assert verdicts == expected, f"log holds no live+dead mix of {kind.name}"
         for entry, addr in of_kind:
             live = fs.cleaner._entry_live(entry, addr)
-            assert fs.cleaner._revive(entry, addr, lambda a=addr: payloads[a]) == live
+            assert fs.cleaner._revive(entry, addr, lambda a, e: payloads[a]) == live
         # requeueing everything live is what a cleaning pass does: no harm
         fs.checkpoint()
         assert fs.read("/f0") == b"rewritten" * 1000
         assert fs.read("/big", offset=sparse) == b"TAIL"
         assert fs.read("/big", length=16000) == b"head" * 4000
+
+
+class TestReviveInodeBlock:
+    FTYPE_AT = 16  # inum and version (8 bytes each) come first in a slot
+
+    @staticmethod
+    def mixed_block(fs):
+        """An inode block holding live, superseded and freed inodes: its
+        address, its payload, and the inums in each group."""
+        for name in ("a", "b", "c", "d", "e"):
+            fs.write_file(f"/{name}", name.encode() * 100)
+        fs.checkpoint()
+        # placing a data block re-dirties its inode, so settle once more:
+        # this checkpoint writes all six inodes (root too) into one block
+        fs.checkpoint()
+        inums = {name: fs.stat(f"/{name}").inum for name in "abcde"}
+        addr = fs.imap.get(inums["a"]).addr
+        assert all(fs.imap.get(i).addr == addr for i in inums.values())
+        payload = fs.disk.peek(addr)
+        fs.write_file("/b", b"newer")  # superseded: the inode moved on
+        fs.unlink("/c")  # freed
+        fs.checkpoint()
+        fs.checkpoint()
+        live = {inums[n] for n in "ade"}
+        dead = {inums["b"], inums["c"]}
+        slots = [i for i, _ in inode_slot_ids(payload)]
+        return addr, payload, live, dead, slots
+
+    def revive(self, fs, addr, payload):
+        entry = SummaryEntry(kind=BlockKind.INODE)
+        return fs.cleaner._revive(entry, addr, lambda a, e: payload)
+
+    def test_requeues_exactly_the_live_inodes(self, fs):
+        addr, payload, live, dead, _ = self.mixed_block(fs)
+        assert not fs._dirty_inodes
+        assert self.revive(fs, addr, payload)
+        assert fs._dirty_inodes == live
+        fs.checkpoint()
+        assert all(fs.imap.get(i).addr != addr for i in live)
+        assert fs.read("/b") == b"newer"
+        assert fs.read("/d") == b"d" * 100
+
+    def test_a_corrupt_dead_slot_is_never_parsed(self, fs):
+        addr, payload, live, dead, slots = self.mixed_block(fs)
+        rotted = bytearray(payload)
+        for inum in dead:
+            rotted[slots.index(inum) * INODE_SIZE + self.FTYPE_AT] = 0xEE
+        assert self.revive(fs, addr, bytes(rotted))
+        assert fs._dirty_inodes == live
+
+    def test_a_corrupt_live_slot_still_raises(self, fs):
+        addr, payload, live, dead, slots = self.mixed_block(fs)
+        rotted = bytearray(payload)
+        rotted[slots.index(min(live)) * INODE_SIZE + self.FTYPE_AT] = 0xEE
+        with pytest.raises(CorruptionError, match="bad file type"):
+            self.revive(fs, addr, bytes(rotted))
 
 
 class TestWriteCostAccounting:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.config import LFSConfig, compute_layout
 from repro.core.constants import NO_SEGMENT, BlockKind
-from repro.core.errors import NoSpaceError
+from repro.core.errors import InvalidOperationError, NoSpaceError
 from repro.core.seg_usage import SegmentUsageTable
 from repro.core.segments import LogItem, LogWriter
 from repro.core.summary import SegmentSummary, summary_capacity
@@ -35,8 +35,8 @@ def items(n, kind=BlockKind.DATA, payload=b"p"):
             kind=kind,
             inum=i + 1,
             offset=0,
-            get_payload=lambda p=payload: p * 4096,
-            on_placed=lambda addr, i=i: placed.append((i, addr)),
+            payload=payload * 4096,
+            on_placed=lambda item, addr: placed.append((item.inum - 1, addr)),
         )
         for i in range(n)
     ]
@@ -61,13 +61,13 @@ class TestAppend:
         cfg, disk, layout, usage, writer = env
         seen = {}
 
-        def place_a(addr):
+        def place_a(item, addr):
             seen["a"] = addr
 
         def payload_b():
             return str(seen["a"]).encode().ljust(4096, b"\0")
 
-        a = LogItem(kind=BlockKind.DATA, inum=1, get_payload=lambda: b"A" * 4096, on_placed=place_a)
+        a = LogItem(kind=BlockKind.DATA, inum=1, payload=b"A" * 4096, on_placed=place_a)
         b = LogItem(kind=BlockKind.INODE, inum=2, get_payload=payload_b)
         writer.append([a, b])
         seg_start = layout.segment_start(writer.current_segment)
@@ -105,6 +105,40 @@ class TestAppend:
         cfg, disk, layout, usage, writer = env
         writer.append(items(2)[0], cleaning=True)
         assert writer.stats.cleaner_blocks == 3  # 2 items + summary
+
+    def test_mixed_kinds_across_writes_counted_per_item(self, env):
+        cfg, disk, layout, usage, writer = env
+        kinds = [BlockKind.DIROP_LOG, BlockKind.DATA, BlockKind.DATA, BlockKind.INDIRECT]
+        kinds += [BlockKind.DATA] * 9 + [BlockKind.DINDIRECT, BlockKind.INODE, BlockKind.INODE]
+        kinds += [BlockKind.INODE_MAP, BlockKind.SEG_USAGE, BlockKind.DATA]
+        batch = [
+            LogItem(kind=k, inum=i + 1, payload=bytes([i]) * 4096) for i, k in enumerate(kinds)
+        ]
+        writes = writer.append(batch[:5]) + writer.append(batch[5:])
+        assert writes >= 4  # 7 items per partial write in these tiny segments
+        expected = {BlockKind.SUMMARY: writes}
+        for k in kinds:
+            expected[k] = expected.get(k, 0) + 1
+        assert writer.stats.blocks_by_kind == expected
+        assert writer.stats.total_blocks == len(kinds) + writes
+        assert writer.stats.partial_writes == writes
+
+    def test_item_without_payload_source_is_refused(self, env):
+        cfg, disk, layout, usage, writer = env
+        placed = []
+        good = LogItem(
+            kind=BlockKind.DATA,
+            inum=1,
+            payload=b"g" * 4096,
+            on_placed=lambda item, addr: placed.append(addr),
+        )
+        forgot = LogItem(kind=BlockKind.INODE, inum=2)  # neither payload nor get_payload
+        with pytest.raises(InvalidOperationError, match="INODE"):
+            writer.append([good, forgot])
+        # refused before anything was placed or written
+        assert placed == []
+        assert writer.seq == 1 and writer.stats.total_blocks == 0
+        assert disk.stats.writes == 0
 
 
 class TestThreading:

@@ -1,8 +1,14 @@
 """Tests for segment summary blocks."""
 
-import pytest
+import struct
+import zlib
 
-from repro.core.constants import BlockKind
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.blocks import checksum
+from repro.core.constants import SUMMARY_HEADER_SIZE, SUMMARY_MAGIC, BlockKind
 from repro.core.errors import CorruptionError, InvalidOperationError
 from repro.core.filesystem import LFS
 from repro.core.summary import (
@@ -23,6 +29,87 @@ def make_summary(n=3, seq=10):
     entries = [SummaryEntry(kind=BlockKind.DATA, inum=i + 1, offset=i, version=2) for i in range(n)]
     return SegmentSummary(seq=seq, write_time=1.0, youngest_mtime=0.5, entries=entries,
                           next_segment=7)
+
+
+def reference_pack(summary, payloads, block_size):
+    """The summary format written out one entry at a time: stamp each
+    entry with its payload's CRC, pack it, pad the block, then fill in the
+    self-CRC computed over the block with that field still zero."""
+    entries = [e._replace(block_crc=checksum([p])) for e, p in zip(summary.entries, payloads)]
+    body = b"".join(
+        struct.pack("<B3xIQQQ", int(e.kind), e.block_crc, e.inum, e.offset, e.version)
+        for e in entries
+    )
+
+    def header(self_crc):
+        return struct.pack(
+            "<IIQdIIdQ",
+            SUMMARY_MAGIC,
+            self_crc,
+            summary.seq,
+            summary.write_time,
+            len(entries),
+            checksum(payloads),
+            summary.youngest_mtime,
+            summary.next_segment,
+        )
+
+    block = (header(0) + body).ljust(block_size, b"\0")
+    return header(checksum([block])) + block[SUMMARY_HEADER_SIZE:]
+
+
+def reseal(raw: bytearray) -> bytes:
+    """Recompute a hand-edited summary block's self-CRC, so the edit is
+    what a parser trips on rather than the CRC."""
+    raw[4:8] = bytes(4)
+    raw[4:8] = struct.pack("<I", zlib.crc32(raw))
+    return bytes(raw)
+
+
+u64 = st.integers(min_value=0, max_value=2**64 - 1)
+times = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def summaries(draw):
+    block_size = draw(st.sampled_from([512, 1024, 4096]))
+    n = draw(st.integers(min_value=0, max_value=summary_capacity(block_size)))
+    entries = [
+        SummaryEntry(
+            kind=draw(st.sampled_from(list(BlockKind))),
+            inum=draw(u64),
+            offset=draw(u64),
+            version=draw(u64),
+        )
+        for _ in range(n)
+    ]
+    payloads = [draw(st.binary(max_size=block_size)) for _ in range(n)]
+    fields = dict(
+        seq=draw(u64),
+        write_time=draw(times),
+        youngest_mtime=draw(times),
+        next_segment=draw(u64),
+    )
+    return fields, entries, payloads, block_size
+
+
+class TestPackMatchesReference:
+    @given(summaries())
+    @settings(max_examples=150, deadline=None)
+    def test_pack_bytes_crcs_and_roundtrip(self, case):
+        fields, entries, payloads, bs = case
+        expected = reference_pack(SegmentSummary(entries=list(entries), **fields), payloads, bs)
+        s = SegmentSummary(entries=list(entries), **fields)
+        raw = s.pack(payloads, bs)
+        assert raw == expected
+        assert [e.block_crc for e in s.entries] == [zlib.crc32(p) for p in payloads]
+        assert s.crc == checksum(payloads)
+        got = SegmentSummary.unpack(raw, bs)
+        assert got.entries == s.entries
+        assert (got.seq, got.write_time, got.youngest_mtime, got.crc, got.next_segment) == (
+            s.seq, s.write_time, s.youngest_mtime, s.crc, s.next_segment
+        )
+        assert got.verify(payloads)
 
 
 class TestPackUnpack:
@@ -94,6 +181,15 @@ class TestTryParse:
     def test_random_data_block_rarely_parses(self):
         # a data block full of text must not look like a summary
         assert try_parse_summary(b"hello world " * 341, 4096) is None
+
+    @pytest.mark.parametrize("kind_byte", [0, 9, 200, 255])
+    def test_unknown_kind_is_corruption(self, kind_byte):
+        raw = bytearray(make_summary(3).pack([b"a", b"b", b"c"], 4096))
+        raw[SUMMARY_HEADER_SIZE + 32] = kind_byte  # the second entry's kind
+        raw = reseal(raw)
+        with pytest.raises(CorruptionError, match=f"bad block kind {kind_byte}"):
+            SegmentSummary.unpack(raw, 4096)
+        assert try_parse_summary(raw, 4096) is None
 
 
 # ----------------------------------------------------------------------
