@@ -15,16 +15,17 @@ from typing import Iterable, Sequence
 from repro.core.constants import NULL_ADDR
 from repro.core.errors import CorruptionError
 
-_ADDR = struct.Struct("<Q")
-
-
 def pack_addrs(addrs: Sequence[int], block_size: int) -> bytes:
-    """Pack block addresses into one zero-padded block payload."""
+    """Pack block addresses into one zero-padded block payload.
+
+    One ``struct`` call per block: the addresses as little-endian u64s,
+    then zero padding. An address outside u64 raises ``struct.error``.
+    """
+    count = len(addrs)
     per_block = block_size // 8
-    if len(addrs) > per_block:
-        raise ValueError(f"{len(addrs)} addresses exceed block capacity {per_block}")
-    payload = b"".join(_ADDR.pack(a) for a in addrs)
-    return payload.ljust(block_size, b"\0")
+    if count > per_block:
+        raise ValueError(f"{count} addresses exceed block capacity {per_block}")
+    return struct.pack(f"<{count}Q{block_size - 8 * count}x", *addrs)
 
 
 def unpack_addrs(payload: bytes, count: int) -> list[int]:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from repro.core.errors import InvalidOperationError
 
 
-@dataclass
+@dataclass(slots=True)
 class CacheEntry:
     """One cached file block."""
 
@@ -83,24 +83,32 @@ class BlockCache:
     def insert_clean(self, inum: int, fbn: int, payload: bytes, mtime: float = 0.0) -> None:
         """Cache a block read from disk."""
         key = (inum, fbn)
-        existing = self._entries.get(key)
-        if existing is not None and existing.dirty:
+        entries = self._entries
+        existing = entries.get(key)
+        if existing is None:
+            self._index(inum, fbn)  # a new key goes in at the MRU end
+        elif existing.dirty:
             raise InvalidOperationError(
                 f"refusing to overwrite dirty block {key} with a clean read"
             )
-        self._entries[key] = CacheEntry(payload=payload, dirty=False, mtime=mtime)
-        self._entries.move_to_end(key)
-        self._index(inum, fbn)
-        self._evict_if_needed()
+        else:
+            entries.move_to_end(key)
+        entries[key] = CacheEntry(payload, False, mtime)
+        if len(entries) > self.capacity_blocks:
+            self._evict_if_needed()
 
     def write(self, inum: int, fbn: int, payload: bytes, mtime: float) -> None:
         """Buffer a modified block (marks it dirty)."""
         key = (inum, fbn)
-        self._entries[key] = CacheEntry(payload=payload, dirty=True, mtime=mtime)
-        self._entries.move_to_end(key)
+        entries = self._entries
+        if key in entries:
+            entries.move_to_end(key)
+        else:
+            self._index(inum, fbn)
+        entries[key] = CacheEntry(payload, True, mtime)
         self._dirty.add(key)
-        self._index(inum, fbn)
-        self._evict_if_needed()
+        if len(entries) > self.capacity_blocks:
+            self._evict_if_needed()
 
     def mark_clean(self, inum: int, fbn: int) -> None:
         """Mark a block clean after it has been written to the log."""

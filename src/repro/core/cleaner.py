@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 from repro.core.blocks import checksum
 from repro.core.config import CleaningPolicy
-from repro.core.constants import INODE_SIZE, BlockKind
+from repro.core.constants import INODE_SIZE, NULL_ADDR, BlockKind
 from repro.core.errors import MediaError, TrimmedBlockError
 from repro.core.inode import Inode, inode_slot_ids
 from repro.core.summary import SegmentGap, walk_segment
@@ -519,22 +519,20 @@ class Cleaner:
         fs = self.fs
         kind = entry.kind
         if kind in (BlockKind.DATA, BlockKind.INDIRECT, BlockKind.DINDIRECT):
-            if not fs.imap.is_allocated(entry.inum):
+            # the paper's fast uid check: one inode-map probe, no inode read
+            slot = fs.imap.peek(entry.inum)
+            if slot is None or slot.addr == NULL_ADDR or slot.version != entry.version:
                 return False
-            if fs.imap.version_of(entry.inum) != entry.version:
-                return False  # the paper's fast uid check: no inode read
-            if kind == BlockKind.DATA:
-                return fs.block_addr(entry.inum, entry.offset) == addr
             fmap = fs.filemap(entry.inum)
+            if kind == BlockKind.DATA:
+                return fmap.get(entry.offset) == addr
             if kind == BlockKind.DINDIRECT:
                 return fmap.inode.dindirect == addr
             if entry.offset == 0:
                 return fmap.inode.indirect == addr
             return fmap._load_l2()[entry.offset - 1] == addr
         if kind == BlockKind.INODE:
-            return any(
-                fs.imap.get(inum).addr == addr for inum in fs.imap.allocated_inums()
-            )
+            return fs.imap.points_at(addr)
         if kind == BlockKind.INODE_MAP:
             return fs.imap.block_addrs[entry.offset] == addr
         if kind == BlockKind.SEG_USAGE:
@@ -563,11 +561,9 @@ class Cleaner:
             for slot, (inum, version) in enumerate(inode_slot_ids(payload)):
                 if inum == 0:
                     break  # zero padding ends the block
-                if not imap.is_allocated(inum):
-                    continue
-                current = imap.get(inum)
-                if current.addr != addr or current.version != version:
-                    continue
+                current = imap.peek(inum)
+                if current is None or current.addr != addr or current.version != version:
+                    continue  # ``addr`` is never NULL, so a match is allocated
                 inode = Inode.from_bytes(payload[slot * INODE_SIZE : (slot + 1) * INODE_SIZE])
                 if inum not in fs._inodes:
                     fs._inodes[inum] = inode

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import weakref
+import zlib
 from contextlib import nullcontext
 from dataclasses import dataclass
 
@@ -25,6 +26,7 @@ from repro.core.constants import (
     INODE_SIZE,
     NO_SEGMENT,
     NULL_ADDR,
+    NUM_DIRECT,
     PENDING_ADDR,
     ROOT_INUM,
     BlockKind,
@@ -529,7 +531,8 @@ class LFS:
                 )
         # CRC 0 doubles as "unknown" (images written before per-entry CRCs
         # existed carry zeros in those bytes) — skip verification for it.
-        if expected and checksum([payload]) != expected:
+        # ``checksum([payload])`` for one block, without the list.
+        if expected and zlib.crc32(payload) != expected:
             self._note_media_error()
             raise CorruptionError(
                 f"checksum mismatch reading block {addr}: stored payload does "
@@ -1124,14 +1127,19 @@ class LFS:
         if cleaning and self.config.age_sort:
             dirty.sort(key=lambda t: (t[2].mtime, t[0], t[1]))
         place_data = self._place_data
+        fmap_inum = None
         for inum, fbn, entry in dirty:
-            self.filemap(inum).ensure_structures(fbn)
+            if inum != fmap_inum:  # runs of one file's blocks share these
+                fmap, fmap_inum = self.filemap(inum), inum
+                version = self.imap.version_of(inum)
+            if fbn >= NUM_DIRECT:  # a direct pointer lives in the inode
+                fmap.ensure_structures(fbn)
             items.append(
                 LogItem(
                     kind=BlockKind.DATA,
                     inum=inum,
                     offset=fbn,
-                    version=self.imap.version_of(inum),
+                    version=version,
                     mtime=entry.mtime,
                     payload=entry.payload,
                     on_placed=place_data,
@@ -1260,16 +1268,13 @@ class LFS:
 
     def _place_data(self, item: LogItem, addr: int) -> None:
         inum, fbn = item.inum, item.offset
-        fmap = self.filemap(inum)
-        old = fmap.set(fbn, addr)
+        old = self.filemap(inum).set(fbn, addr)
         bs = self.config.block_size
         if old != NULL_ADDR:
             self.usage.remove_live(self.layout.segment_of(old), bs)
-        # peek, not lookup: placement is internal traffic and must not
-        # count toward the application hit rate or reorder the LRU.
-        entry = self.cache.peek(inum, fbn)
-        mtime = entry.mtime if entry else self.disk.clock.now
-        self.usage.add_live(self.layout.segment_of(addr), bs, mtime)
+        # The item was built from this block's cache entry in this same
+        # flush, so it already carries the entry's mtime.
+        self.usage.add_live(self.layout.segment_of(addr), bs, item.mtime)
         self.cache.mark_clean(inum, fbn)
 
     def _place_indirect(self, old: int, addr: int) -> None:

@@ -83,6 +83,15 @@ class InodeMap:
             self._entries[inum] = entry
         return entry
 
+    def peek(self, inum: int) -> InodeMapEntry | None:
+        """The slot for ``inum`` if one exists, else None; inserts nothing.
+
+        One dict probe for the cleaner's per-block uid check;
+        ``version_of`` makes the same probe. Only in-range inums ever get a
+        slot, so no range check.
+        """
+        return self._entries.get(inum)
+
     def lookup(self, inum: int) -> int:
         """Log address of the current inode; raises if not allocated."""
         entry = self.get(inum)
@@ -99,7 +108,11 @@ class InodeMap:
 
     def version_of(self, inum: int) -> int:
         """Current version number for the cleaner's uid check."""
-        return self.get(inum).version
+        entry = self._entries.get(inum)
+        if entry is None:
+            self._check_inum(inum)
+            return 0
+        return entry.version
 
     def set_addr(self, inum: int, addr: int) -> None:
         """Record a new inode location (marks the map block dirty)."""
@@ -151,6 +164,10 @@ class InodeMap:
     def allocated_inums(self) -> list[int]:
         """All currently allocated inode numbers, ascending."""
         return sorted(i for i, e in self._entries.items() if e.allocated)
+
+    def points_at(self, addr: int) -> bool:
+        """True if some allocated inode currently lives at ``addr``."""
+        return addr != NULL_ADDR and any(e.addr == addr for e in self._entries.values())
 
     @property
     def live_count(self) -> int:

@@ -34,6 +34,8 @@ class FileMap:
         self.inode = inode
         self.block_size = block_size
         self.per = addrs_per_indirect(block_size)
+        self._first_double = NUM_DIRECT + self.per  # first fbn under the L2
+        self._double_span = self.per * self.per
         self._read_block = read_block
         self._mark_inode_dirty = mark_inode_dirty
         self._l1: list[int] | None = None  # single-indirect contents
@@ -79,29 +81,29 @@ class FileMap:
     # ------------------------------------------------------------------
     # mapping
 
-    def _split(self, fbn: int) -> tuple[str, int, int]:
-        """Classify a file block number: (level, child index, slot)."""
+    # ``get``/``set``/``ensure_structures`` run once per block moved, so
+    # each classifies ``fbn`` with integer range tests in place: direct
+    # pointers, then the single-indirect range, then the double-indirect
+    # range; whatever is left is out of range.
+
+    @staticmethod
+    def _out_of_range(fbn: int) -> InvalidOperationError:
         if fbn < 0:
-            raise InvalidOperationError(f"negative file block number {fbn}")
-        if fbn < NUM_DIRECT:
-            return "direct", 0, fbn
-        idx = fbn - NUM_DIRECT
-        if idx < self.per:
-            return "single", 0, idx
-        idx -= self.per
-        if idx < self.per * self.per:
-            return "double", idx // self.per, idx % self.per
-        raise InvalidOperationError(f"file block {fbn} beyond maximum file size")
+            return InvalidOperationError(f"negative file block number {fbn}")
+        return InvalidOperationError(f"file block {fbn} beyond maximum file size")
 
     def get(self, fbn: int) -> int:
         """Disk address of file block ``fbn`` (``NULL_ADDR`` if unwritten)."""
-        level, child_idx, slot = self._split(fbn)
-        if level == "direct":
-            return self.inode.direct[slot]
-        if level == "single":
+        if 0 <= fbn < NUM_DIRECT:
+            return self.inode.direct[fbn]
+        if NUM_DIRECT <= fbn < self._first_double:
             if self.inode.indirect == NULL_ADDR and self._l1 is None:
                 return NULL_ADDR
-            return self._load_l1()[slot]
+            return self._load_l1()[fbn - NUM_DIRECT]
+        idx = fbn - self._first_double
+        if not 0 <= idx < self._double_span:
+            raise self._out_of_range(fbn)
+        child_idx, slot = divmod(idx, self.per)
         if self.inode.dindirect == NULL_ADDR and self._l2 is None:
             return NULL_ADDR
         if self._load_l2()[child_idx] == NULL_ADDR and child_idx not in self._children:
@@ -114,18 +116,22 @@ class FileMap:
         Marks the containing structure dirty (the inode for direct
         pointers, the indirect block otherwise).
         """
-        level, child_idx, slot = self._split(fbn)
-        if level == "direct":
-            old = self.inode.direct[slot]
-            self.inode.direct[slot] = addr
+        if 0 <= fbn < NUM_DIRECT:
+            old = self.inode.direct[fbn]
+            self.inode.direct[fbn] = addr
             self._mark_inode_dirty(self.inode.inum)
             return old
-        if level == "single":
+        if NUM_DIRECT <= fbn < self._first_double:
             l1 = self._load_l1()
+            slot = fbn - NUM_DIRECT
             old = l1[slot]
             l1[slot] = addr
             self.l1_dirty = True
             return old
+        idx = fbn - self._first_double
+        if not 0 <= idx < self._double_span:
+            raise self._out_of_range(fbn)
+        child_idx, slot = divmod(idx, self.per)
         child = self._load_child(child_idx)
         old = child[slot]
         child[slot] = addr
@@ -139,15 +145,20 @@ class FileMap:
         to-be-dirtied indirect blocks exist (and are marked dirty) before
         any placement happens.
         """
-        level, child_idx, _ = self._split(fbn)
-        if level == "single":
+        if 0 <= fbn < NUM_DIRECT:
+            return
+        if NUM_DIRECT <= fbn < self._first_double:
             self._load_l1()
             self.l1_dirty = True
-        elif level == "double":
-            self._load_l2()
-            self._load_child(child_idx)
-            self.dirty_children.add(child_idx)
-            self.l2_dirty = True
+            return
+        idx = fbn - self._first_double
+        if not 0 <= idx < self._double_span:
+            raise self._out_of_range(fbn)
+        child_idx = idx // self.per
+        self._load_l2()
+        self._load_child(child_idx)
+        self.dirty_children.add(child_idx)
+        self.l2_dirty = True
 
     # ------------------------------------------------------------------
     # flush support
@@ -213,7 +224,7 @@ class FileMap:
             for slot in range(min(nblocks - NUM_DIRECT, self.per)):
                 if l1[slot] != NULL_ADDR:
                     out.append(("data", l1[slot]))
-        first_double = NUM_DIRECT + self.per
+        first_double = self._first_double
         if nblocks > first_double and (
             self.inode.dindirect != NULL_ADDR or self._l2 is not None
         ):
@@ -261,7 +272,7 @@ class FileMap:
                 self.inode.indirect = NULL_ADDR
                 self._l1 = None
                 self.l1_dirty = False
-        first_double = NUM_DIRECT + self.per
+        first_double = self._first_double
         if nblocks > first_double and (
             self.inode.dindirect != NULL_ADDR or self._l2 is not None
         ):

@@ -1,6 +1,10 @@
 """Tests for low-level serialization helpers."""
 
+import struct
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.blocks import (
     checksum,
@@ -11,6 +15,50 @@ from repro.core.blocks import (
     unpack_addrs,
 )
 from repro.core.errors import CorruptionError
+
+U64_MAX = 2**64 - 1
+
+
+def reference_pack_addrs(addrs, block_size):
+    """One address at a time: the packer ``pack_addrs`` must match."""
+    per_block = block_size // 8
+    if len(addrs) > per_block:
+        raise ValueError(f"{len(addrs)} addresses exceed block capacity {per_block}")
+    return b"".join(struct.pack("<Q", a) for a in addrs).ljust(block_size, b"\0")
+
+
+@st.composite
+def addr_blocks(draw):
+    block_size = draw(st.sampled_from([512, 1024, 4096]))
+    addr = st.one_of(st.sampled_from([0, 1, U64_MAX]), st.integers(0, U64_MAX))
+    addrs = draw(st.lists(addr, max_size=block_size // 8))
+    return addrs, block_size
+
+
+class TestPackAddrsMatchesReference:
+    @given(addr_blocks())
+    def test_same_bytes_and_roundtrip(self, case):
+        addrs, block_size = case
+        payload = pack_addrs(addrs, block_size)
+        assert payload == reference_pack_addrs(addrs, block_size)
+        assert len(payload) == block_size
+        assert unpack_addrs(payload, len(addrs)) == addrs
+
+    @pytest.mark.parametrize("block_size", [512, 1024, 4096])
+    def test_full_block_and_one_past_capacity(self, block_size):
+        per = block_size // 8
+        full = [U64_MAX] * per
+        assert pack_addrs(full, block_size) == reference_pack_addrs(full, block_size)
+        for packer in (pack_addrs, reference_pack_addrs):
+            with pytest.raises(ValueError, match="exceed block capacity"):
+                packer([0] * (per + 1), block_size)
+
+    @pytest.mark.parametrize("bad", [-1, 2**64])
+    @pytest.mark.parametrize("block_size", [512, 1024, 4096])
+    def test_address_outside_u64_is_struct_error(self, bad, block_size):
+        for packer in (pack_addrs, reference_pack_addrs):
+            with pytest.raises(struct.error):
+                packer([1, bad, 2], block_size)
 
 
 class TestAddrPacking:

@@ -165,6 +165,26 @@ class TestVersionFastPath:
         # nothing live in those segments: nothing may be moved
         assert fs.cleaner.stats.live_blocks_moved == moved_before
 
+    def test_stale_version_judged_without_reading_the_file(self, fs):
+        """A block of an earlier incarnation of a live file is dead by its
+        version alone: neither the inode nor an indirect block is read."""
+        fs.write_file("/f", b"v" * 8000)
+        inum = fs.stat("/f").inum
+        fs.checkpoint()
+        stale = SummaryEntry(
+            kind=BlockKind.DATA, inum=inum, offset=0, version=fs.imap.version_of(inum)
+        )
+        addr = fs.block_addr(inum, 0)
+        fs.write_file("/f", b"w" * 8000)  # truncates to zero: a new version
+        fs.checkpoint()
+        fs.unmount()
+        fs = LFS.mount(fs.disk, fs.config)  # nothing of /f in memory
+        assert fs.imap.version_of(inum) == stale.version + 1
+        reads = fs.disk.stats.reads
+        assert not fs.cleaner._entry_live(stale, addr)
+        assert fs.disk.stats.reads == reads
+        assert inum not in fs._inodes
+
 
 class TestOneLivenessRule:
     @pytest.mark.parametrize("kind", list(BlockKind), ids=lambda k: k.name)
@@ -267,6 +287,66 @@ class TestReviveInodeBlock:
         rotted[slots.index(min(live)) * INODE_SIZE + self.FTYPE_AT] = 0xEE
         with pytest.raises(CorruptionError, match="bad file type"):
             self.revive(fs, addr, bytes(rotted))
+
+
+class TestSalvageInodeBlocks:
+    @staticmethod
+    def sick_segment(fs):
+        """A closed segment holding live and dead inode blocks next to live
+        and dead data, map and usage blocks: its number and its entries."""
+        for name in "abcdef":
+            fs.write_file(f"/{name}", name.encode() * 100)
+        fs.checkpoint()
+        fs.checkpoint()
+        seg = fs.writer.current_segment
+        for name in "ab":
+            fs.write_file(f"/{name}", b"newer" + name.encode())
+        fs.sync()
+        fs.unlink("/c")
+        fs.sync()
+        fs.write_file("/d", b"d2")
+        fs.sync()
+        fs.checkpoint()
+        assert fs.writer.current_segment == seg
+        fs.write_file("/big", b"B" * (40 * fs.config.block_size))
+        fs.checkpoint()
+        assert fs.writer.current_segment != seg
+        start = fs.layout.segment_start(seg)
+        entries = [
+            (entry, start + step.offset + 1 + i)
+            for step in walk_segment(
+                fs.disk.peek, fs.disk.peek, start, fs.config.segment_blocks,
+                fs.config.block_size, seq_limit=fs.writer.seq,
+            )
+            if isinstance(step, SegmentWrite)
+            for i, entry in enumerate(step.summary.entries)
+        ]
+        return seg, entries
+
+    def test_lost_live_and_dead_inode_blocks_are_counted_apart(self, fs):
+        seg, entries = self.sick_segment(fs)
+        live = {addr: fs.cleaner._entry_live(entry, addr) for entry, addr in entries}
+        inode_addrs = [a for e, a in entries if e.kind == BlockKind.INODE]
+        # the inode verdict is "some inode-map slot points here"
+        for addr in inode_addrs:
+            assert live[addr] == any(
+                fs.imap.get(i).addr == addr for i in fs.imap.allocated_inums()
+            )
+        live_inodes = [a for a in inode_addrs if live[a]]
+        assert len(live_inodes) == 2 and len(inode_addrs) == 4
+        for addr in inode_addrs:  # rot every inode block, live or dead
+            raw = bytearray(fs.disk.peek(addr))
+            raw[5] ^= 0xFF
+            fs.disk.corrupt_block(addr, bytes(raw))
+        live_others = sum(live[a] for e, a in entries if e.kind != BlockKind.INODE)
+        rescued, lost = fs.cleaner.rescue_segment(seg)
+        assert (rescued, lost) == (3, 2)
+        assert (rescued, lost) == (live_others, len(live_inodes))
+        assert fs.usage.get(seg).quarantined
+        # the verified live blocks moved: every file still reads back
+        assert fs.read("/a") == b"newera"
+        assert fs.read("/d") == b"d2"
+        assert fs.read("/e") == b"e" * 100
 
 
 class TestWriteCostAccounting:

@@ -34,6 +34,28 @@ class TestLookup:
         assert not imap.is_allocated(99999)
 
 
+    def test_peek_and_version_of_insert_nothing(self, imap):
+        assert imap.peek(3) is None
+        assert imap.version_of(3) == 0
+        imap.mark_all_dirty()  # dirties the block of every slot that exists
+        assert imap.dirty_block_indexes() == []
+        imap.set_addr(3, 77)
+        assert imap.peek(3) is imap.get(3)
+
+    def test_version_of_out_of_range_raises(self, imap):
+        for inum in (0, 512):
+            with pytest.raises(InvalidOperationError):
+                imap.version_of(inum)
+
+    def test_points_at(self, imap):
+        imap.set_addr(3, 77)
+        imap.set_addr(4, 78)
+        imap.free(4)
+        assert imap.points_at(77)
+        assert not imap.points_at(78)  # freed
+        assert not imap.points_at(NULL_ADDR)
+
+
 class TestAllocation:
     def test_allocate_returns_distinct(self, imap):
         a = imap.allocate()

@@ -121,6 +121,68 @@ class TestDoubleIndirect:
             fmap.get(NUM_DIRECT + PER + PER * PER)
 
 
+LAST_DOUBLE = NUM_DIRECT + PER + PER * PER - 1
+BOUNDARIES = [0, NUM_DIRECT - 1, NUM_DIRECT, NUM_DIRECT + PER - 1, NUM_DIRECT + PER, LAST_DOUBLE]
+
+
+class TestLevelBoundaries:
+    """Every file block number where the map changes level, against a dict."""
+
+    @staticmethod
+    def fresh(store):
+        dirtied = []
+        return FileMap(Inode(inum=7), BS, store.read, dirtied.append), dirtied
+
+    def test_set_and_get_match_a_dict_model(self, store):
+        fmap, _ = self.fresh(store)
+        model = {}
+        for round_no in (1, 2):
+            for i, fbn in enumerate(BOUNDARIES):
+                addr = 1000 * round_no + i
+                fmap.ensure_structures(fbn)
+                assert fmap.set(fbn, addr) == model.get(fbn, NULL_ADDR)
+                model[fbn] = addr
+                assert fmap.get(fbn) == addr
+        neighbours = {fbn + d for fbn in BOUNDARIES for d in (-1, 1)} - set(BOUNDARIES)
+        for fbn in sorted(neighbours - {-1, LAST_DOUBLE + 1}):
+            assert fmap.get(fbn) == NULL_ADDR, fbn
+        # write the indirect blocks out and read the map back from them
+        for child_idx in sorted(fmap.dirty_children):
+            addr = 5000 + child_idx
+            store.blocks[addr] = fmap.pack_child(child_idx)
+            fmap.place_child(child_idx, addr)
+        store.blocks[6000] = fmap.pack_l1()
+        fmap.place_l1(6000)
+        store.blocks[6001] = fmap.pack_l2()
+        fmap.place_l2(6001)
+        reloaded = FileMap(fmap.inode, BS, store.read, lambda inum: None)
+        assert {fbn: reloaded.get(fbn) for fbn in BOUNDARIES} == model
+
+    @pytest.mark.parametrize("fbn", BOUNDARIES)
+    def test_set_dirties_exactly_the_structure_holding_the_pointer(self, store, fbn):
+        fmap, dirtied = self.fresh(store)
+        fmap.set(fbn, 55)
+        if fbn < NUM_DIRECT:
+            assert dirtied == [7]
+            assert not fmap.l1_dirty and not fmap.dirty_children
+        elif fbn < NUM_DIRECT + PER:
+            assert dirtied == []
+            assert fmap.l1_dirty and not fmap.dirty_children
+        else:
+            assert dirtied == []
+            assert not fmap.l1_dirty
+            assert fmap.dirty_children == {(fbn - NUM_DIRECT - PER) // PER}
+
+    @pytest.mark.parametrize("fbn", [-1, LAST_DOUBLE + 1])
+    def test_out_of_range_is_refused_by_every_entry_point(self, store, fbn):
+        fmap, dirtied = self.fresh(store)
+        for call in (fmap.get, lambda f: fmap.set(f, 9), fmap.ensure_structures):
+            with pytest.raises(InvalidOperationError):
+                call(fbn)
+        assert dirtied == [] and store.reads == 0
+        assert not (fmap.l1_dirty or fmap.l2_dirty or fmap.dirty_children)
+
+
 class TestEnumeration:
     def test_all_block_addrs_direct_only(self, fmap):
         fmap.set(0, 10)
