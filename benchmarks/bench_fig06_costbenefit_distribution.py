@@ -9,7 +9,7 @@ empty).
 from conftest import record_bench, run_once_timed, save_result
 
 from repro.analysis.figures import fig06_costbenefit_distribution
-from repro.simulator.sweep import resolve_engine, resolve_workers
+from repro.simulator.sweep import resolve_workers
 
 
 def test_fig06_costbenefit_distribution(benchmark):
@@ -22,7 +22,6 @@ def test_fig06_costbenefit_distribution(benchmark):
         "fig06_costbenefit_distribution",
         wall_seconds=wall,
         workers=workers,
-        engine=resolve_engine("auto"),
         steps=result.sim_steps,
     )
 

@@ -8,7 +8,7 @@ even an improved Unix FFS (write cost 4) at high disk utilizations.
 from conftest import record_bench, run_once_timed, save_result
 
 from repro.analysis.figures import fig07_costbenefit_writecost
-from repro.simulator.sweep import resolve_engine, resolve_workers
+from repro.simulator.sweep import resolve_workers
 from repro.simulator.writecost import FFS_IMPROVED_WRITE_COST
 
 UTILS = (0.2, 0.4, 0.6, 0.7, 0.75, 0.8, 0.85, 0.9)
@@ -24,7 +24,6 @@ def test_fig07_costbenefit_writecost(benchmark):
         "fig07_costbenefit_writecost",
         wall_seconds=wall,
         workers=workers,
-        engine=resolve_engine("auto"),
         steps=result.sim_steps,
         write_costs={name: list(curve) for name, curve in result.curves.items()},
     )

@@ -35,11 +35,10 @@ from repro.disk.image import load_disk, save_disk
 from repro.simulator.model import SimConfig
 from repro.simulator.policies import GroupingPolicy, SelectionPolicy
 from repro.simulator.sweep import (
-    ENGINES,
     SweepPoint,
     derive_point_seed,
+    make_pattern,
     record_bench,
-    resolve_engine,
     resolve_workers,
     result_digest,
     run_sweep,
@@ -335,6 +334,8 @@ def _sweep_points(args: argparse.Namespace) -> tuple[list[SweepPoint], list[tupl
     selections = [SelectionPolicy(p) for p in args.policies.split(",") if p]
     groupings = [GroupingPolicy(g) for g in args.grouping.split(",") if g]
     patterns = [p for p in args.patterns.split(",") if p]
+    for spec in patterns:
+        make_pattern(spec)  # a bad spec fails here, not in a pool worker
 
     points: list[SweepPoint] = []
     labels: list[tuple] = []
@@ -362,11 +363,14 @@ def _sweep_points(args: argparse.Namespace) -> tuple[list[SweepPoint], list[tupl
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    points, labels = _sweep_points(args)
-    engine = resolve_engine(args.engine)
+    try:
+        points, labels = _sweep_points(args)
+    except ValueError as exc:
+        print(f"sweep: {exc}", file=sys.stderr)
+        return 2
     workers = resolve_workers(args.workers, len(points))
     t0 = time.perf_counter()
-    results = run_sweep(points, workers=workers, engine=engine)
+    results = run_sweep(points, workers=workers)
     wall = time.perf_counter() - t0
 
     rows = [
@@ -380,7 +384,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             rows,
             title=(
                 f"sweep — {len(points)} points, {workers} worker(s), "
-                f"{engine} engine, {wall:.2f}s wall, {steps / wall:,.0f} steps/s"
+                f"{wall:.2f}s wall, {steps / wall:,.0f} steps/s"
             ),
         )
     )
@@ -398,7 +402,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 f"{util}/{sel}/{grp}/{pat}": r.write_cost
                 for (util, sel, grp, pat), r in zip(labels, results)
             },
-            engine=engine,
             digest=result_digest(results),
             extra={"points": len(points), "base_seed": args.seed},
         )
@@ -414,20 +417,23 @@ def cmd_profile(args: argparse.Namespace) -> int:
     import cProfile
     import pstats
 
-    points, _ = _sweep_points(args)
-    engine = resolve_engine(args.engine)
+    try:
+        points, _ = _sweep_points(args)
+    except ValueError as exc:
+        print(f"profile: {exc}", file=sys.stderr)
+        return 2
     profiler = cProfile.Profile()
     t0 = time.perf_counter()
     profiler.enable()
     # Always in-process: a pool would move the work (and the profile)
     # into child processes and leave nothing here but pickling.
-    results = run_sweep(points, workers=1, engine=engine)
+    results = run_sweep(points, workers=1)
     profiler.disable()
     wall = time.perf_counter() - t0
 
     steps = sum(r.total_steps for r in results)
     print(
-        f"profile — {len(points)} points, {engine} engine, "
+        f"profile — {len(points)} points, "
         f"{wall:.2f}s wall, {steps / wall:,.0f} steps/s, "
         f"digest {result_digest(results)}"
     )
@@ -946,7 +952,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--measure-factor", type=float, default=4.0)
         p.add_argument("--max-windows", type=int, default=25)
         p.add_argument("--seed", type=int, default=42, help="base seed; per-point seeds derive from it")
-        p.add_argument("--engine", default="auto", choices=ENGINES, help="simulator engine (auto = vectorized when numpy is available)")
 
     p = sub.add_parser(
         "sweep",
@@ -956,7 +961,7 @@ def build_parser() -> argparse.ArgumentParser:
             "policy x grouping x pattern. Points run in parallel across a "
             "process pool; per-point seeds derive deterministically from "
             "--seed, so the same invocation always reproduces the same "
-            "write costs regardless of worker count or engine choice."
+            "write costs regardless of worker count."
         ),
     )
     add_sweep_grid(p)
@@ -971,7 +976,7 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Run the same grid as `sweep` in-process under cProfile and "
             "print the ranked hotspot report — the tool that found the "
-            "vectorized engine's remaining per-round costs. --out dumps "
+            "simulator's per-step and per-pass costs. --out dumps "
             "the raw pstats file for offline viewers."
         ),
     )

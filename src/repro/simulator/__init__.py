@@ -12,12 +12,10 @@ from repro.simulator.model import SimConfig, SimResult, Simulator
 from repro.simulator.patterns import AccessPattern, HotColdPattern, UniformPattern
 from repro.simulator.policies import GroupingPolicy, SelectionPolicy
 from repro.simulator.sweep import (
-    ENGINES,
     SweepPoint,
     make_pattern,
     parallel_map,
     record_bench,
-    resolve_engine,
     result_digest,
     run_sweep,
 )
@@ -29,7 +27,6 @@ from repro.simulator.writecost import (
 
 __all__ = [
     "AccessPattern",
-    "ENGINES",
     "FFS_IMPROVED_WRITE_COST",
     "FFS_TODAY_WRITE_COST",
     "GroupingPolicy",
@@ -44,7 +41,6 @@ __all__ = [
     "make_pattern",
     "parallel_map",
     "record_bench",
-    "resolve_engine",
     "result_digest",
     "run_sweep",
 ]

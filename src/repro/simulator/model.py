@@ -13,12 +13,13 @@ block counts, which is exactly the currency of the write-cost metric.
 
 from __future__ import annotations
 
+import heapq
 import random
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 
 from repro.simulator.patterns import AccessPattern, UniformPattern
-from repro.simulator.policies import GroupingPolicy, SelectionPolicy, rank
+from repro.simulator.policies import GroupingPolicy, SelectionPolicy, cost_benefit_key
 from repro.simulator.writecost import measured_write_cost
 
 
@@ -85,6 +86,17 @@ class SimConfig:
             )
         if self.clean_threshold < 1:
             raise ValueError("clean_threshold must be >= 1")
+        # each of these would end a run with nothing measured
+        if self.segments_per_pass < 1:
+            raise ValueError("segments_per_pass must be >= 1")
+        if self.warmup_factor < 0:
+            raise ValueError("warmup_factor must be >= 0")
+        if self.measure_factor <= 0:
+            raise ValueError("measure_factor must be > 0")
+        if self.max_windows < 1:
+            raise ValueError("max_windows must be >= 1")
+        if self.stable_windows < 1:
+            raise ValueError("stable_windows must be >= 1")
 
     @property
     def total_blocks(self) -> int:
@@ -127,32 +139,33 @@ class Simulator:
         self.rng = random.Random(config.seed)
         self.pattern.bind(config.num_files, self.rng)
 
-        S = config.num_segments
-        self.file_seg = [-1] * config.num_files
-        self.file_mtime = [0.0] * config.num_files
-        self.seg_live = [0] * S
-        self.seg_mtime = [0.0] * S
+        S, B, F = config.num_segments, config.blocks_per_segment, config.num_files
+        # Initial layout: every file written once, in file order, filling
+        # segments 0, 1, 2, ... as the clean-segment stack hands them out.
+        self.file_seg = [f // B for f in range(F)]
+        self.file_mtime = [0.0] * F
         # Per-segment live-file membership, iterated in *log order* (the
         # order blocks were appended): insertion-ordered dicts with None
-        # values. Log order is what a real segment scan would yield, it
-        # is deterministic across engines (unlike set hash order), and
-        # the vectorized engine's slot table reproduces it exactly.
-        self.seg_files: list[dict[int, None]] = [{} for _ in range(S)]
-        self.clean_segs = list(range(S - 1, -1, -1))  # stack, pop() -> seg 0 first
-        self.clean_set = set(self.clean_segs)  # O(1) membership, kept in sync
-        self.cur_seg = self.clean_segs.pop()
-        self.clean_set.discard(self.cur_seg)
+        # values. Log order is what a real segment scan would yield, and
+        # unlike set hash order it is deterministic.
+        self.seg_files: list[dict[int, None]] = [
+            dict.fromkeys(range(s * B, min(F, s * B + B))) for s in range(S)
+        ]
+        self.seg_live = [len(files) for files in self.seg_files]
+        self.seg_mtime = [0.0] * S
+        self.cur_seg = (F - 1) // B
+        self.cur_fill = F - self.cur_seg * B
+        self.clean_segs = list(range(S - 1, self.cur_seg, -1))  # stack, pop() -> lowest first
         # All non-clean segments, kept sorted ascending: the cleaner's
         # candidate universe, maintained incrementally instead of being
         # rebuilt by an O(num_segments) range scan per cleaner call.
-        self._inlog: list[int] = [self.cur_seg]
-        self.cur_fill = 0
+        self._inlog: list[int] = list(range(self.cur_seg + 1))
         self.out_seg = -1  # cleaner's output segment
         self.out_fill = 0
         self.step_no = 0
 
         # counters (split into total and post-warmup "measured")
-        self.new_blocks = 0
+        self.new_blocks = F
         self.moved_blocks = 0
         self.read_blocks = 0
         self.segments_cleaned = 0
@@ -163,10 +176,6 @@ class Simulator:
         self.cleaned_utilizations: list[float] = []
         self.util_snapshots: list[float] = []
 
-        # initial layout: every file written once, in file order
-        for f in range(config.num_files):
-            self._append_new(f)
-
     # ------------------------------------------------------------------
     # write path
 
@@ -176,114 +185,156 @@ class Simulator:
         if not self.clean_segs:
             raise RuntimeError("cleaner could not produce a clean segment")
         seg = self.clean_segs.pop()
-        self.clean_set.discard(seg)
         insort(self._inlog, seg)
         return seg
 
-    def _append_new(self, f: int) -> None:
-        """Write file ``f`` at the head of the log."""
-        if self.cur_fill >= self.config.blocks_per_segment:
-            self.cur_seg = self._take_clean()
-            self.cur_fill = 0
-        seg = self.cur_seg
-        self.file_seg[f] = seg
-        self.seg_live[seg] += 1
-        self.seg_files[seg][f] = None
-        if self.file_mtime[f] > self.seg_mtime[seg]:
-            self.seg_mtime[seg] = self.file_mtime[f]
-        self.cur_fill += 1
-        self.new_blocks += 1
-        if self.measuring:
-            self.m_new += 1
+    def _steps(self, n: int) -> None:
+        """Run ``n`` steps: each overwrites one file chosen by the access pattern.
 
-    def _append_moved(self, f: int) -> None:
-        """Write a live file the cleaner is carrying to its output head."""
-        if self.out_seg < 0 or self.out_fill >= self.config.blocks_per_segment:
-            if not self.clean_segs:
-                raise RuntimeError("cleaner ran out of output segments")
-            self.out_seg = self.clean_segs.pop()
-            self.clean_set.discard(self.out_seg)
-            insort(self._inlog, self.out_seg)
-            self.out_fill = 0
-        seg = self.out_seg
-        self.file_seg[f] = seg
-        self.seg_live[seg] += 1
-        self.seg_files[seg][f] = None
-        if self.file_mtime[f] > self.seg_mtime[seg]:
-            self.seg_mtime[seg] = self.file_mtime[f]
-        self.out_fill += 1
-        self.moved_blocks += 1
+        The overwritten block dies in its old segment and the new copy is
+        appended at the head of the log. The loop keeps the state it
+        touches in locals. The cleaner runs inside :meth:`_take_clean`,
+        after the step's old copy has died, and reads ``step_no`` and
+        ``cur_seg`` from ``self``, so both are stored before it can run.
+        """
+        B = self.config.blocks_per_segment
+        next_file = self.pattern.next_file
+        file_seg, file_mtime = self.file_seg, self.file_mtime
+        seg_live, seg_files, seg_mtime = self.seg_live, self.seg_files, self.seg_mtime
+        cur_seg, cur_fill = self.cur_seg, self.cur_fill
+        head = seg_files[cur_seg]
+        end = self.step_no + n
+        for step_no in range(self.step_no + 1, end + 1):
+            f = next_file()
+            old = file_seg[f]
+            seg_live[old] -= 1
+            del seg_files[old][f]
+            # strictly younger than every block already in the log
+            mtime = file_mtime[f] = float(step_no)
+            if cur_fill >= B:
+                self.step_no = step_no
+                cur_seg = self.cur_seg = self._take_clean()
+                head = seg_files[cur_seg]
+                cur_fill = 0
+            file_seg[f] = cur_seg
+            seg_live[cur_seg] += 1
+            head[f] = None
+            seg_mtime[cur_seg] = mtime
+            cur_fill += 1
+        self.step_no, self.cur_fill = end, cur_fill
+        self.new_blocks += n
         if self.measuring:
-            self.m_moved += 1
+            self.m_new += n
 
     def step(self) -> None:
         """Overwrite one file chosen by the access pattern."""
-        self.step_no += 1
-        f = self.pattern.next_file()
-        old = self.file_seg[f]
-        if old >= 0:
-            self.seg_live[old] -= 1
-            self.seg_files[old].pop(f, None)
-        self.file_mtime[f] = float(self.step_no)
-        self._append_new(f)
+        self._steps(1)
+
+    def _append_moved(self, files: list[int]) -> None:
+        """Write live files the cleaner is carrying to its output head.
+
+        Files go out in order, one output segment's worth at a time.
+        """
+        B = self.config.blocks_per_segment
+        file_seg, file_mtime = self.file_seg, self.file_mtime
+        i = 0
+        while i < len(files):
+            if self.out_seg < 0 or self.out_fill >= B:
+                if not self.clean_segs:
+                    raise RuntimeError("cleaner ran out of output segments")
+                self.out_seg = self.clean_segs.pop()
+                insort(self._inlog, self.out_seg)
+                self.out_fill = 0
+            seg = self.out_seg
+            chunk = files[i : i + B - self.out_fill]
+            out_files = self.seg_files[seg]
+            for f in chunk:
+                file_seg[f] = seg
+                out_files[f] = None
+            self.seg_live[seg] += len(chunk)
+            youngest = max(map(file_mtime.__getitem__, chunk))
+            if youngest > self.seg_mtime[seg]:
+                self.seg_mtime[seg] = youngest
+            self.out_fill += len(chunk)
+            i += len(chunk)
+        self.moved_blocks += len(files)
+        if self.measuring:
+            self.m_moved += len(files)
 
     # ------------------------------------------------------------------
     # cleaning
 
     def _candidates(self) -> list[int]:
-        # ``_inlog`` is exactly the non-clean segments, already sorted
-        # ascending, so no range scan over all of num_segments is needed
-        return [
-            s for s in self._inlog if s != self.cur_seg and s != self.out_seg
-        ]
+        """Every segment in the log but the two heads being filled.
+
+        ``_inlog`` is exactly the non-clean segments, already sorted
+        ascending, so no range scan over all of num_segments is needed;
+        both heads are in it once taken.
+        """
+        candidates = self._inlog.copy()
+        candidates.remove(self.cur_seg)
+        if self.out_seg >= 0:
+            candidates.remove(self.out_seg)
+        return candidates
 
     def _select_victims(self, count: int) -> list[int]:
-        """The ``count`` best candidates under the selection policy."""
+        """The ``count`` best candidates under the selection policy.
+
+        A fully live segment yields nothing: cleaning it is pure cost
+        (benefit is zero under both policies), so it is never picked.
+        The result equals ``rank_greedy``/``rank_cost_benefit`` of the
+        other candidates cut to ``count``, ties in ascending segment
+        order: ``min``/``max`` return the first extreme element, and
+        ``heapq.nsmallest``/``nlargest`` are documented to equal
+        ``sorted(...)[:count]`` (with ``reverse=True`` for the largest).
+        """
         B = self.config.blocks_per_segment
-        ranked = rank(
-            self.config.selection,
-            self._candidates(),
-            self,
-            float(self.step_no),
-            B,
-        )
-        # A fully live segment yields nothing: cleaning it is pure
-        # cost (benefit is zero under both policies), so never pick
-        # one while anything better exists.
-        ranked = [s for s in ranked if self.seg_live[s] < B]
-        return ranked[:count]
+        seg_live = self.seg_live
+        candidates = [s for s in self._candidates() if seg_live[s] < B]
+        if not candidates:
+            return []
+        if self.config.selection == SelectionPolicy.GREEDY:
+            key, best, top = seg_live.__getitem__, min, heapq.nsmallest
+        else:
+            key = cost_benefit_key(
+                seg_live.__getitem__,
+                self.seg_mtime.__getitem__,
+                float(self.step_no),
+                B,
+            )
+            best, top = max, heapq.nlargest
+        if count == 1:
+            return [best(candidates, key=key)]
+        return top(count, candidates, key=key)
 
     def _run_cleaner(self) -> None:
         """Clean until the threshold of clean segments is available."""
         B = self.config.blocks_per_segment
+        seg_live, seg_files = self.seg_live, self.seg_files
         if self.measuring:
-            for s in self._candidates():
-                self.util_snapshots.append(self.seg_live[s] / B)
+            self.util_snapshots += [seg_live[s] / B for s in self._candidates()]
         while len(self.clean_segs) < self.config.clean_threshold:
             victims = self._select_victims(self.config.segments_per_pass)
             if not victims:
                 break  # everything left is fully live: no reclaimable space
             live_files: list[int] = []
             for v in victims:
-                u = self.seg_live[v] / B
-                self.cleaned_utilizations.append(u)
-                if self.seg_live[v] > 0:
+                self.cleaned_utilizations.append(seg_live[v] / B)
+                if seg_live[v] > 0:
                     self.read_blocks += B
                     if self.measuring:
                         self.m_read += B
-                live_files.extend(self.seg_files[v])
+                live_files.extend(seg_files[v])
                 # the victim's space is reclaimed; its live data is in hand
-                self.seg_live[v] = 0
-                self.seg_files[v] = {}
+                seg_live[v] = 0
+                seg_files[v] = {}
                 self.seg_mtime[v] = 0.0
                 self.clean_segs.append(v)
-                self.clean_set.add(v)
                 del self._inlog[bisect_left(self._inlog, v)]
                 self.segments_cleaned += 1
             if self.config.grouping == GroupingPolicy.AGE_SORT:
-                live_files.sort(key=lambda f: self.file_mtime[f])
-            for f in live_files:
-                self._append_moved(f)
+                live_files.sort(key=self.file_mtime.__getitem__)
+            self._append_moved(live_files)
 
     # SegmentView protocol -------------------------------------------------
 
@@ -313,17 +364,14 @@ class Simulator:
         cold-start variance had been removed".
         """
         cfg = self.config
-        warmup = int(cfg.warmup_factor * cfg.total_blocks)
-        window = max(1, int(cfg.measure_factor * cfg.total_blocks))
-        for _ in range(warmup):
-            self.step()
+        self._steps(int(cfg.warmup_factor * cfg.total_blocks))
         self.measuring = True
+        window = max(1, int(cfg.measure_factor * cfg.total_blocks))
         prev_cost = None
         stable = 0
         for _ in range(cfg.max_windows):
             self._reset_window()
-            for _ in range(window):
-                self.step()
+            self._steps(window)
             cost = measured_write_cost(self.m_new, self.m_moved, self.m_read)
             if prev_cost is not None and prev_cost > 0:
                 if abs(cost - prev_cost) / prev_cost <= cfg.stable_tol:
@@ -336,7 +384,7 @@ class Simulator:
         return SimResult(
             config=cfg,
             pattern_name=self.pattern.name,
-            write_cost=prev_cost if prev_cost is not None else 1.0,
+            write_cost=prev_cost,
             new_blocks=self.m_new,
             moved_blocks=self.m_moved,
             read_blocks=self.m_read,

@@ -4,6 +4,12 @@ Two pseudo-random patterns from the paper: *uniform* (every file equally
 likely) and *hot-and-cold* (a hot group holding ``hot_fraction`` of the
 files receives ``hot_access_fraction`` of the writes; 10%/90% in the
 paper). Patterns are deterministic given the injected RNG.
+
+Both draw an index below ``n`` the way CPython's ``Random.randrange(n)``
+does (``_randbelow``): take ``getrandbits(k)`` with ``k = n.bit_length()``
+and reject values ``>= n``. Doing it inline skips ``randrange``'s
+argument checks on every simulated step; the stream of indices is the
+same, draw for draw, as ``randrange`` on the same ``random.Random``.
 """
 
 from __future__ import annotations
@@ -34,16 +40,22 @@ class UniformPattern(AccessPattern):
 
     def __init__(self) -> None:
         self._num_files = 0
-        self._rng: random.Random | None = None
+        self._bits = 0
+        self._getrandbits = None
 
     def bind(self, num_files: int, rng: random.Random) -> None:
         if num_files < 1:
             raise ValueError("need at least one file")
         self._num_files = num_files
-        self._rng = rng
+        self._bits = num_files.bit_length()
+        self._getrandbits = rng.getrandbits
 
     def next_file(self) -> int:
-        return self._rng.randrange(self._num_files)
+        n, k, getrandbits = self._num_files, self._bits, self._getrandbits
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return r
 
     @property
     def name(self) -> str:
@@ -67,22 +79,33 @@ class HotColdPattern(AccessPattern):
             raise ValueError("hot_access_fraction must be in (0, 1)")
         self.hot_fraction = hot_fraction
         self.hot_access_fraction = hot_access_fraction
-        self._num_hot = 0
-        self._num_files = 0
-        self._rng: random.Random | None = None
+        # (first file, size, size.bit_length()) of each group
+        self._hot = self._cold = (0, 0, 0)
+        self._random = None
+        self._getrandbits = None
 
     def bind(self, num_files: int, rng: random.Random) -> None:
         if num_files < 2:
             raise ValueError("need at least two files for two groups")
-        self._num_files = num_files
-        self._num_hot = max(1, round(num_files * self.hot_fraction))
-        self._rng = rng
+        num_hot = max(1, round(num_files * self.hot_fraction))
+        num_cold = num_files - num_hot
+        if num_cold < 1:
+            raise ValueError(f"hot_fraction {self.hot_fraction} leaves no cold files")
+        self._hot = (0, num_hot, num_hot.bit_length())
+        self._cold = (num_hot, num_cold, num_cold.bit_length())
+        self._random = rng.random
+        self._getrandbits = rng.getrandbits
 
     def next_file(self) -> int:
-        rng = self._rng
-        if rng.random() < self.hot_access_fraction:
-            return rng.randrange(self._num_hot)
-        return self._num_hot + rng.randrange(self._num_files - self._num_hot)
+        if self._random() < self.hot_access_fraction:
+            base, n, k = self._hot
+        else:
+            base, n, k = self._cold
+        getrandbits = self._getrandbits
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return base + r
 
     @property
     def name(self) -> str:

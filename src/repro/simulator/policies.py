@@ -12,7 +12,7 @@ Two independent policy axes, exactly as the paper separates them:
 from __future__ import annotations
 
 import enum
-from typing import Protocol, Sequence
+from typing import Callable, Protocol, Sequence
 
 
 class SelectionPolicy(enum.Enum):
@@ -42,16 +42,25 @@ def rank_greedy(candidates: Sequence[int], view: SegmentView) -> list[int]:
     return sorted(candidates, key=view.live_blocks)
 
 
-def cost_benefit_key(view: SegmentView, now: float, blocks_per_segment: int):
+def cost_benefit_key(
+    live_blocks: Callable[[int], int],
+    segment_mtime: Callable[[int], float],
+    now: float,
+    blocks_per_segment: int,
+) -> Callable[[int], float]:
     """The benefit-to-cost ratio as a scoring function (Section 3.5).
 
     benefit/cost = (1 - u) * age / (1 + u), with age taken from the most
-    recent modified time of any block in the segment.
+    recent modified time of any block in the segment. ``live_blocks`` and
+    ``segment_mtime`` map a segment to its live-block count and youngest
+    block's modified time: a view's methods, or a list's ``__getitem__``.
     """
 
     def ratio(seg: int) -> float:
-        u = view.live_blocks(seg) / blocks_per_segment
-        age = max(0.0, now - view.segment_mtime(seg))
+        u = live_blocks(seg) / blocks_per_segment
+        age = now - segment_mtime(seg)
+        if age < 0.0:  # max(0.0, age) without the call
+            age = 0.0
         return (1.0 - u) * age / (1.0 + u)
 
     return ratio
@@ -65,18 +74,9 @@ def rank_cost_benefit(
     Cold segments get cleaned at much higher utilizations than hot ones.
     """
     return sorted(
-        candidates, key=cost_benefit_key(view, now, blocks_per_segment), reverse=True
+        candidates,
+        key=cost_benefit_key(
+            view.live_blocks, view.segment_mtime, now, blocks_per_segment
+        ),
+        reverse=True,
     )
-
-
-def rank(
-    policy: SelectionPolicy,
-    candidates: Sequence[int],
-    view: SegmentView,
-    now: float,
-    blocks_per_segment: int,
-) -> list[int]:
-    """Dispatch to the configured selection policy."""
-    if policy == SelectionPolicy.GREEDY:
-        return rank_greedy(candidates, view)
-    return rank_cost_benefit(candidates, view, now, blocks_per_segment)

@@ -24,7 +24,6 @@ import time
 import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -34,8 +33,6 @@ from repro.simulator.patterns import AccessPattern, HotColdPattern, UniformPatte
 WORKERS_ENV = "REPRO_SWEEP_WORKERS"
 
 PATTERN_SPECS = ("uniform", "hot-cold")
-
-ENGINES = ("auto", "reference", "vectorized")
 
 
 def make_pattern(spec: str) -> AccessPattern:
@@ -69,56 +66,19 @@ class SweepPoint:
     pattern: str = "uniform"
 
 
-def run_point(point: SweepPoint, engine: str = "reference") -> SimResult:
-    """Run one sweep point to steady state (the pool's work function).
-
-    ``engine`` is a concrete engine name (see :func:`resolve_engine`).
-    """
-    if engine == "vectorized":
-        from repro.simulator.fast import FastSimulator as sim
-    else:
-        sim = Simulator
-    return sim(point.config, make_pattern(point.pattern)).run()
-
-
-def have_numpy() -> bool:
-    """Whether the optional vectorized engine's dependency is importable."""
-    try:
-        import numpy  # noqa: F401
-    except ImportError:
-        return False
-    return True
-
-
-def resolve_engine(engine: str = "auto") -> str:
-    """Pick the concrete sweep engine: ``reference`` or ``vectorized``.
-
-    ``auto`` selects the vectorized engine when numpy is importable and
-    silently falls back to the reference engine otherwise (the two are
-    bit-identical, so this is purely a speed decision). Requesting
-    ``vectorized`` explicitly without numpy is an error.
-    """
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r} (choose from {ENGINES})")
-    if engine == "auto":
-        return "vectorized" if have_numpy() else "reference"
-    if engine == "vectorized" and not have_numpy():
-        raise RuntimeError(
-            "vectorized engine requires numpy (pip extra: repro[perf]); "
-            "use --engine reference or auto"
-        )
-    return engine
+def run_point(point: SweepPoint) -> SimResult:
+    """Run one sweep point to steady state (the pool's work function)."""
+    return Simulator(point.config, make_pattern(point.pattern)).run()
 
 
 def result_digest(results: Iterable[SimResult]) -> str:
     """A short stable digest of a result list's oracle fields.
 
-    Covers exactly the fields the engine-identity proof asserts —
-    write cost, the block/segment counters, the cleaned-segment
-    utilizations, and the utilization histogram — so a reference and a
-    vectorized run of the same points produce the same digest, and any
-    engine divergence changes it. Floats are hashed via ``repr``, which
-    is exact for Python floats.
+    Covers every measured field — write cost, the block/segment
+    counters, the cleaned-segment utilizations, and the utilization
+    histogram — so any change in simulated behaviour changes it, and a
+    change that only makes the simulator faster must not. Floats are
+    hashed via ``repr``, which is exact for Python floats.
     """
     h = hashlib.sha256()
     for r in results:
@@ -162,26 +122,20 @@ def resolve_workers(workers: int | None, njobs: int) -> int:
 
 
 def run_sweep(
-    points: Iterable[SweepPoint],
-    workers: int | None = None,
-    *,
-    engine: str = "auto",
+    points: Iterable[SweepPoint], workers: int | None = None
 ) -> list[SimResult]:
     """Run every point, in order, fanning across a process pool.
 
     ``workers=1`` (or a single point, or a single-core host) runs
     in-process; results are bit-identical either way because each point
-    carries its own seed and the simulator is deterministic — and
-    bit-identical across ``engine`` choices too (the vectorized engine
-    is proven equivalent to the reference simulator).
+    carries its own seed and the simulator is deterministic.
     """
     points = list(points)
     nworkers = resolve_workers(workers, len(points))
-    run = partial(run_point, engine=resolve_engine(engine))
     if nworkers <= 1:
-        return [run(p) for p in points]
+        return [run_point(p) for p in points]
     with ProcessPoolExecutor(max_workers=nworkers) as pool:
-        return list(pool.map(run, points, chunksize=1))
+        return list(pool.map(run_point, points, chunksize=1))
 
 
 def parallel_map(
@@ -229,7 +183,6 @@ def record_bench(
     workers: int | None = None,
     steps: int | None = None,
     write_costs: dict[str, list] | list | None = None,
-    engine: str | None = None,
     digest: str | None = None,
     extra: dict | None = None,
 ) -> Path:
@@ -237,14 +190,15 @@ def record_bench(
 
     Schema (version 2): ``bench``, ``schema``, ``wall_seconds``,
     ``steps`` (simulated steps, if known), ``steps_per_sec``,
-    ``workers``, ``write_costs``, ``engine`` (which simulator engine
-    produced the results), ``result_digest`` (see :func:`result_digest`
-    — ties the perf number to the exact outputs it was measured on),
-    ``cpu_count`` (perf numbers are meaningless without knowing the
-    host's parallelism), ``git_sha``, ``created_at`` (UTC ISO-8601),
-    plus any ``extra`` keys at top level. Schema 1 lacked ``engine``,
-    ``result_digest`` and ``cpu_count``; readers treat unknown keys as
-    informational, so 1 and 2 records diff cleanly against each other.
+    ``workers``, ``write_costs``, ``result_digest`` (see
+    :func:`result_digest` — ties the perf number to the exact outputs it
+    was measured on), ``cpu_count`` (perf numbers are meaningless without
+    knowing the host's parallelism), ``git_sha``, ``created_at`` (UTC
+    ISO-8601), plus any ``extra`` keys at top level. Schema 1 lacked
+    ``result_digest`` and ``cpu_count``; older schema-2 records also
+    carry an ``engine`` key from when there were two simulator engines.
+    Readers treat unknown keys as informational, so all of these diff
+    cleanly against each other.
     """
     results_dir = Path(results_dir)
     results_dir.mkdir(parents=True, exist_ok=True)
@@ -258,7 +212,6 @@ def record_bench(
         ),
         "workers": workers,
         "write_costs": write_costs,
-        "engine": engine,
         "result_digest": digest,
         "cpu_count": os.cpu_count(),
         "git_sha": git_sha(),

@@ -1,5 +1,7 @@
 """Tests for the simulated block device."""
 
+import random
+
 import pytest
 
 from repro.core.errors import DiskRangeError
@@ -181,3 +183,83 @@ class TestCrashSemantics:
         assert disk.read_block(0).rstrip(b"\0") == b"a"
         assert disk.read_block(1).rstrip(b"\0") == b"b"
         assert disk.read_block(2) == bytes(4096)
+
+
+class TestDeviceImageEquivalence:
+    """The contiguous image behaves exactly like the old per-block dict."""
+
+    def _disk(self, num_blocks=256, block_size=512):
+        from repro.disk.device import Disk
+        from repro.disk.geometry import DiskGeometry
+
+        return Disk(DiskGeometry.wren4(block_size=block_size, num_blocks=num_blocks))
+
+    def test_partial_block_write_pads_with_zeroes(self):
+        disk = self._disk()
+        disk.write_block(3, b"short payload")
+        stored = disk.peek(3)
+        assert len(stored) == 512
+        assert stored == b"short payload" + bytes(512 - 13)
+
+    def test_unwritten_blocks_read_zero_and_stay_unlisted(self):
+        disk = self._disk()
+        disk.write_block(10, b"x" * 512)
+        assert disk.read_block(200) == bytes(512)
+        assert sorted(disk.written_addresses()) == [10]
+
+    def test_corrupt_block_changes_bytes_without_stats(self):
+        disk = self._disk()
+        disk.write_block(7, b"a" * 512)
+        before = disk.stats.writes
+        disk.corrupt_block(7, b"b" * 100)
+        assert disk.stats.writes == before
+        assert disk.peek(7) == b"b" * 100 + bytes(412)
+
+    def test_view_is_zero_copy_and_tracks_writes(self):
+        disk = self._disk()
+        disk.write_block(4, b"c" * 512)
+        view = disk.view(4)
+        assert isinstance(view, memoryview)
+        assert view.readonly
+        assert bytes(view) == disk.peek(4)
+        # the view aliases live storage: a later write shows through
+        disk.write_block(4, b"d" * 512)
+        assert bytes(view) == b"d" * 512
+        # while peek snapshots are immutable and unaffected
+        snap = disk.peek(4)
+        disk.write_block(4, b"e" * 512)
+        assert snap == b"d" * 512
+
+    def test_multi_block_view_spans_blocks(self):
+        disk = self._disk()
+        disk.write_blocks(8, [b"1" * 512, b"2" * 512])
+        assert bytes(disk.view(8, 3)) == b"1" * 512 + b"2" * 512 + bytes(512)
+
+    def test_snapshot_restore_roundtrip(self):
+        disk = self._disk()
+        disk.write_block(1, b"keep" * 128)
+        snap = disk.snapshot_state()
+        disk.write_block(1, b"lost" * 128)
+        disk.write_block(99, b"also lost")
+        disk.restore_state(snap)
+        assert disk.peek(1) == b"keep" * 128
+        assert disk.peek(99) == bytes(512)
+        assert sorted(disk.written_addresses()) == [1]
+
+    def test_image_save_load_roundtrip_preserves_crc(self, tmp_path):
+        import zlib
+
+        from repro.disk.image import load_disk, save_disk
+
+        disk = self._disk()
+        rng = random.Random(3)
+        addrs = rng.sample(range(256), 40)
+        for addr in addrs:
+            disk.write_block(addr, rng.randbytes(rng.randrange(1, 513)))
+        crc_before = zlib.crc32(b"".join(disk.peek(a) for a in sorted(addrs)))
+        path = tmp_path / "img.lfs"
+        save_disk(disk, str(path))
+        loaded = load_disk(str(path))
+        assert sorted(loaded.written_addresses()) == sorted(addrs)
+        crc_after = zlib.crc32(b"".join(loaded.peek(a) for a in sorted(addrs)))
+        assert crc_after == crc_before

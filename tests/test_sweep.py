@@ -24,6 +24,7 @@ from repro.simulator.sweep import (
     run_point,
     run_sweep,
 )
+from tests.test_simulator import reference_run
 
 
 def _tiny_points() -> list[SweepPoint]:
@@ -55,12 +56,11 @@ class TestDeterminism:
         for a, b in zip(sequential, pooled):
             assert a == b  # SimResult is a dataclass: full field equality
 
-    def test_vectorized_pool_matches_in_process(self):
-        pytest.importorskip("numpy")
+    def test_pool_matches_reference_run(self):
         points = _tiny_points()
-        sequential = run_sweep(points, workers=1, engine="vectorized")
-        assert run_sweep(points, workers=2, engine="vectorized") == sequential
-        assert sequential == run_sweep(points, workers=1, engine="reference")
+        assert run_sweep(points, workers=2) == [
+            reference_run(p.config, make_pattern(p.pattern)) for p in points
+        ]
 
     def test_rerun_is_identical(self):
         points = _tiny_points()
@@ -155,7 +155,6 @@ class TestRecordBench:
             workers=2,
             steps=3000,
             write_costs={"0.75/greedy": 3.2},
-            engine="reference",
             digest="0123456789abcdef",
             extra={"note": "test"},
         )
@@ -167,7 +166,6 @@ class TestRecordBench:
         assert data["steps_per_sec"] == 2000.0
         assert data["workers"] == 2
         assert data["write_costs"] == {"0.75/greedy": 3.2}
-        assert data["engine"] == "reference"
         assert data["result_digest"] == "0123456789abcdef"
         assert isinstance(data["cpu_count"], int)
         assert data["note"] == "test"
@@ -210,3 +208,17 @@ class TestCliSweep:
         assert data["points"] == 1
         assert data["base_seed"] == 42
         assert len(data["write_costs"]) == 1
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--max-windows", "0", "max_windows must be >= 1"),
+            ("--warmup-factor", "-1", "warmup_factor must be >= 0"),
+            ("--patterns", "zipf", "unknown access pattern 'zipf'"),
+        ],
+    )
+    def test_bad_grid_exits_2(self, flag, value, message, capsys):
+        rc = main(["sweep", "--utils", "0.5", "--segments", "16", "--blocks", "8",
+                   flag, value])
+        assert rc == 2
+        assert capsys.readouterr().err == f"sweep: {message}\n"
