@@ -16,7 +16,7 @@ from repro.core.filesystem import LFS
 from repro.disk.device import Disk
 from repro.disk.geometry import DiskGeometry
 from repro.ffs.filesystem import FFS, FFSConfig
-from repro.simulator.model import SimConfig, Simulator
+from repro.simulator.model import SimConfig
 from repro.simulator.policies import GroupingPolicy, SelectionPolicy
 from repro.simulator.sweep import SweepPoint, run_sweep
 from repro.simulator.writecost import (
@@ -144,10 +144,6 @@ def _sim_config(
         stable_windows=2 if fast else 3,
         seed=seed,
     )
-
-
-def _sim(util: float, pattern, selection, grouping, *, fast: bool, seed: int = 42) -> Simulator:
-    return Simulator(_sim_config(util, selection, grouping, fast=fast, seed=seed), pattern)
 
 
 @dataclass

@@ -10,20 +10,25 @@ Usage (after ``pip install -e .``)::
     python -m repro fsck demo.lfs
     python -m repro dump demo.lfs --segment 0
     python -m repro sweep --utils 0.5,0.75,0.9 --workers 4 --json out.json
+    python -m repro serve --timeline --export run.jsonl
+    python -m repro timeline run.jsonl --tenant t0
 
 Every mutating command mounts the image (running roll-forward if the
 image was not cleanly unmounted), performs the operation, checkpoints,
 and saves the image back — so images on disk are always recoverable.
 ``sweep`` needs no image: it fans cleaning-simulator runs across a
 process pool and optionally records a machine-readable benchmark file.
+``timeline`` runs nothing: it views what ``serve --timeline`` exported.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import pathlib
 import sys
 import time
+from typing import Callable
 
 from repro.analysis.ascii_chart import render_table
 from repro.core.config import LFSConfig
@@ -32,6 +37,7 @@ from repro.core.filesystem import LFS
 from repro.disk.device import Disk
 from repro.disk.geometry import DiskGeometry, FlashGeometry
 from repro.disk.image import load_disk, save_disk
+from repro.obs.framing import FormatError
 from repro.simulator.model import SimConfig
 from repro.simulator.policies import GroupingPolicy, SelectionPolicy
 from repro.simulator.sweep import (
@@ -53,6 +59,14 @@ from repro.disk.faults import FAULT_MODES
 def _mount(image: str) -> tuple[Disk, LFS]:
     disk = load_disk(image)
     return disk, LFS.mount(disk)
+
+
+def _update(image: str, op: Callable[[LFS], object]) -> None:
+    """Mount ``image``, apply ``op``, then checkpoint and save it back."""
+    disk, fs = _mount(image)
+    op(fs)
+    fs.unmount()
+    save_disk(disk, image)
 
 
 def cmd_mkfs(args: argparse.Namespace) -> int:
@@ -80,10 +94,7 @@ def cmd_ls(args: argparse.Namespace) -> int:
 def cmd_put(args: argparse.Namespace) -> int:
     with open(args.local, "rb") as fh:
         data = fh.read()
-    disk, fs = _mount(args.image)
-    fs.write_file(args.path, data)
-    fs.unmount()
-    save_disk(disk, args.image)
+    _update(args.image, lambda fs: fs.write_file(args.path, data))
     print(f"wrote {len(data)} bytes to {args.path}")
     return 0
 
@@ -101,19 +112,13 @@ def cmd_get(args: argparse.Namespace) -> int:
 
 
 def cmd_rm(args: argparse.Namespace) -> int:
-    disk, fs = _mount(args.image)
-    fs.unlink(args.path)
-    fs.unmount()
-    save_disk(disk, args.image)
+    _update(args.image, lambda fs: fs.unlink(args.path))
     print(f"removed {args.path}")
     return 0
 
 
 def cmd_mkdir(args: argparse.Namespace) -> int:
-    disk, fs = _mount(args.image)
-    fs.mkdir(args.path)
-    fs.unmount()
-    save_disk(disk, args.image)
+    _update(args.image, lambda fs: fs.mkdir(args.path))
     print(f"created directory {args.path}")
     return 0
 
@@ -159,16 +164,14 @@ def cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _filter_events(events, *, kind=None, cause=None, since=None):
+def _filter_events(events, args: argparse.Namespace) -> list:
     """Apply the trace command's --kind/--cause/--since filters."""
-    out = events
-    if kind is not None:
-        out = [e for e in out if e.kind == kind]
-    if cause is not None:
-        out = [e for e in out if e.cause == cause]
-    if since is not None:
-        out = [e for e in out if e.time >= since]
-    return list(out)
+    return [
+        e for e in events
+        if (args.kind is None or e.kind == args.kind)
+        and (args.cause is None or e.cause == args.cause)
+        and (args.since is None or e.time >= args.since)
+    ]
 
 
 def _print_events(events) -> None:
@@ -178,54 +181,33 @@ def _print_events(events) -> None:
         print(f"t={e.time:.6f} {e.kind}{cause} {fields}")
 
 
-def cmd_trace(args: argparse.Namespace) -> int:
-    """Run a workload under the tracer and cross-check trace vs counters.
+#: Workloads ``trace`` and ``report`` run; the first two take ``--flash``.
+OBSERVED_WORKLOADS = ("smallfile", "largefile", "andrew", "production")
 
-    Exit 0 when every trace-derived number agrees bit-identically with
-    the legacy counters, 1 on any mismatch. With ``--load`` no workload
-    runs: a previously exported JSONL trace is rendered instead (the
-    filters and --spans apply the same way).
-    """
-    from repro.obs import Observation, TraceFormatError, load_trace_jsonl, render_span_tree
-    from repro.obs.derive import (
-        cleaned_utilizations,
-        cleaning_summary,
-        cross_check,
-        log_bandwidth_breakdown,
-    )
 
-    filtering = args.kind or args.cause or args.since is not None
+def _flash_refused(args: argparse.Namespace) -> bool:
+    """True, said on stderr, when ``--flash`` meets a geometry-less workload."""
+    refused = args.flash and args.workload not in OBSERVED_WORKLOADS[:2]
+    if refused:
+        print(f"{args.command}: --flash runs smallfile or largefile only", file=sys.stderr)
+    return refused
 
-    if args.load:
-        try:
-            header, events = load_trace_jsonl(args.load)
-        except TraceFormatError as exc:
-            print(f"trace: {exc}", file=sys.stderr)
-            return 2
-        trailer = header.get("trailer", {})
-        print(
-            f"loaded {args.load}: schema {header.get('schema')}, "
-            f"{len(events)} events"
-        )
-        if trailer.get("warning"):
-            print(f"warning: {trailer['warning']}")
-        if args.spans:
-            print(render_span_tree(events))
-        if filtering or not args.spans:
-            _print_events(
-                _filter_events(events, kind=args.kind, cause=args.cause, since=args.since)
-            )
-        return 0
 
-    obs = Observation(
-        ring_capacity=args.ring if args.ring > 0 else None,
-        jsonl_path=args.jsonl,
-    )
+def _run_observed(args: argparse.Namespace, obs) -> None:
+    """Run ``--workload`` with ``obs`` attached."""
     if args.workload == "smallfile":
         from repro.workloads.smallfile import run_smallfile
 
-        geo = DiskGeometry.wren4(block_size=1024, num_blocks=65536)
+        geometry = FlashGeometry.nand if args.flash else DiskGeometry.wren4
+        geo = geometry(block_size=1024, num_blocks=65536)
         run_smallfile("lfs", num_files=args.files, geometry=geo, obs=obs)
+    elif args.workload == "largefile":
+        from repro.workloads.largefile import run_largefile
+
+        flash_geo = FlashGeometry.nand() if args.flash else None
+        run_largefile(
+            "lfs", file_size=args.file_mb * 1024 * 1024, geometry=flash_geo, obs=obs
+        )
     elif args.workload == "andrew":
         from repro.workloads.andrew import run_andrew
 
@@ -236,6 +218,48 @@ def cmd_trace(args: argparse.Namespace) -> int:
         run_production(
             ProductionConfig(name="/trace", disk_mb=32, traffic_mb=32), obs=obs
         )
+
+
+def cmd_trace(args: argparse.Namespace) -> int:
+    """Run a workload under the tracer and cross-check trace vs counters.
+
+    Exit 0 when every trace-derived number agrees bit-identically with
+    the legacy counters, 1 on any mismatch. With ``--load`` no workload
+    runs: a previously exported JSONL trace is rendered instead (the
+    filters and --spans apply the same way).
+    """
+    from repro.obs import Observation, load_trace_jsonl, render_span_tree
+    from repro.obs.derive import (
+        cleaned_utilizations,
+        cleaning_summary,
+        cross_check,
+        log_bandwidth_breakdown,
+    )
+
+    filtering = args.kind or args.cause or args.since is not None
+
+    if args.load:
+        header, events = load_trace_jsonl(args.load)
+        trailer = header.get("trailer", {})
+        print(
+            f"loaded {args.load}: schema {header.get('schema')}, "
+            f"{len(events)} events"
+        )
+        if trailer.get("warning"):
+            print(f"warning: {trailer['warning']}")
+        if args.spans:
+            print(render_span_tree(events))
+        if filtering or not args.spans:
+            _print_events(_filter_events(events, args))
+        return 0
+
+    if _flash_refused(args):
+        return 2
+    obs = Observation(
+        ring_capacity=args.ring if args.ring > 0 else None,
+        jsonl_path=args.jsonl,
+    )
+    _run_observed(args, obs)
     obs.tracer.close()
 
     counts = obs.tracer.emitted_counts
@@ -264,9 +288,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
         print(render_span_tree(events))
     if filtering:
         print()
-        matched = _filter_events(
-            events, kind=args.kind, cause=args.cause, since=args.since
-        )
+        matched = _filter_events(events, args)
         print(f"{len(matched)} events match the filters:")
         _print_events(matched)
 
@@ -302,8 +324,7 @@ def cmd_fsck(args: argparse.Namespace) -> int:
 
 def cmd_scrub(args: argparse.Namespace) -> int:
     """Patrol-read an image's log and verify every recorded checksum."""
-    disk = load_disk(args.image)
-    fs = LFS.mount(disk)
+    disk, fs = _mount(args.image)
     report = scrub_filesystem(fs, rescue=args.rescue)
     fs.unmount()
     if args.rescue:
@@ -362,6 +383,17 @@ def _sweep_points(args: argparse.Namespace) -> tuple[list[SweepPoint], list[tupl
     return points, labels
 
 
+def _record(args: argparse.Namespace, **fields) -> None:
+    """Write the ``--json`` BENCH record (a file name or a directory)."""
+    out = pathlib.Path(args.json)
+    path = record_bench(
+        args.bench_name, results_dir=out.parent if out.suffix else out, **fields
+    )
+    if out.suffix:  # an explicit file name, not a directory
+        path = path.rename(out)
+    print(f"recorded {path}")
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     try:
         points, labels = _sweep_points(args)
@@ -389,13 +421,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         )
     )
     if args.json:
-        import pathlib
-
-        out = pathlib.Path(args.json)
-        path = record_bench(
-            args.bench_name,
+        _record(
+            args,
             wall_seconds=wall,
-            results_dir=out.parent if out.suffix else out,
             workers=workers,
             steps=steps,
             write_costs={
@@ -405,10 +433,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             digest=result_digest(results),
             extra={"points": len(points), "base_seed": args.seed},
         )
-        if out.suffix:  # an explicit file name, not a directory
-            path.rename(out)
-            path = out
-        print(f"recorded {path}")
     return 0
 
 
@@ -449,8 +473,7 @@ def cmd_heatmap(args: argparse.Namespace) -> int:
     """Render an image's per-segment utilization as an ASCII glyph map."""
     from repro.analysis.ascii_chart import render_heatmap
 
-    disk = load_disk(args.image)
-    fs = LFS.mount(disk)
+    _, fs = _mount(args.image)
     usage = fs.usage
     utils = [usage.utilization(i) for i in range(usage.num_segments)]
     print(
@@ -472,14 +495,10 @@ def cmd_heatmap(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     """Run a workload under the full observatory and print a run report."""
-    from repro.obs import (
-        Observation,
-        SegmentLedger,
-        Watchdog,
-        build_report,
-        render_report,
-    )
+    from repro.obs import Observation, SegmentLedger, Watchdog, build_report, render_report
 
+    if _flash_refused(args):
+        return 2
     obs = Observation(ring_capacity=args.ring if args.ring > 0 else None)
     ledger = SegmentLedger()
     ledger.install(obs)
@@ -492,41 +511,12 @@ def cmd_report(args: argparse.Namespace) -> int:
         # short simulated spans these workloads cover.
         TimelineRecorder(cadence=args.timeline_cadence).install(obs)
 
-    if args.workload == "smallfile":
-        from repro.workloads.smallfile import run_smallfile
-
-        if args.flash:
-            geo: DiskGeometry = FlashGeometry.nand(block_size=1024, num_blocks=65536)
-        else:
-            geo = DiskGeometry.wren4(block_size=1024, num_blocks=65536)
-        run_smallfile("lfs", num_files=args.files, geometry=geo, obs=obs)
-    else:  # largefile
-        from repro.workloads.largefile import run_largefile
-
-        flash_geo = (
-            FlashGeometry.nand(block_size=4096, num_blocks=81920)
-            if args.flash
-            else None
-        )
-        run_largefile(
-            "lfs", file_size=args.file_mb * 1024 * 1024, geometry=flash_geo, obs=obs
-        )
-    fs = obs._fs
+    _run_observed(args, obs)
     if obs.timeline is not None:
         obs.timeline.finish()
 
-    sections = []
-    if args.flash:
-        sections.append("flash")
-    if args.timeline:
-        sections.append("timeline")
-    report = build_report(
-        obs,
-        fs,
-        ledger,
-        name=args.workload,
-        sections=tuple(sections),
-    )
+    sections = tuple(s for s in ("flash", "timeline") if getattr(args, s))
+    report = build_report(obs, obs._fs, ledger, name=args.workload, sections=sections)
     if args.json_out:
         with open(args.json_out, "w") as fh:
             json.dump(report, fh, indent=2)
@@ -536,9 +526,19 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
-    """Run the multi-tenant file server experiment to completion."""
+    """Run the multi-tenant file server experiment to completion.
+
+    With ``--timeline`` the flight recorder rides along: the run ends
+    with its sparkline dashboard and can export the samples as framed
+    JSONL (which ``repro timeline`` renders later) or CSV. Exit 2 when
+    an export is asked for without the recorder.
+    """
+    from repro.obs import Observation, render_dashboard
     from repro.server import ServerConfig, WorkloadConfig, run_server
 
+    if (args.export or args.csv) and not args.timeline:
+        print("serve: --export and --csv need --timeline", file=sys.stderr)
+        return 2
     workload = WorkloadConfig(
         clients=args.clients,
         tenants=args.tenants,
@@ -547,6 +547,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         file_size=args.file_size,
         mode=args.mode,
         think_seconds=args.think,
+        heavy_fraction=args.heavy_fraction,
         seed=args.seed,
         sync_writes=args.sync_writes,
     )
@@ -560,8 +561,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
         timeline_cadence=args.timeline_cadence,
         slo_latency=args.slo_latency,
     )
+    obs = Observation(ring_capacity=4096)
     t0 = time.perf_counter()
-    result = run_server(config, watchdog=args.watchdog)
+    result = run_server(config, obs=obs, watchdog=args.watchdog)
     wall = time.perf_counter() - t0
 
     cleaner = "on" if result.cleaner else "off"
@@ -577,22 +579,14 @@ def cmd_serve(args: argparse.Namespace) -> int:
     )
     print(f"digest {result.digest}  latency-digest {result.latency_digest}")
     print()
-    rows = []
-    for name, pct in result.latency.items():
-        rows.append(
-            [
-                name,
-                pct["count"],
-                f"{pct['p50']:.4f}",
-                f"{pct['p95']:.4f}",
-                f"{pct['p99']:.4f}",
-                f"{pct['p999']:.4f}",
-                f"{pct['max']:.4f}",
-            ]
-        )
+    columns = ("p50", "p95", "p99", "p999", "max")
+    rows = [
+        [name, pct["count"], *(f"{pct[c]:.4f}" for c in columns)]
+        for name, pct in result.latency.items()
+    ]
     print(
         render_table(
-            ["histogram", "n", "p50", "p95", "p99", "p999", "max"],
+            ["histogram", "n", *columns],
             rows,
             title="request latency (simulated seconds)",
         )
@@ -614,6 +608,15 @@ def cmd_serve(args: argparse.Namespace) -> int:
             f"timeline: {tl['samples']} samples (stride {tl['stride']}), "
             f"{len(tl['annotations'])} annotation(s), digest {tl['digest']}"
         )
+        print()
+        store = obs.timeline.store
+        print(render_dashboard(store, summary=tl, width=args.width))
+        if args.export:
+            n = obs.timeline.export_jsonl(args.export)
+            print(f"\nwrote {n} samples to {args.export}")
+        if args.csv:
+            n = store.export_csv(args.csv)
+            print(f"wrote {n} rows to {args.csv}")
     if args.json_out:
         with open(args.json_out, "w") as fh:
             json.dump(result.to_dict(), fh, indent=2)
@@ -622,115 +625,32 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 
 def cmd_timeline(args: argparse.Namespace) -> int:
-    """Record (or load) a flight-recorder timeline and render dashboards.
+    """Render a timeline that ``serve --timeline --export`` recorded."""
+    from repro.obs import load_timeline_jsonl, render_dashboard
 
-    Exit 0 always for successful runs — the dashboard is diagnostic, not
-    a gate; gating happens in ``bench-diff`` on the curve-level metrics.
-    Exit 2 when ``--load`` cannot parse the file.
-    """
-    from repro.obs import (
-        Observation,
-        TimelineFormatError,
-        load_timeline_jsonl,
-        render_dashboard,
-    )
-
-    if args.load:
-        try:
-            header, store = load_timeline_jsonl(args.load)
-        except TimelineFormatError as exc:
-            print(f"timeline: {exc}", file=sys.stderr)
-            return 2
-        trailer = header.get("trailer", {})
-        print(
-            f"loaded {args.load}: schema {header.get('schema')}, "
-            f"{len(store)} samples, {len(store.columns)} columns, "
-            f"stride {store.stride}"
-        )
-        if trailer.get("digest"):
-            print(f"digest {trailer['digest']}")
-        print()
-        print(
-            render_dashboard(
-                store, tenant=args.tenant, source=args.source, width=args.width
-            )
-        )
-        return 0
-
-    from repro.server import ServerConfig, WorkloadConfig, run_server
-
-    workload = WorkloadConfig(
-        clients=args.clients,
-        tenants=args.tenants,
-        ops_per_client=args.ops,
-        files_per_client=args.files,
-        file_size=args.file_size,
-        mode=args.mode,
-        think_seconds=args.think,
-        heavy_fraction=args.heavy_fraction,
-        seed=args.seed,
-        sync_writes=args.sync_writes,
-    )
-    config = ServerConfig(
-        workload=workload,
-        policy=args.policy,
-        quantum=args.quantum,
-        cleaner=not args.no_cleaner,
-        nvram=args.nvram,
-        timeline=True,
-        timeline_cadence=args.cadence,
-        timeline_max_samples=args.max_samples,
-        slo_latency=args.slo_latency,
-        slo_target=args.slo_target,
-    )
-    obs = Observation(ring_capacity=4096)
-    t0 = time.perf_counter()
-    result = run_server(config, obs=obs, watchdog=args.watchdog)
-    wall = time.perf_counter() - t0
-    recorder = obs.timeline
-
+    header, store = load_timeline_jsonl(args.file)
+    trailer = header.get("trailer", {})
     print(
-        f"timeline — {result.clients} clients / {result.tenants} tenants, "
-        f"policy={result.policy}, {result.requests} requests, "
-        f"{result.elapsed_seconds:.2f}s simulated, {wall:.2f}s wall"
+        f"loaded {args.file}: schema {header['schema']}, "
+        f"{len(store)} samples, {len(store.columns)} columns, "
+        f"stride {store.stride}"
     )
-    print(f"digest {result.digest}  latency-digest {result.latency_digest}")
+    if trailer.get("digest"):
+        print(f"digest {trailer['digest']}")
     print()
-    print(
-        render_dashboard(
-            recorder.store,
-            summary=recorder.summary(),
-            tenant=args.tenant,
-            source=args.source,
-            width=args.width,
-        )
-    )
-    if args.export:
-        n = recorder.export_jsonl(args.export)
-        print(f"\nwrote {n} samples to {args.export}")
-    if args.csv:
-        n = recorder.export_csv(args.csv)
-        print(f"wrote {n} rows to {args.csv}")
-    if args.json_out:
-        with open(args.json_out, "w") as fh:
-            json.dump(result.to_dict(), fh, indent=2)
-        print(f"wrote {args.json_out}")
+    print(render_dashboard(store, tenant=args.tenant, source=args.source, width=args.width))
     return 0
 
 
 def cmd_bench_diff(args: argparse.Namespace) -> int:
     """Compare two BENCH_*.json records; exit 1 on regression."""
     from repro.obs import bench_diff, load_bench, render_bench_diff
-    from repro.obs.report import BenchFormatError
 
-    try:
-        old = load_bench(args.old)
-        new = load_bench(args.new)
-    except BenchFormatError as exc:
-        print(f"bench-diff: {exc}", file=sys.stderr)
-        return 2
     diff = bench_diff(
-        old, new, threshold=args.threshold, include_perf=not args.no_perf
+        load_bench(args.old),
+        load_bench(args.new),
+        threshold=args.threshold,
+        include_perf=not args.no_perf,
     )
     if args.json:
         print(json.dumps(diff, indent=2))
@@ -792,8 +712,6 @@ def cmd_torture(args: argparse.Namespace) -> int:
             print(f"  {msg}")
 
     if args.json:
-        import pathlib
-
         # Points whose fault localized itself (DiskCrashed / MediaError
         # carrying addr+op) are surfaced so a failure in CI names the
         # exact block and operation, not just a digest mismatch.
@@ -807,11 +725,9 @@ def cmd_torture(args: argparse.Namespace) -> int:
             for p in result.points
             if p.error_addr is not None
         ]
-        out = pathlib.Path(args.json)
-        path = record_bench(
-            args.bench_name,
+        _record(
+            args,
             wall_seconds=result.wall_seconds,
-            results_dir=out.parent if out.suffix else out,
             workers=result.workers,
             steps=len(result.points),
             extra={
@@ -829,10 +745,6 @@ def cmd_torture(args: argparse.Namespace) -> int:
                 "fault_sites": fault_sites,
             },
         )
-        if out.suffix:  # an explicit file name, not a directory
-            path.rename(out)
-            path = out
-        print(f"recorded {path}")
     return 1 if result.violations else 0
 
 
@@ -842,6 +754,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Operate on log-structured file system disk images.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+
+    def add_observed_workload(p: argparse.ArgumentParser, *, ring: int, ring_help: str) -> None:
+        p.add_argument("--workload", default="smallfile", choices=OBSERVED_WORKLOADS)
+        p.add_argument("--files", type=int, default=2000, help="files for the smallfile workload")
+        p.add_argument("--file-mb", type=int, default=4, help="file size (MB) for the largefile workload")
+        p.add_argument("--flash", action="store_true", help="run smallfile or largefile on the NAND flash profile (a report gains a flash wear/TRIM section)")
+        p.add_argument("--ring", type=int, default=ring, help=ring_help)
 
     p = sub.add_parser("mkfs", help="create a fresh file system image")
     p.add_argument("image")
@@ -892,11 +811,7 @@ def build_parser() -> argparse.ArgumentParser:
             "legacy counters. Exit 1 on any mismatch."
         ),
     )
-    p.add_argument(
-        "--workload", default="smallfile", choices=("smallfile", "andrew", "production")
-    )
-    p.add_argument("--files", type=int, default=2000, help="files for the smallfile workload")
-    p.add_argument("--ring", type=int, default=0, help="ring capacity (0 = unbounded, the default, so derivation never drops events)")
+    add_observed_workload(p, ring=0, ring_help="ring capacity (0 = unbounded, the default, so derivation never drops events)")
     p.add_argument("--jsonl", default=None, help="write the trace through to this JSONL file")
     p.add_argument("--spans", action="store_true", help="render the span tree (durations + per-cause breakdown)")
     p.add_argument("--kind", default=None, help="only print events of this kind (e.g. clean.segment)")
@@ -1007,7 +922,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variants", default=",".join(FAULT_MODES), help=f"comma-separated fault modes to explore (available: {','.join(TORTURE_MODES)})")
     p.add_argument("--seed", type=int, default=0, help="base seed; sample and per-point fault seeds derive from it")
     p.add_argument("--workers", type=int, default=None, help="process-pool size (default: $REPRO_SWEEP_WORKERS or cpu count)")
-    p.add_argument("--json", default="benchmarks/results", help="record BENCH_<name>.json here (file or directory; '' disables)")
+    p.add_argument("--json", default=None, help="record a BENCH_<name>.json here (file or directory)")
     p.add_argument("--bench-name", default="torture", help="bench name used in the JSON record")
     p.add_argument("--watchdog", action="store_true", help="run every point under the segment ledger + invariant watchdog (raises on any broken invariant; outcomes unchanged otherwise)")
     p.add_argument("--flash", action="store_true", help="record the workload on the NAND flash profile (erase-aware device, hot/cold segregation, wear leveling) instead of the Wren IV")
@@ -1040,13 +955,7 @@ def build_parser() -> argparse.ArgumentParser:
             "writes the report as JSON for archiving or diffing."
         ),
     )
-    p.add_argument(
-        "--workload", default="smallfile", choices=("smallfile", "largefile")
-    )
-    p.add_argument("--files", type=int, default=2000, help="files for the smallfile workload")
-    p.add_argument("--file-mb", type=int, default=4, help="file size (MB) for the largefile workload")
-    p.add_argument("--ring", type=int, default=4096, help="ring capacity (0 = unbounded)")
-    p.add_argument("--flash", action="store_true", help="run the workload on the NAND flash profile; the report gains a flash wear/TRIM section")
+    add_observed_workload(p, ring=4096, ring_help="ring capacity (0 = unbounded)")
     p.add_argument("--timeline", action="store_true", help="attach the flight recorder; the report gains a timeline section")
     p.add_argument("--timeline-cadence", type=float, default=0.05, help="flight-recorder cadence in simulated seconds")
     p.add_argument("--json-out", default=None, help="also write the report as JSON to this path")
@@ -1060,9 +969,11 @@ def build_parser() -> argparse.ArgumentParser:
             "front-end: per-tenant namespaces, a pluggable admission "
             "policy (FIFO or deficit round-robin), background cleaner "
             "passes and checkpoints interleaved as loop events, and "
-            "latency histograms per tenant. Deterministic: the same "
-            "--seed reproduces the same event order and the same "
-            "digests, bit for bit."
+            "latency histograms per tenant. --timeline attaches the "
+            "flight recorder, prints its dashboard and can --export it "
+            "for `repro timeline`. Deterministic: the same --seed "
+            "reproduces the same event order and the same digests "
+            "(timeline included), bit for bit."
         ),
     )
     p.add_argument("--clients", type=int, default=1000, help="simulated clients")
@@ -1072,6 +983,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--file-size", type=int, default=1024, help="file / write payload bytes")
     p.add_argument("--mode", default="closed", choices=("closed", "open"), help="closed-loop (think time) or open-loop (fixed rate) arrivals")
     p.add_argument("--think", type=float, default=0.25, help="closed-loop mean think seconds")
+    p.add_argument("--heavy-fraction", type=float, default=0.0, help="fraction of clients concentrated on tenant 0 (aggressor-tenant runs)")
     p.add_argument("--policy", default="fifo", choices=("fifo", "drr"), help="admission policy")
     p.add_argument("--quantum", type=float, default=8.0, help="DRR quantum in cost units (KB)")
     p.add_argument("--no-cleaner", action="store_true", help="disable background cleaner passes (emergency cleaning only)")
@@ -1079,55 +991,34 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nvram", action="store_true", help="attach an NVM staging board so those fsyncs are absorbed as staging appends")
     p.add_argument("--seed", type=int, default=42, help="workload seed")
     p.add_argument("--watchdog", action="store_true", help="attach the segment ledger + invariant watchdog")
-    p.add_argument("--timeline", action="store_true", help="attach the flight recorder (timeline summary rides in --json-out)")
+    p.add_argument("--timeline", action="store_true", help="attach the flight recorder and print its dashboard (its summary rides in --json-out)")
     p.add_argument("--timeline-cadence", type=float, default=0.25, help="flight-recorder cadence in simulated seconds")
-    p.add_argument("--slo-latency", type=float, default=0.0, help="latency SLO threshold for burn-rate tracking (0 = off)")
+    p.add_argument("--slo-latency", type=float, default=0.0, help="per-request latency SLO threshold in simulated seconds for burn-rate tracking (0 = off)")
+    p.add_argument("--width", type=int, default=64, help="dashboard sparkline width in characters")
+    p.add_argument("--export", default=None, metavar="FILE", help="export the timeline as framed JSONL (needs --timeline)")
+    p.add_argument("--csv", default=None, metavar="FILE", help="export the timeline as CSV (needs --timeline)")
     p.add_argument("--json-out", default=None, help="write the full result as JSON to this path")
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser(
         "timeline",
-        help="flight recorder: record a server run and render sparkline dashboards",
+        help="render a flight-recorder timeline exported by serve --timeline",
         description=(
-            "Run the multi-tenant server with the flight recorder "
-            "attached: every registered metrics source plus derived "
+            "Render a JSONL timeline that `repro serve --timeline "
+            "--export FILE` recorded: every metrics source plus derived "
             "gauges (instantaneous write cost, cleaner share, cache hit "
             "rate, per-tenant windowed latency percentiles) sampled on a "
-            "simulated-time cadence into a bounded columnar store, with "
-            "SLO burn-rate tracking and phase detection (cleaning "
-            "storms, read-only degradation, NVM destage stalls). Renders "
-            "ASCII sparkline dashboards; --tenant/--source focus them. "
-            "Deterministic: the same seed reproduces the same samples "
-            "and the same timeline digest, bit for bit. --load renders "
-            "a previously exported JSONL timeline instead of running."
+            "simulated-time cadence, SLO burn rates, and annotated phases "
+            "(cleaning storms, read-only degradation, NVM destage "
+            "stalls), as ASCII sparkline dashboards. --tenant/--source "
+            "focus them. Exit 2 when the file cannot be parsed."
         ),
     )
-    p.add_argument("--clients", type=int, default=200, help="simulated clients")
-    p.add_argument("--tenants", type=int, default=4, help="tenants (clients assigned round-robin)")
-    p.add_argument("--ops", type=int, default=4, help="measured requests per client after setup")
-    p.add_argument("--files", type=int, default=2, help="working-set files per client")
-    p.add_argument("--file-size", type=int, default=1024, help="file / write payload bytes")
-    p.add_argument("--mode", default="closed", choices=("closed", "open"), help="closed-loop or open-loop arrivals")
-    p.add_argument("--think", type=float, default=0.25, help="closed-loop mean think seconds")
-    p.add_argument("--heavy-fraction", type=float, default=0.0, help="fraction of clients concentrated on tenant 0 (aggressor-tenant runs)")
-    p.add_argument("--policy", default="fifo", choices=("fifo", "drr"), help="admission policy")
-    p.add_argument("--quantum", type=float, default=8.0, help="DRR quantum in cost units (KB)")
-    p.add_argument("--no-cleaner", action="store_true", help="disable background cleaner passes")
-    p.add_argument("--sync-writes", action="store_true", help="commit every mutating request with a per-handle fsync")
-    p.add_argument("--nvram", action="store_true", help="attach the NVM staging board")
-    p.add_argument("--seed", type=int, default=42, help="workload seed")
-    p.add_argument("--watchdog", action="store_true", help="attach the segment ledger + invariant watchdog")
-    p.add_argument("--cadence", type=float, default=0.25, help="sampling cadence in simulated seconds")
-    p.add_argument("--max-samples", type=int, default=512, help="store bound; past it, samples thin 2:1 and the cadence doubles")
-    p.add_argument("--slo-latency", type=float, default=0.0, help="per-request latency SLO threshold in simulated seconds (0 = no SLO tracking)")
-    p.add_argument("--slo-target", type=float, default=0.99, help="SLO success-fraction target")
-    p.add_argument("--tenant", default=None, help="focus the dashboard on one tenant's latency/SLO rows")
-    p.add_argument("--source", default=None, help="focus the dashboard on one metrics source (e.g. cleaner, cache)")
+    p.add_argument("file", help="a timeline exported with serve --timeline --export")
+    focus = p.add_mutually_exclusive_group()
+    focus.add_argument("--tenant", default=None, help="focus the dashboard on one tenant's latency/SLO rows")
+    focus.add_argument("--source", default=None, help="focus the dashboard on one metrics source (e.g. cleaner, cache)")
     p.add_argument("--width", type=int, default=64, help="sparkline width in characters")
-    p.add_argument("--export", default=None, metavar="FILE", help="export the timeline as framed JSONL")
-    p.add_argument("--csv", default=None, metavar="FILE", help="export the timeline as CSV")
-    p.add_argument("--json-out", default=None, help="write the full server result as JSON to this path")
-    p.add_argument("--load", default=None, metavar="FILE", help="render a previously exported JSONL timeline instead of running")
     p.set_defaults(func=cmd_timeline)
 
     p = sub.add_parser(
@@ -1154,8 +1045,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command. A record file (trace, timeline, BENCH) that
+    cannot be read exits 2 with the reason on stderr."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except FormatError as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

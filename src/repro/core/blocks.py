@@ -12,8 +12,8 @@ import struct
 import zlib
 from typing import Iterable, Sequence
 
-from repro.core.constants import NULL_ADDR
 from repro.core.errors import CorruptionError
+
 
 def pack_addrs(addrs: Sequence[int], block_size: int) -> bytes:
     """Pack block addresses into one zero-padded block payload.
@@ -78,8 +78,3 @@ def require(condition: bool, message: str) -> None:
     """Raise :class:`CorruptionError` with ``message`` unless ``condition``."""
     if not condition:
         raise CorruptionError(message)
-
-
-def is_null(addr: int) -> bool:
-    """True if ``addr`` is the null sentinel."""
-    return addr == NULL_ADDR

@@ -22,10 +22,6 @@ class BitmapAllocator:
         self._used: set[int] = set()
         self.free_blocks = layout.data_blocks
 
-    def is_used(self, addr: int) -> bool:
-        """True if ``addr`` is allocated."""
-        return addr in self._used
-
     def allocate_near(self, goal: int) -> int:
         """Allocate the free data block closest at-or-after ``goal``.
 
@@ -41,10 +37,6 @@ class BitmapAllocator:
                 self.free_blocks -= 1
                 return addr
         raise NoSpaceError("FFS data region is full")
-
-    def allocate_in_group(self, group: int) -> int:
-        """Allocate a block inside a cylinder group (spilling if full)."""
-        return self.allocate_near(self.layout.group_data_start(group))
 
     def free(self, addr: int) -> None:
         """Return a block to the free pool."""

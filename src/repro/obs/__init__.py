@@ -24,7 +24,8 @@ durations, :mod:`repro.obs.ledger` reconstructs every segment's life
 :mod:`repro.obs.watchdog` continuously asserts cross-layer invariants
 and raises a typed :class:`InvariantViolation` on the offending event,
 and :mod:`repro.obs.report` emits run reports and bench-to-bench
-regression verdicts.
+regression verdicts. Trace and timeline files share one framed JSONL
+format, :mod:`repro.obs.framing`.
 """
 
 from repro.obs.attribution import (
@@ -41,6 +42,7 @@ from repro.obs.attribution import (
     TimeAttribution,
 )
 from repro.obs.events import EVENT_KINDS, TRACE_SCHEMA, Event
+from repro.obs.framing import FormatError
 from repro.obs.histogram import LatencyHistogram
 from repro.obs.ledger import SegmentLedger, SegmentLife
 from repro.obs.observation import Observation
@@ -83,6 +85,7 @@ __all__ = [
     "DATA_WRITE",
     "EVENT_KINDS",
     "Event",
+    "FormatError",
     "InvariantViolation",
     "LatencyHistogram",
     "MetricsRegistry",

@@ -151,10 +151,6 @@ class TimeAttribution:
         """Seconds charged inside any tenant scope (<= :attr:`total`)."""
         return sum(sum(row.values()) for row in self.tenant_seconds.values())
 
-    def tenant_totals(self) -> dict[str, float]:
-        """Each tenant's total attributed seconds."""
-        return {t: sum(row.values()) for t, row in self.tenant_seconds.items()}
-
     def tenant_cleaning_seconds(self) -> dict[str, float]:
         """Cleaner seconds charged to each tenant — the interference row.
 
@@ -166,29 +162,6 @@ class TimeAttribution:
             t: sum(row.get(c, 0.0) for c in CLEANING_CAUSES)
             for t, row in self.tenant_seconds.items()
         }
-
-    def render_tenants(self) -> str:
-        """An ASCII table of the tenant x cause matrix."""
-        from repro.analysis.ascii_chart import render_table
-
-        rows = []
-        for tenant in sorted(self.tenant_seconds):
-            row = self.tenant_seconds[tenant]
-            total = sum(row.values())
-            cleaning = sum(row.get(c, 0.0) for c in CLEANING_CAUSES)
-            rows.append(
-                [
-                    tenant,
-                    f"{total:.3f}s",
-                    f"{cleaning:.3f}s",
-                    f"{cleaning / total * 100:.1f}%" if total > 0 else "-",
-                ]
-            )
-        return render_table(
-            ["tenant", "disk time", "cleaning", "cleaning share"],
-            rows,
-            title="per-tenant disk busy-time (cleaner interference)",
-        )
 
     def render(self) -> str:
         """An ASCII table of the decomposition."""

@@ -17,9 +17,9 @@ Two consumers of the observatory:
 
 from __future__ import annotations
 
-import json
 import math
 
+from repro.obs.framing import FormatError, open_text, parse_object
 from repro.obs.registry import scrape
 
 #: Version of the dict build_report returns.
@@ -348,21 +348,14 @@ def render_report(report: dict) -> str:
 # bench diffing
 
 
-class BenchFormatError(ValueError):
+class BenchFormatError(FormatError):
     """A BENCH_*.json file could not be understood."""
 
 
 def load_bench(path: str) -> dict:
     """Read one ``BENCH_*.json`` file, validating the schema field."""
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise BenchFormatError(f"{path}: not valid JSON ({exc.msg})") from exc
-    except OSError as exc:
-        raise BenchFormatError(f"{path}: cannot read ({exc.strerror})") from exc
-    if not isinstance(data, dict):
-        raise BenchFormatError(f"{path}: expected a JSON object")
+    with open_text(path, BenchFormatError) as fh:
+        data = parse_object(fh.read(), BenchFormatError, path, "BENCH_*.json record")
     schema = data.get("schema")
     if not isinstance(schema, int):
         raise BenchFormatError(

@@ -33,12 +33,12 @@ Three cooperating pieces:
   ``slo.<name>.burn_<window>`` columns with worst-burn and
   time-above-SLO scalars for bench gating.
 
-The on-disk format is framed JSONL exactly like the tracer's
-(``timeline.header`` / ``timeline.sample`` / ``timeline.annotation`` /
-``timeline.trailer`` lines, schema-versioned, tolerant reader raising
-:class:`TimelineFormatError`), plus a CSV export for spreadsheet
-consumption. Everything is deterministic: the same seed produces a
-bit-identical export and a stable digest.
+The on-disk format is framed JSONL like the tracer's (see
+:mod:`repro.obs.framing`): ``timeline.sample`` and
+``timeline.annotation`` lines between a required header and the
+trailer, read back with a typed :class:`TimelineFormatError`; plus a
+CSV export for spreadsheets. Everything is deterministic: the same
+seed produces a bit-identical export and a stable digest.
 """
 
 from __future__ import annotations
@@ -54,15 +54,14 @@ from repro.obs.events import (
     SERVER_DONE,
     TIMELINE_ANNOTATION,
 )
+from repro.obs.framing import FormatError, Frame
 from repro.obs.histogram import LatencyHistogram
 
 #: Version of the timeline JSONL on-disk format.
 TIMELINE_SCHEMA = 1
 
-TIMELINE_HEADER_KIND = "timeline.header"
 TIMELINE_SAMPLE_KIND = "timeline.sample"
 TIMELINE_ANNOTATION_KIND = "timeline.annotation"
-TIMELINE_TRAILER_KIND = "timeline.trailer"
 
 #: Default bound on retained samples before thinning halves the history.
 DEFAULT_MAX_SAMPLES = 512
@@ -81,8 +80,11 @@ COL_CACHE_HIT_RATE = "derived.cache_hit_rate"
 COL_CLEANER_SHARE = "derived.cleaner_share"
 
 
-class TimelineFormatError(ValueError):
+class TimelineFormatError(FormatError):
     """A timeline JSONL file could not be understood."""
+
+
+TIMELINE_FRAME = Frame("timeline", TIMELINE_SCHEMA, TimelineFormatError)
 
 
 @dataclass
@@ -216,26 +218,21 @@ class TimelineStore:
     def export_jsonl(self, path: str, *, header_fields: dict | None = None) -> int:
         """Write the framed JSONL file; returns the sample line count."""
         with open(path, "w") as fh:
-            header = {"kind": TIMELINE_HEADER_KIND, "schema": TIMELINE_SCHEMA}
-            if header_fields:
-                header.update(header_fields)
-            fh.write(json.dumps(header, sort_keys=True) + "\n")
+            fh.write(TIMELINE_FRAME.line("header", **(header_fields or {})))
             for line in self.sample_lines():
                 fh.write(line + "\n")
             for annotation in self.annotations:
                 record = {"kind": TIMELINE_ANNOTATION_KIND}
                 record.update(annotation.to_dict())
                 fh.write(json.dumps(record, sort_keys=True) + "\n")
-            trailer = {
-                "kind": TIMELINE_TRAILER_KIND,
-                "schema": TIMELINE_SCHEMA,
-                "samples": len(self.times),
-                "annotations": len(self.annotations),
-                "stride": self.stride,
-                "columns": self.column_names(),
-                "digest": self.digest(),
-            }
-            fh.write(json.dumps(trailer, sort_keys=True) + "\n")
+            fh.write(TIMELINE_FRAME.line(
+                "trailer",
+                samples=len(self.times),
+                annotations=len(self.annotations),
+                stride=self.stride,
+                columns=self.column_names(),
+                digest=self.digest(),
+            ))
         return len(self.times)
 
     def export_csv(self, path: str) -> int:
@@ -255,78 +252,33 @@ class TimelineStore:
 def load_timeline_jsonl(path: str) -> tuple[dict, TimelineStore]:
     """Read a timeline JSONL file into ``(header, store)``.
 
-    Raises :class:`TimelineFormatError` with a human-readable message on
-    malformed lines, a missing header, or a schema newer than this
-    reader supports — never a KeyError.
+    Raises :class:`TimelineFormatError` on a broken frame (the header is
+    required), a malformed sample or annotation, or an unknown kind.
     """
-    try:
-        fh = open(path)
-    except OSError as exc:
-        raise TimelineFormatError(f"{path}: cannot read ({exc.strerror})") from exc
-    header: dict | None = None
     store = TimelineStore(max_samples=1 << 30)
-    with fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
+
+    def body(record: dict, where: str) -> None:
+        kind = record["kind"]
+        if kind == TIMELINE_SAMPLE_KIND:
+            values = record.get("v")
+            if not isinstance(values, dict) or "t" not in record:
+                raise TimelineFormatError(f"{where}: sample line missing 't' or 'v'")
+            store.append(record["t"], values)
+        elif kind == TIMELINE_ANNOTATION_KIND:
+            del record["kind"]
             try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
+                store.annotate(TimelineAnnotation.from_dict(record))
+            except KeyError as exc:
                 raise TimelineFormatError(
-                    f"{path}:{lineno}: not valid JSON ({exc.msg}); "
-                    "is this a timeline file?"
+                    f"{where}: annotation missing field {exc}"
                 ) from exc
-            if not isinstance(record, dict):
-                raise TimelineFormatError(
-                    f"{path}:{lineno}: expected a JSON object, "
-                    f"got {type(record).__name__}"
-                )
-            kind = record.get("kind")
-            if kind == TIMELINE_HEADER_KIND:
-                schema = record.get("schema")
-                if not isinstance(schema, int):
-                    raise TimelineFormatError(
-                        f"{path}:{lineno}: header missing integer 'schema' field"
-                    )
-                if schema > TIMELINE_SCHEMA:
-                    raise TimelineFormatError(
-                        f"{path}: timeline schema {schema} is newer than this "
-                        f"reader (supports <= {TIMELINE_SCHEMA})"
-                    )
-                header = record
-            elif kind == TIMELINE_SAMPLE_KIND:
-                if header is None:
-                    raise TimelineFormatError(
-                        f"{path}:{lineno}: sample before header — not a "
-                        "framed timeline file"
-                    )
-                values = record.get("v")
-                if not isinstance(values, dict) or "t" not in record:
-                    raise TimelineFormatError(
-                        f"{path}:{lineno}: sample line missing 't' or 'v'"
-                    )
-                store.append(record["t"], values)
-            elif kind == TIMELINE_ANNOTATION_KIND:
-                record = dict(record)
-                record.pop("kind")
-                try:
-                    store.annotate(TimelineAnnotation.from_dict(record))
-                except KeyError as exc:
-                    raise TimelineFormatError(
-                        f"{path}:{lineno}: annotation missing field {exc}"
-                    ) from exc
-            elif kind == TIMELINE_TRAILER_KIND:
-                if isinstance(record.get("stride"), int):
-                    store.stride = record["stride"]
-                header = dict(header or {})
-                header["trailer"] = record
-            else:
-                raise TimelineFormatError(
-                    f"{path}:{lineno}: unknown line kind {kind!r}"
-                )
-    if header is None:
-        raise TimelineFormatError(f"{path}: no timeline.header line found")
+        else:
+            raise TimelineFormatError(f"{where}: unknown line kind {kind!r}")
+
+    header = TIMELINE_FRAME.read(path, body)
+    stride = header.get("trailer", {}).get("stride")
+    if isinstance(stride, int):
+        store.stride = stride
     return header, store
 
 
@@ -662,13 +614,13 @@ class TimelineRecorder:
             raise RuntimeError("recorder not installed on an Observation")
         self._sampling = True
         try:
-            values = self._collect(now)
-            thinned = self.store.append(now, values)
+            self.store.append(now, self._collect(now))
             self.samples_taken += 1
             self._last_sample = now
             # Schedule the next due time on the cadence grid; a long
             # synchronous operation that skipped several periods yields
-            # one late sample, not a backlog burst.
+            # one late sample, not a backlog burst. If the append just
+            # thinned the store, effective_cadence has already doubled.
             period = self.effective_cadence
             if self._next_due is None:
                 self._next_due = now + period
@@ -677,11 +629,6 @@ class TimelineRecorder:
                 if due <= now:
                     due = now + period
                 self._next_due = due
-            if thinned:
-                # Memory bound hit: history halved, so future samples
-                # arrive at the new (doubled) stride automatically via
-                # effective_cadence.
-                pass
         finally:
             self._sampling = False
 
@@ -800,12 +747,7 @@ class TimelineRecorder:
         }
 
     def export_jsonl(self, path: str) -> int:
-        return self.store.export_jsonl(
-            path, header_fields={"cadence": self.cadence}
-        )
-
-    def export_csv(self, path: str) -> int:
-        return self.store.export_csv(path)
+        return self.store.export_jsonl(path, header_fields={"cadence": self.cadence})
 
 
 # ----------------------------------------------------------------------

@@ -15,12 +15,9 @@ Live consumers (the segment ledger, the invariant watchdog) register via
 the kind filter and before ring eviction, so a bounded or filtered ring
 never starves them.
 
-JSONL framing (``TRACE_SCHEMA`` 2): the write-through file opens with a
-``{"kind": "trace.header", "schema": N}`` line and closes with a
-``trace.trailer`` line carrying total emit and drop counts (including a
-``warning`` when the ring dropped events). :func:`load_trace_jsonl`
-reads both framed and legacy headerless (schema 1) traces and fails with
-a clear message — never a KeyError — on malformed or too-new input.
+JSONL files are framed (:mod:`repro.obs.framing`, ``TRACE_SCHEMA`` 2);
+the trailer carries total emit and drop counts, plus a ``warning`` when
+the ring dropped events. Headerless files read as legacy schema 1.
 
 :class:`NullTracer` is the disabled configuration: ``emit`` is a bound
 no-op and ``enabled`` is False, so hook sites stay zero-cost beyond one
@@ -34,13 +31,14 @@ from collections import deque
 from typing import Callable, Iterable
 
 from repro.obs.events import TRACE_SCHEMA, Event
-
-TRACE_HEADER_KIND = "trace.header"
-TRACE_TRAILER_KIND = "trace.trailer"
+from repro.obs.framing import FormatError, Frame
 
 
-class TraceFormatError(ValueError):
+class TraceFormatError(FormatError):
     """A trace JSONL file could not be understood (wrong schema, bad line)."""
+
+
+TRACE_FRAME = Frame("trace", TRACE_SCHEMA, TraceFormatError, headerless_schema=1)
 
 
 class Tracer:
@@ -63,9 +61,7 @@ class Tracer:
         self._subscribers: list[Callable[[Event], None]] = []
         self._jsonl = open(jsonl_path, "w") if jsonl_path else None
         if self._jsonl is not None:
-            self._jsonl.write(
-                json.dumps({"kind": TRACE_HEADER_KIND, "schema": TRACE_SCHEMA}) + "\n"
-            )
+            self._jsonl.write(TRACE_FRAME.line("header"))
 
     def subscribe(self, callback: Callable[[Event], None]) -> None:
         """Deliver every future emit to ``callback`` (pre-filter, pre-drop)."""
@@ -112,30 +108,25 @@ class Tracer:
         """Write the retained ring to ``path`` as framed JSONL; returns
         event line count (framing lines excluded)."""
         with open(path, "w") as fh:
-            fh.write(json.dumps({"kind": TRACE_HEADER_KIND, "schema": TRACE_SCHEMA}) + "\n")
+            fh.write(TRACE_FRAME.line("header"))
             for event in self._ring:
                 fh.write(json.dumps(event.to_dict()) + "\n")
-            fh.write(json.dumps(self._trailer()) + "\n")
+            fh.write(self._trailer())
         return len(self._ring)
 
-    def _trailer(self) -> dict:
-        trailer = {
-            "kind": TRACE_TRAILER_KIND,
-            "schema": TRACE_SCHEMA,
-            "events": self.total_emitted,
-            "ring_dropped": self._dropped,
-        }
+    def _trailer(self) -> str:
+        fields = {"events": self.total_emitted, "ring_dropped": self._dropped}
         if self._dropped:
-            trailer["warning"] = (
+            fields["warning"] = (
                 f"ring evicted {self._dropped} events; this file is complete "
                 "(write-through) but in-memory derivations saw a window"
             )
-        return trailer
+        return TRACE_FRAME.line("trailer", **fields)
 
     def close(self) -> None:
         """Write the trailer line, then flush and close the JSONL file."""
         if self._jsonl is not None:
-            self._jsonl.write(json.dumps(self._trailer()) + "\n")
+            self._jsonl.write(self._trailer())
             self._jsonl.close()
             self._jsonl = None
 
@@ -175,59 +166,13 @@ NULL_TRACER = NullTracer()
 def load_trace_jsonl(path: str) -> tuple[dict, list[Event]]:
     """Read a trace JSONL file into ``(header, events)``.
 
-    Tolerant of legacy schema-1 traces (no header line): those get a
-    synthetic ``{"schema": 1}`` header. A trailer line, when present, is
-    folded into the header under ``"trailer"``. Raises
-    :class:`TraceFormatError` with a human-readable message on malformed
-    lines, missing kinds, or a schema newer than this reader supports.
+    A legacy headerless (schema 1) trace gets a ``{"schema": 1}``
+    header. A broken frame raises :class:`TraceFormatError`.
     """
-    header: dict = {"schema": 1}
     events: list[Event] = []
-    try:
-        fh = open(path)
-    except OSError as exc:
-        raise TraceFormatError(f"{path}: cannot read ({exc.strerror})") from exc
-    with fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise TraceFormatError(
-                    f"{path}:{lineno}: not valid JSON ({exc.msg}); is this a trace file?"
-                ) from exc
-            if not isinstance(record, dict):
-                raise TraceFormatError(
-                    f"{path}:{lineno}: expected a JSON object, got {type(record).__name__}"
-                )
-            kind = record.get("kind")
-            if kind is None:
-                raise TraceFormatError(
-                    f"{path}:{lineno}: event line has no 'kind' field; "
-                    "not a repro trace (or written by an incompatible version)"
-                )
-            if kind == TRACE_HEADER_KIND:
-                schema = record.get("schema")
-                if not isinstance(schema, int):
-                    raise TraceFormatError(
-                        f"{path}:{lineno}: trace header missing integer 'schema' field"
-                    )
-                if schema > TRACE_SCHEMA:
-                    raise TraceFormatError(
-                        f"{path}: trace schema {schema} is newer than this reader "
-                        f"(supports <= {TRACE_SCHEMA}); upgrade to read it"
-                    )
-                header = record
-                continue
-            if kind == TRACE_TRAILER_KIND:
-                header = dict(header)
-                header["trailer"] = record
-                continue
-            record = dict(record)
-            record.pop("kind")
-            time = record.pop("t", 0.0)
-            cause = record.pop("cause", None)
-            events.append(Event(time=time, kind=kind, cause=cause, fields=record))
-    return header, events
+
+    def body(record: dict, where: str) -> None:
+        kind, time, cause = record.pop("kind"), record.pop("t", 0.0), record.pop("cause", None)
+        events.append(Event(time=time, kind=kind, cause=cause, fields=record))
+
+    return TRACE_FRAME.read(path, body), events

@@ -88,14 +88,11 @@ class ServerConfig:
     #: with it on or off.
     timeline: bool = False
     timeline_cadence: float = 0.25
-    timeline_max_samples: int = 512
     #: SLO objective applied per tenant (plus a global ``server``
-    #: objective) when the timeline is on: ``slo_target`` of each
-    #: tenant's requests must complete within ``slo_latency`` simulated
-    #: seconds. ``slo_latency=0`` disables SLO tracking.
+    #: objective) when the timeline is on: 99 % of each tenant's requests
+    #: must complete within ``slo_latency`` simulated seconds (the
+    #: :class:`SLOObjective` defaults). ``slo_latency=0`` disables it.
     slo_latency: float = 0.0
-    slo_target: float = 0.99
-    slo_windows: tuple[float, ...] = (5.0, 60.0)
 
     def geometry(self) -> DiskGeometry:
         w = self.workload
@@ -395,24 +392,11 @@ def run_server(
         slos = []
         if config.slo_latency > 0:
             slos = [
-                SLOObjective(
-                    name=tid,
-                    threshold=config.slo_latency,
-                    target=config.slo_target,
-                    windows=config.slo_windows,
-                )
-                for tid in generator.tenant_ids()
+                SLOObjective(name=name, threshold=config.slo_latency)
+                for name in [*generator.tenant_ids(), "server"]
             ]
-            slos.append(SLOObjective(
-                name="server",
-                threshold=config.slo_latency,
-                target=config.slo_target,
-                windows=config.slo_windows,
-            ))
         recorder = TimelineRecorder(
-            cadence=config.timeline_cadence,
-            max_samples=config.timeline_max_samples,
-            slos=slos,
+            cadence=config.timeline_cadence, slos=slos
         ).install(obs)
         # The loop drives the cadence gate after every fired event; the
         # sampler is not an event, so digests are unaffected.

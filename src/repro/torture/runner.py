@@ -606,12 +606,6 @@ class TortureResult:
         text = "\n".join(p.digest_line() for p in self.points)
         return f"{zlib.crc32(text.encode('utf-8')):08x}"
 
-    def variant_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for p in self.points:
-            counts[p.variant] = counts.get(p.variant, 0) + 1
-        return counts
-
 
 def run_torture(
     workload: str,

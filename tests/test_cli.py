@@ -1,5 +1,7 @@
 """Tests for the CLI and disk-image persistence."""
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -7,6 +9,7 @@ from repro.core.filesystem import LFS
 from repro.disk.device import Disk
 from repro.disk.geometry import DiskGeometry
 from repro.disk.image import load_disk, save_disk
+from repro.server import ServerConfig, WorkloadConfig, run_server
 
 from tests.conftest import small_config
 
@@ -111,3 +114,80 @@ class TestCli:
         assert out.read_bytes() == b"first"
         main(["get", image, "/b", str(out)])
         assert out.read_bytes() == b"second version"
+
+
+# Small enough to run in a second; the heavy tenant and the SLO give the
+# recorder annotations and burn-rate columns to export.
+SERVE_ARGS = [
+    "--clients", "60", "--tenants", "3", "--ops", "4", "--seed", "7",
+    "--policy", "drr", "--slo-latency", "0.5",
+]
+
+
+def small_server(**workload) -> ServerConfig:
+    return ServerConfig(
+        workload=WorkloadConfig(
+            clients=60, tenants=3, ops_per_client=4, seed=7, **workload
+        ),
+        policy="drr",
+        timeline=True,
+        slo_latency=0.5,
+    )
+
+
+def digests(result: dict) -> tuple[str, str, str]:
+    return result["digest"], result["latency_digest"], result["timeline"]["digest"]
+
+
+class TestServeCli:
+    def test_digests_match_run_server(self, tmp_path, capsys):
+        out = tmp_path / "serve.json"
+        assert main(["serve", *SERVE_ARGS, "--timeline", "--json-out", str(out)]) == 0
+        want = run_server(small_server())
+        assert digests(json.loads(out.read_text())) == digests(want.to_dict())
+
+    def test_timeline_run_exports_and_renders(self, tmp_path, capsys):
+        out, export, csv = (tmp_path / n for n in ("r.json", "t.jsonl", "t.csv"))
+        assert main([
+            "serve", *SERVE_ARGS, "--heavy-fraction", "0.4", "--timeline",
+            "--export", str(export), "--csv", str(csv), "--width", "32",
+            "--json-out", str(out),
+        ]) == 0
+        printed = capsys.readouterr().out
+        want = run_server(small_server(heavy_fraction=0.4))
+        assert digests(json.loads(out.read_text())) == digests(want.to_dict())
+        assert "slo server:" in printed and f"wrote {want.timeline['samples']} samples" in printed
+        assert csv.read_text().startswith("time,")
+
+        assert main(["timeline", str(export), "--tenant", "t0"]) == 0
+        shown = capsys.readouterr().out
+        assert f"digest {want.timeline['digest']}" in shown
+        assert "latency.t0.p99" in shown
+
+    def test_timeline_flags_need_the_recorder(self, tmp_path, capsys):
+        export = tmp_path / "t.jsonl"
+        assert main(["serve", *SERVE_ARGS, "--export", str(export)]) == 2
+        assert "--timeline" in capsys.readouterr().err
+        assert not export.exists()
+
+
+WORKLOADS = ("smallfile", "largefile", "andrew", "production")
+SIZES = ["--files", "200", "--file-mb", "1"]
+
+
+class TestObservedWorkloads:
+    @pytest.mark.parametrize("workload", WORKLOADS)
+    def test_trace_cross_check_passes(self, workload, capsys):
+        assert main(["trace", "--workload", workload, *SIZES]) == 0
+        assert "agrees bit-identically" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("workload", WORKLOADS)
+    def test_report_runs(self, workload, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert main(["report", "--workload", workload, *SIZES, "--json-out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["name"] == workload and report["attribution"]["total"] > 0
+
+    def test_flash_needs_a_geometry_workload(self, capsys):
+        assert main(["trace", "--workload", "andrew", "--flash"]) == 2
+        assert "--flash" in capsys.readouterr().err

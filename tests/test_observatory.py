@@ -452,6 +452,38 @@ class TestTraceJsonl:
         with pytest.raises(TraceFormatError, match="newer than this reader"):
             load_trace_jsonl(str(path))
 
+    def test_load_rejects_trailer_before_header(self, tmp_path):
+        path = tmp_path / "swapped.jsonl"
+        path.write_text(
+            '{"kind": "trace.trailer", "schema": 2, "events": 1, "ring_dropped": 0}\n'
+            '{"kind": "trace.header", "schema": 2}\n'
+            '{"t": 0.5, "kind": "disk.read", "addr": 1}\n'
+        )
+        with pytest.raises(TraceFormatError, match="trace.trailer before header"):
+            load_trace_jsonl(str(path))
+
+    def test_load_rejects_misplaced_frame_lines(self, tmp_path):
+        path = tmp_path / "late.jsonl"
+        path.write_text(
+            '{"t": 0.5, "kind": "disk.read", "addr": 1}\n'
+            '{"kind": "trace.header", "schema": 2}\n'
+        )
+        with pytest.raises(TraceFormatError, match="not the first line"):
+            load_trace_jsonl(str(path))
+        path.write_text(
+            '{"kind": "trace.header", "schema": 2}\n'
+            '{"kind": "trace.trailer", "schema": 2, "events": 0, "ring_dropped": 0}\n'
+            '{"t": 0.5, "kind": "disk.read", "addr": 1}\n'
+        )
+        with pytest.raises(TraceFormatError, match="after the trace.trailer"):
+            load_trace_jsonl(str(path))
+
+    def test_format_errors_share_one_base(self):
+        from repro.obs import FormatError, TimelineFormatError
+
+        for error in (TraceFormatError, TimelineFormatError, BenchFormatError):
+            assert issubclass(error, FormatError) and issubclass(error, ValueError)
+
 
 # ----------------------------------------------------------------------
 # run reports and bench diffing

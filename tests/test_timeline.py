@@ -154,6 +154,33 @@ class TestTimelineStore:
         with pytest.raises(TimelineFormatError, match="not valid JSON"):
             load_timeline_jsonl(str(path))
 
+    def test_trailer_only_file_is_not_a_timeline(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "trailer.jsonl"
+        path.write_text('{"kind": "timeline.trailer", "schema": 1, "stride": 1}\n')
+        with pytest.raises(TimelineFormatError, match="before header"):
+            load_timeline_jsonl(str(path))
+        assert main(["timeline", str(path)]) == 2
+        assert "before header" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lines, message", [
+        (['{"kind": "timeline.header", "schema": 1}'] * 2, "not the first line"),
+        (['{"kind": "timeline.header", "schema": 1}',
+          '{"kind": "timeline.trailer", "schema": 1}',
+          '{"kind": "timeline.sample", "t": 0.0, "v": {}}'], "after the timeline.trailer"),
+        (['{"kind": "timeline.header", "schema": 1}',
+          '{"kind": "timeline.trailer", "schema": 1}'] * 2, "after the timeline.trailer"),
+        (['{"kind": "timeline.header", "schema": "1"}'], "integer 'schema'"),
+        (['{"kind": "timeline.header", "schema": 1}', '[1, 2]'], "expected a JSON object"),
+        ([], "no timeline.header line"),
+    ])
+    def test_reader_rejects_broken_frames(self, tmp_path, lines, message):
+        path = tmp_path / "broken.jsonl"
+        path.write_text("".join(line + "\n" for line in lines))
+        with pytest.raises(TimelineFormatError, match=message):
+            load_timeline_jsonl(str(path))
+
 
 class TestSparkline:
     def test_width_and_gaps(self):

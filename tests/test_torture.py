@@ -329,6 +329,15 @@ class TestTortureCLI:
         assert code == 0
         assert not (tmp_path / "benchmarks").exists()
 
+    def test_no_json_flag_records_nothing(self, tmp_path, capsys, monkeypatch):
+        # An ad-hoc run from the repo root must not overwrite the
+        # checked-in benchmarks/results baseline.
+        monkeypatch.chdir(tmp_path)
+        code = main(["torture", "--workload", "smallfile", "--sample", "3", "--workers", "1"])
+        assert code == 0
+        assert list(tmp_path.iterdir()) == []
+        assert "recorded" not in capsys.readouterr().out
+
 
 class TestFsckCLI:
     def _make_image(self, tmp_path):
