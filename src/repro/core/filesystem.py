@@ -99,28 +99,6 @@ class LFSStats:
     ops: int = 0
 
 
-class _DirState:
-    """In-memory image of one directory: per-block entries plus an index."""
-
-    def __init__(self, blocks: list[list[tuple[str, int]]]) -> None:
-        self.blocks = blocks
-        self.index: dict[str, tuple[int, int]] = {}
-        for block_idx, entries in enumerate(blocks):
-            for name, inum in entries:
-                if inum != 0:
-                    self.index[name] = (inum, block_idx)
-
-    def lookup(self, name: str) -> int | None:
-        hit = self.index.get(name)
-        return hit[0] if hit else None
-
-    def names(self) -> list[str]:
-        return sorted(self.index.keys())
-
-    def __len__(self) -> int:
-        return len(self.index)
-
-
 class LFS:
     """A log-structured file system on a simulated disk.
 
@@ -155,7 +133,7 @@ class LFS:
             lambda addr: weak._read_log_block(addr),
             lambda inum: weak._mark_inode_dirty(inum),
         )
-        self._dir_states: dict[int, _DirState] = {}
+        self._dir_states: dict[int, dirfmt.Directory] = {}
         self._pending_dirops: list[DirOpRecord] = []
         self._dirop_addrs: list[int] = []
         self._checkpoint_seq = 1
@@ -237,7 +215,7 @@ class LFS:
         )
         fs._inodes[ROOT_INUM] = root
         fs._dirty_inodes.add(ROOT_INUM)
-        fs._dir_states[ROOT_INUM] = _DirState([])
+        fs._dir_states[ROOT_INUM] = dirfmt.Directory(config.block_size)
         fs.imap.get(ROOT_INUM).addr = PENDING_ADDR
         fs.imap._next_inum = ROOT_INUM + 1
         fs._mounted = True
@@ -613,32 +591,37 @@ class LFS:
     # ==================================================================
     # path resolution
 
-    @staticmethod
-    def _split_path(path: str) -> list[str]:
-        if not path.startswith("/"):
-            raise InvalidOperationError(f"path {path!r} must be absolute")
-        return [part for part in path.split("/") if part]
-
     def _resolve(self, path: str) -> int:
         """Path -> inode number; raises if any component is missing."""
+        return self._walk(dirfmt.split_path(path))
+
+    def _walk(self, parts: list[str]) -> int:
+        """Inode number at path components ``parts`` below the root.
+
+        Only directories are ever in ``_dir_states``, so an inode is read
+        to check its type only when its directory is not in memory yet.
+        """
         inum = ROOT_INUM
-        for part in self._split_path(path):
-            inode = self.get_inode(inum)
-            if not inode.is_directory:
-                raise NotADirectoryError_(f"{part!r} looked up under a non-directory")
-            child = self._dir_state(inum).lookup(part)
-            if child is None:
+        dirs = self._dir_states
+        for part in parts:
+            state = dirs.get(inum)
+            if state is None:
+                if not self.get_inode(inum).is_directory:
+                    raise NotADirectoryError_(f"{part!r} looked up under a non-directory")
+                state = self._dir_state(inum)
+            hit = state.index.get(part)
+            if hit is None:
+                path = "/" + "/".join(parts)
                 raise FileNotFoundLFSError(f"path {path!r}: component {part!r} not found")
-            inum = child
+            inum = hit[0]
         return inum
 
     def _resolve_parent(self, path: str) -> tuple[int, str]:
         """Path -> (parent directory inum, final component name)."""
-        parts = self._split_path(path)
+        parts = dirfmt.split_path(path)
         if not parts:
             raise InvalidOperationError("the root directory has no parent")
-        parent_path = "/" + "/".join(parts[:-1])
-        parent = self._resolve(parent_path)
+        parent = self._walk(parts[:-1])
         if not self.get_inode(parent).is_directory:
             raise NotADirectoryError_(f"parent of {path!r} is not a directory")
         return parent, parts[-1]
@@ -655,63 +638,50 @@ class LFS:
     # ==================================================================
     # directory state
 
-    def _dir_state(self, inum: int) -> _DirState:
+    def _dir_state(self, inum: int) -> dirfmt.Directory:
         state = self._dir_states.get(inum)
         if state is not None:
             return state
         inode = self.get_inode(inum)
         if not inode.is_directory:
             raise NotADirectoryError_(f"inode {inum} is not a directory")
-        blocks: list[list[tuple[str, int]]] = []
-        for fbn in range(inode.nblocks(self.config.block_size)):
-            payload = self._read_data_block(inum, fbn)
-            blocks.append(dirfmt.parse_block(payload))
-        state = _DirState(blocks)
+        bs = self.config.block_size
+        state = dirfmt.Directory.load(
+            (self._read_data_block(inum, fbn) for fbn in range(inode.nblocks(bs))), bs
+        )
         self._dir_states[inum] = state
         return state
 
-    def _dir_write_block(self, dir_inum: int, block_idx: int, state: _DirState) -> None:
-        payload = dirfmt.pack_block(
-            [e for e in state.blocks[block_idx] if e[1] != 0], self.config.block_size
-        )
+    def _dir_write_block(self, dir_inum: int, block: int, state: dirfmt.Directory) -> None:
         now = self.disk.clock.now
-        self.cache.write(dir_inum, block_idx, payload, now)
+        self.cache.write(dir_inum, block, state.payload(block), now)
         inode = self.get_inode(dir_inum)
-        needed = (block_idx + 1) * self.config.block_size
+        needed = (block + 1) * self.config.block_size
         if inode.size < needed:
             inode.size = needed
         inode.mtime = now
         self._mark_inode_dirty(dir_inum)
 
     def _dir_insert(self, dir_inum: int, name: str, file_inum: int) -> None:
+        """Add an entry: to the last block if it fits, else the first that fits."""
         state = self._dir_state(dir_inum)
         if state.lookup(name) is not None:
             raise FileExistsLFSError(f"{name!r} already exists")
-        target = None
-        if state.blocks and dirfmt.block_has_room(
-            state.blocks[-1], name, self.config.block_size
-        ):
-            target = len(state.blocks) - 1
+        room = self.config.block_size - dirfmt.entry_size(name)
+        used = state.used
+        if used and used[-1] <= room:
+            target = len(used) - 1
         else:
-            for idx, entries in enumerate(state.blocks):
-                if dirfmt.block_has_room(entries, name, self.config.block_size):
-                    target = idx
-                    break
-        if target is None:
-            state.blocks.append([])
-            target = len(state.blocks) - 1
-        state.blocks[target].append((name, file_inum))
-        state.index[name] = (file_inum, target)
+            target = next((b for b, u in enumerate(used) if u <= room), len(used))
+        state.insert(name, file_inum, target)
         self._dir_write_block(dir_inum, target, state)
 
     def _dir_remove(self, dir_inum: int, name: str) -> int:
         state = self._dir_state(dir_inum)
-        hit = state.index.pop(name, None)
-        if hit is None:
+        if state.lookup(name) is None:
             raise FileNotFoundLFSError(f"{name!r} not found")
-        inum, block_idx = hit
-        state.blocks[block_idx] = [e for e in state.blocks[block_idx] if e[0] != name]
-        self._dir_write_block(dir_inum, block_idx, state)
+        inum, block = state.remove(name)
+        self._dir_write_block(dir_inum, block, state)
         return inum
 
     # ==================================================================
@@ -755,7 +725,7 @@ class LFS:
         self.imap.get(inum).addr = PENDING_ADDR
         self.imap._dirty_blocks.add(self.imap.block_of(inum))
         if ftype == FileType.DIRECTORY:
-            self._dir_states[inum] = _DirState([])
+            self._dir_states[inum] = dirfmt.Directory(self.config.block_size)
         self._pending_dirops.append(
             DirOpRecord(op=DirOp.CREATE, file_inum=inum, refcount=1, dir1=parent, name1=name)
         )
@@ -954,6 +924,7 @@ class LFS:
         old_parent, old_name = self._resolve_parent(oldpath)
         new_parent, new_name = self._resolve_parent(newpath)
         dirfmt.validate_name(new_name)
+        dirfmt.refuse_move_into_itself(oldpath, newpath)
         inum = self._dir_state(old_parent).lookup(old_name)
         if inum is None:
             raise FileNotFoundLFSError(f"{oldpath!r} not found")

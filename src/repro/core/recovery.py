@@ -32,6 +32,7 @@ from repro.core.constants import (
     DirOp,
     FileType,
 )
+from repro.core.directory import Directory
 from repro.core.dirlog import DirOpRecord, unpack_block
 from repro.core.errors import CorruptionError, MediaError, TrimmedBlockError
 from repro.core.inode import Inode, unpack_inode_block
@@ -364,9 +365,7 @@ def _nvm_materialize(fs, inum: int, ftype: FileType) -> Inode:
     fs._inodes[inum] = inode
     fs._mark_inode_dirty(inum)
     if ftype == FileType.DIRECTORY:
-        from repro.core.filesystem import _DirState
-
-        fs._dir_states[inum] = _DirState([])
+        fs._dir_states[inum] = Directory(fs.config.block_size)
     return inode
 
 

@@ -87,28 +87,6 @@ class FFSStats:
     ops: int = 0
 
 
-class _DirState:
-    """In-memory image of one directory (same shape as the LFS one)."""
-
-    def __init__(self, blocks: list[list[tuple[str, int]]]) -> None:
-        self.blocks = blocks
-        self.index: dict[str, tuple[int, int]] = {}
-        for block_idx, entries in enumerate(blocks):
-            for name, inum in entries:
-                if inum != 0:
-                    self.index[name] = (inum, block_idx)
-
-    def lookup(self, name: str) -> int | None:
-        hit = self.index.get(name)
-        return hit[0] if hit else None
-
-    def names(self) -> list[str]:
-        return sorted(self.index.keys())
-
-    def __len__(self) -> int:
-        return len(self.index)
-
-
 class FFS:
     """A Unix FFS-style file system on a simulated disk."""
 
@@ -134,7 +112,7 @@ class FFS:
         self.obs = None
         self._inodes: dict[int, Inode] = {}
         self._filemaps: dict[int, FileMap] = {}
-        self._dir_states: dict[int, _DirState] = {}
+        self._dir_states: dict[int, dirfmt.Directory] = {}
         self._dirty_data: set[tuple[int, int]] = set()
         self._last_read: dict[int, int] = {}  # inum -> last fbn (read-ahead)
 
@@ -155,7 +133,7 @@ class FFS:
         root = Inode(inum=ROOT_INUM, ftype=FileType.DIRECTORY, mtime=now, ctime=now)
         fs._inodes[ROOT_INUM] = root
         fs.inode_alloc.mark_used(ROOT_INUM)
-        fs._dir_states[ROOT_INUM] = _DirState([])
+        fs._dir_states[ROOT_INUM] = dirfmt.Directory(fs.config.block_size)
         fs._write_inode_sync(root)
         return fs
 
@@ -188,7 +166,7 @@ class FFS:
                 present.append(self._inodes[inum])
         return pack_inode_block(present, self.config.block_size)
 
-    def _write_dir_block_sync(self, dir_inum: int, block_idx: int, state: _DirState) -> None:
+    def _write_dir_block_sync(self, dir_inum: int, block_idx: int) -> None:
         """Synchronously write one directory data block."""
         fmap = self._filemap(dir_inum)
         addr = fmap.get(block_idx)
@@ -200,9 +178,7 @@ class FFS:
             needed = (block_idx + 1) * self.config.block_size
             if inode.size < needed:
                 inode.size = needed
-        payload = dirfmt.pack_block(
-            [e for e in state.blocks[block_idx] if e[1] != 0], self.config.block_size
-        )
+        payload = self._dir_states[dir_inum].payload(block_idx)
         self.disk.write_block(addr, payload, force_latency=True)
         self.stats.sync_metadata_writes += 1
         self.cache.insert_clean(dir_inum, block_idx, payload, self.disk.clock.now)
@@ -229,15 +205,9 @@ class FFS:
     # ==================================================================
     # path resolution and directories (mirrors the LFS facade)
 
-    @staticmethod
-    def _split_path(path: str) -> list[str]:
-        if not path.startswith("/"):
-            raise InvalidOperationError(f"path {path!r} must be absolute")
-        return [part for part in path.split("/") if part]
-
     def _resolve(self, path: str) -> int:
         inum = ROOT_INUM
-        for part in self._split_path(path):
+        for part in dirfmt.split_path(path):
             inode = self._get_inode(inum)
             if not inode.is_directory:
                 raise NotADirectoryError_(f"{part!r} looked up under a non-directory")
@@ -248,7 +218,7 @@ class FFS:
         return inum
 
     def _resolve_parent(self, path: str) -> tuple[int, str]:
-        parts = self._split_path(path)
+        parts = dirfmt.split_path(path)
         if not parts:
             raise InvalidOperationError("the root directory has no parent")
         parent = self._resolve("/" + "/".join(parts[:-1]))
@@ -256,17 +226,41 @@ class FFS:
             raise NotADirectoryError_(f"parent of {path!r} is not a directory")
         return parent, parts[-1]
 
-    def _dir_state(self, inum: int) -> _DirState:
+    def _dir_state(self, inum: int) -> dirfmt.Directory:
         state = self._dir_states.get(inum)
         if state is not None:
             return state
-        inode = self._get_inode(inum)
-        blocks = []
-        for fbn in range(inode.nblocks(self.config.block_size)):
-            blocks.append(dirfmt.parse_block(self._read_data_block(inum, fbn)))
-        state = _DirState(blocks)
+        bs = self.config.block_size
+        nblocks = self._get_inode(inum).nblocks(bs)
+        state = dirfmt.Directory.load(
+            (self._read_data_block(inum, fbn) for fbn in range(nblocks)), bs
+        )
         self._dir_states[inum] = state
         return state
+
+    def _dir_insert(self, parent: int, name: str, inum: int) -> int:
+        """Add an entry to the first block it fits in; returns that block."""
+        state = self._dir_state(parent)
+        room = self.config.block_size - dirfmt.entry_size(name)
+        target = next((b for b, u in enumerate(state.used) if u <= room), len(state.used))
+        state.insert(name, inum, target)
+        self._get_inode(parent).mtime = self.disk.clock.now
+        return target
+
+    def _dir_remove(self, parent: int, name: str) -> int:
+        """Drop an entry and write its block back; returns the entry's inum."""
+        state = self._dir_state(parent)
+        if state.lookup(name) is None:
+            raise FileNotFoundLFSError(f"{name!r} not found")
+        inum, block = state.remove(name)
+        self._dir_sync(parent, block)
+        return inum
+
+    def _dir_sync(self, parent: int, block: int) -> None:
+        """The synchronous pattern: the directory block, then its inode."""
+        if self.config.sync_metadata:
+            self._write_dir_block_sync(parent, block)
+            self._write_inode_sync(self._get_inode(parent))
 
     def exists(self, path: str) -> bool:
         """True if ``path`` names a file or directory."""
@@ -283,34 +277,18 @@ class FFS:
         """Create a file: the paper's five-synchronous-I/O pattern."""
         parent, name = self._resolve_parent(path)
         dirfmt.validate_name(name)
-        state = self._dir_state(parent)
-        if state.lookup(name) is not None:
+        if self._dir_state(parent).lookup(name) is not None:
             raise FileExistsLFSError(f"{path!r} already exists")
         inum = self.inode_alloc.allocate(self.layout.group_for_inode(parent))
         now = self.disk.clock.now
         inode = Inode(inum=inum, ftype=ftype, mtime=now, ctime=now)
         self._inodes[inum] = inode
         if ftype == FileType.DIRECTORY:
-            self._dir_states[inum] = _DirState([])
-
-        # directory entry
-        target = None
-        for idx, entries in enumerate(state.blocks):
-            if dirfmt.block_has_room(entries, name, self.config.block_size):
-                target = idx
-                break
-        if target is None:
-            state.blocks.append([])
-            target = len(state.blocks) - 1
-        state.blocks[target].append((name, inum))
-        state.index[name] = (inum, target)
-
-        parent_inode = self._get_inode(parent)
-        parent_inode.mtime = now
+            self._dir_states[inum] = dirfmt.Directory(self.config.block_size)
+        target = self._dir_insert(parent, name, inum)
         if self.config.sync_metadata:
             self._write_inode_sync(inode, twice=True)  # new file's inode, twice
-            self._write_dir_block_sync(parent, target, state)  # directory data
-            self._write_inode_sync(parent_inode)  # directory's inode
+        self._dir_sync(parent, target)
         self.stats.creates += 1
         self.stats.ops += 1
         return inum
@@ -546,39 +524,6 @@ class FFS:
             self._write_inode_sync(inode)
         self.stats.ops += 1
 
-    def _dir_insert_sync(self, parent: int, name: str, inum: int) -> None:
-        """Add a directory entry with the synchronous write pattern."""
-        state = self._dir_state(parent)
-        target = None
-        for idx, entries in enumerate(state.blocks):
-            if dirfmt.block_has_room(entries, name, self.config.block_size):
-                target = idx
-                break
-        if target is None:
-            state.blocks.append([])
-            target = len(state.blocks) - 1
-        state.blocks[target].append((name, inum))
-        state.index[name] = (inum, target)
-        parent_inode = self._get_inode(parent)
-        parent_inode.mtime = self.disk.clock.now
-        if self.config.sync_metadata:
-            self._write_dir_block_sync(parent, target, state)
-            self._write_inode_sync(parent_inode)
-
-    def _dir_remove_sync(self, parent: int, name: str) -> int:
-        """Remove a directory entry with the synchronous write pattern."""
-        state = self._dir_state(parent)
-        hit = state.index.get(name)
-        if hit is None:
-            raise FileNotFoundLFSError(f"{name!r} not found")
-        inum, block_idx = hit
-        del state.index[name]
-        state.blocks[block_idx] = [e for e in state.blocks[block_idx] if e[0] != name]
-        if self.config.sync_metadata:
-            self._write_dir_block_sync(parent, block_idx, state)
-            self._write_inode_sync(self._get_inode(parent))
-        return inum
-
     def _drop_inode(self, inum: int) -> None:
         """Free an inode and everything it owns (link count reached zero)."""
         inode = self._get_inode(inum)
@@ -595,15 +540,13 @@ class FFS:
     def unlink(self, path: str) -> None:
         """Remove a directory entry: synchronous metadata updates."""
         parent, name = self._resolve_parent(path)
-        state = self._dir_state(parent)
-        hit = state.index.get(name)
-        if hit is None:
+        inum = self._dir_state(parent).lookup(name)
+        if inum is None:
             raise FileNotFoundLFSError(f"{path!r} not found")
-        inum, _ = hit
         inode = self._get_inode(inum)
         if inode.is_directory and len(self._dir_state(inum)):
             raise DirectoryNotEmptyError(f"{path!r} is not empty")
-        self._dir_remove_sync(parent, name)
+        self._dir_remove(parent, name)
         inode.nlink -= 1
         if self.config.sync_metadata:
             self._write_inode_sync(inode)  # updated link count
@@ -624,7 +567,7 @@ class FFS:
         dirfmt.validate_name(name)
         if self._dir_state(parent).lookup(name) is not None:
             raise FileExistsLFSError(f"{newpath!r} already exists")
-        self._dir_insert_sync(parent, name, inum)
+        self._dir_sync(parent, self._dir_insert(parent, name, inum))
         inode.nlink += 1
         if self.config.sync_metadata:
             self._write_inode_sync(inode)
@@ -635,6 +578,7 @@ class FFS:
         old_parent, old_name = self._resolve_parent(oldpath)
         new_parent, new_name = self._resolve_parent(newpath)
         dirfmt.validate_name(new_name)
+        dirfmt.refuse_move_into_itself(oldpath, newpath)
         inum = self._dir_state(old_parent).lookup(old_name)
         if inum is None:
             raise FileNotFoundLFSError(f"{oldpath!r} not found")
@@ -645,12 +589,12 @@ class FFS:
             victim = self._get_inode(displaced)
             if victim.is_directory and len(self._dir_state(displaced)):
                 raise DirectoryNotEmptyError(f"{newpath!r} is not empty")
-            self._dir_remove_sync(new_parent, new_name)
+            self._dir_remove(new_parent, new_name)
             victim.nlink -= 1
             if victim.nlink <= 0:
                 self._drop_inode(displaced)
-        self._dir_remove_sync(old_parent, old_name)
-        self._dir_insert_sync(new_parent, new_name, inum)
+        self._dir_remove(old_parent, old_name)
+        self._dir_sync(new_parent, self._dir_insert(new_parent, new_name, inum))
         self.stats.ops += 1
 
     def readdir(self, path: str) -> list[str]:

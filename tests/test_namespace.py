@@ -1,0 +1,168 @@
+"""Namespace operations on both file systems: pinned images and rename rules."""
+
+import hashlib
+import random
+
+import pytest
+
+from repro.core.config import LFSConfig
+from repro.core.errors import InvalidOperationError
+from repro.core.filesystem import LFS
+from repro.disk.device import Disk
+from repro.disk.geometry import DiskGeometry
+from repro.ffs.filesystem import FFS, FFSConfig
+from repro.tools.lfsck import check_filesystem
+from repro.vfs import FileSystemView
+
+from tests.conftest import small_config
+
+
+def image_sha256(disk: Disk) -> str:
+    """sha256 over every written block, in address order."""
+    h = hashlib.sha256()
+    for addr in sorted(disk.written_addresses()):
+        h.update(addr.to_bytes(8, "little"))
+        h.update(disk.peek(addr))
+    return h.hexdigest()
+
+
+def namespace_mix(fs) -> None:
+    """Creates, links, renames and unlinks over four 1 KB-block directories.
+
+    Names run from 1 to 200 encoded bytes, some multi-byte UTF-8, so a
+    directory spans several blocks and unlinks leave holes of different
+    sizes for the next insert to find: LFS's last-block-first rule and
+    FFS's first fit place the same entry in different blocks.
+    """
+    rng = random.Random(29)
+    dirs = ["/d0", "/d1", "/d2", "/d1/sub"]
+    for d in dirs:
+        fs.mkdir(d)
+    live: list[str] = []
+    for i in range(160):
+        stem = rng.choice(["x", "é", "日本", "f"])
+        name = f"{i}{stem * rng.randrange(0, 60)}"[: rng.randrange(1, 200)]
+        name = name.encode("utf-8")[:200].decode("utf-8", "ignore") or f"{i}"
+        path = f"{rng.choice(dirs)}/{name}"
+        if fs.exists(path):
+            continue
+        fs.write_file(path, bytes([i % 251]) * rng.randrange(1, 300))
+        live.append(path)
+    for step in range(120):
+        op = rng.randrange(4)
+        path = rng.choice(live)
+        if op == 0:
+            fs.unlink(path)
+            live.remove(path)
+        elif op == 1:
+            new = f"{rng.choice(dirs)}/l{step}{'ü' * rng.randrange(0, 40)}"
+            fs.link(path, new)
+            live.append(new)
+        elif op == 2:
+            new = f"{rng.choice(dirs)}/r{step}{'z' * rng.randrange(0, 120)}"
+            fs.rename(path, new)
+            live[live.index(path)] = new
+        else:
+            # rename over an existing entry: the target is displaced
+            other = rng.choice(live)
+            if other != path:
+                fs.rename(path, other)
+                live.remove(path)
+    for i in range(40):
+        path = f"{rng.choice(dirs)}/refill{i}{'q' * rng.randrange(0, 30)}"
+        fs.write_file(path, b"refill")
+        live.append(path)
+
+
+def _lfs_image():
+    disk = Disk(DiskGeometry.wren4(block_size=1024, num_blocks=16384))
+    fs = LFS.format(
+        disk,
+        LFSConfig(block_size=1024, segment_bytes=64 * 1024, max_inodes=1024, cache_blocks=2048),
+    )
+    namespace_mix(fs)
+    fs.unmount()
+    assert check_filesystem(disk).ok
+    return disk
+
+
+def _ffs_image():
+    disk = Disk(DiskGeometry.wren4(block_size=1024, num_blocks=8192))
+    fs = FFS.format(disk, FFSConfig(block_size=1024, max_inodes=1024, num_groups=4))
+    namespace_mix(fs)
+    fs.sync()
+    return disk
+
+
+class TestPinnedNamespaceImages:
+    """The same namespace mix writes byte-identical images, commit to commit.
+
+    Any change to how a directory block is laid out (entry order, which
+    block an insert picks, padding) or to when it is written moves these
+    pins; so does any change to the simulated time the mix costs.
+    """
+
+    @pytest.mark.parametrize(
+        "build, sha, now",
+        [
+            (
+                _lfs_image,
+                "4284850469894d8d18e821987e37f9b5551a87fbc504a3266ff76314ffba0e6d",
+                0.343348505186195,
+            ),
+            (
+                _ffs_image,
+                "c6ac523816ff4d95803b6e1e38a5c583c8e3687e9536de2620d086cc5ff2d49c",
+                23.01733815609315,
+            ),
+        ],
+        ids=["lfs", "ffs"],
+    )
+    def test_image_is_pinned(self, build, sha, now):
+        disk = build()
+        assert (image_sha256(disk), disk.clock.now) == (sha, now)
+
+
+def _lfs():
+    return LFS.format(Disk(DiskGeometry.wren4(num_blocks=4096)), small_config())
+
+
+def _ffs():
+    disk = Disk(DiskGeometry.wren4(block_size=8192, num_blocks=2048))
+    return FFS.format(disk, FFSConfig(max_inodes=1024))
+
+
+class TestRenameIntoOwnSubtree:
+    """POSIX EINVAL: a directory cannot become its own descendant."""
+
+    @pytest.fixture(params=["lfs", "ffs", "vfs"])
+    def pair(self, request):
+        """(what the rename goes through, the file system underneath)."""
+        fs = _ffs() if request.param == "ffs" else _lfs()
+        return (FileSystemView(fs) if request.param == "vfs" else fs), fs
+
+    @pytest.mark.parametrize("new", ["/a/b/c", "/a/b", "/a/x"])
+    def test_refused_and_tree_intact(self, pair, new):
+        front, fs = pair
+        fs.mkdir("/a")
+        fs.mkdir("/a/b")
+        fs.write_file("/a/b/f", b"f")
+        with pytest.raises(InvalidOperationError):
+            front.rename("/a", new)
+        assert fs.readdir("/") == ["a"]
+        assert fs.readdir("/a") == ["b"]
+        assert fs.read("/a/b/f") == b"f"
+        if isinstance(fs, LFS):
+            fs.unmount()
+            report = check_filesystem(fs.disk)
+            assert report.ok, report.errors
+
+    def test_moves_beside_and_onto_itself_still_allowed(self, pair):
+        front, fs = pair
+        fs.mkdir("/a")
+        fs.mkdir("/a/b")
+        front.rename("/a", "/a")  # the same entry: a no-op
+        front.rename("/a/b", "/ab")  # a shared name prefix is not a subtree
+        front.rename("/ab", "/a/b")
+        assert fs.readdir("/") == ["a"]
+        assert fs.readdir("/a") == ["b"]
