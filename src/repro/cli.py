@@ -52,7 +52,7 @@ from repro.simulator.sweep import (
 from repro.tools.dumplog import dump_checkpoints, dump_segment, dump_superblock
 from repro.tools.lfsck import check_filesystem
 from repro.tools.scrub import scrub_filesystem
-from repro.torture import TORTURE_MODES, WORKLOADS, run_torture
+from repro.torture import TORTURE_MODES, WORKLOADS, check_request, run_torture
 from repro.disk.faults import FAULT_MODES
 
 
@@ -661,6 +661,11 @@ def cmd_bench_diff(args: argparse.Namespace) -> int:
 
 def cmd_torture(args: argparse.Namespace) -> int:
     variants = tuple(v for v in args.variants.split(",") if v)
+    try:
+        check_request(variants, sample=args.sample, nvram=args.nvram)
+    except ValueError as exc:
+        print(f"torture: {exc}", file=sys.stderr)
+        return 2
     result = run_torture(
         args.workload,
         sample=args.sample,
@@ -913,7 +918,8 @@ def build_parser() -> argparse.ArgumentParser:
             "with seeded bit-rot / latent / transient faults, and verifies "
             "no read ever returns silently wrong data. Deterministic: the "
             "same --seed explores the same points with the same faults "
-            "at any worker count. Exit 1 on any oracle violation."
+            "at any worker count. Exit 1 on any oracle violation, 2 on "
+            "bad input."
         ),
     )
     p.add_argument("--workload", default="smallfile", choices=WORKLOADS)

@@ -130,12 +130,7 @@ def run_sweep(
     in-process; results are bit-identical either way because each point
     carries its own seed and the simulator is deterministic.
     """
-    points = list(points)
-    nworkers = resolve_workers(workers, len(points))
-    if nworkers <= 1:
-        return [run_point(p) for p in points]
-    with ProcessPoolExecutor(max_workers=nworkers) as pool:
-        return list(pool.map(run_point, points, chunksize=1))
+    return parallel_map(run_point, [(p,) for p in points], workers)
 
 
 def parallel_map(

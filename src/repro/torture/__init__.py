@@ -17,6 +17,7 @@ from repro.torture.runner import (
     TORTURE_MODES,
     PointResult,
     TortureResult,
+    check_request,
     explore_point,
     run_torture,
     select_points,
@@ -33,6 +34,7 @@ __all__ = [
     "TortureResult",
     "TORTURE_MODES",
     "WORKLOADS",
+    "check_request",
     "crash_state_bounds",
     "explore_point",
     "record_workload",

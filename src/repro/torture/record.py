@@ -32,9 +32,13 @@ from dataclasses import dataclass, field
 from repro.core.config import LFSConfig
 from repro.core.filesystem import LFS
 from repro.disk.device import Disk, DiskState
+from repro.disk.faults import DiskCrashed
 from repro.disk.geometry import DiskGeometry
 from repro.disk.timing import SimClock
 from repro.torture.oracle import Barrier, ModelFS, OpRecord
+
+#: Operations after which everything the model holds is durable.
+_BARRIER_KINDS = frozenset({"sync", "fsync", "checkpoint"})
 
 
 class RecordingDisk(Disk):
@@ -107,6 +111,27 @@ class Recording:
         disk.restore_state(self.base_state)
         return disk
 
+    def replay(self, disk: Disk, tick=None) -> DiskCrashed | None:
+        """Write the recorded stream onto ``disk``, then power it back on.
+
+        A crash armed on ``disk`` stops the stream where it fires; the
+        :class:`DiskCrashed` it raised is returned (None when the whole
+        stream persisted). ``tick`` is called after every request.
+        """
+        crashed = None
+        try:
+            for addr, payloads in self.requests:
+                if len(payloads) == 1:
+                    disk.write_block(addr, payloads[0])
+                else:
+                    disk.write_blocks(addr, list(payloads))
+                if tick is not None:
+                    tick()
+        except DiskCrashed as exc:
+            crashed = exc
+        disk.power_on()
+        return crashed
+
 
 class TortureRecorder:
     """Drives a workload against the real FS and the oracle model in step."""
@@ -156,75 +181,60 @@ class TortureRecorder:
         return self.disk.blocks_logged + len(self.nvm_appends)
 
     # -- mirrored operations -------------------------------------------
-    def _record(self, op: OpRecord) -> OpRecord:
+    def _mirror(self, op: OpRecord, call, *args) -> None:
+        """Run one FS call and mirror it into the op log and the model.
+
+        ``sync``/``fsync``/``checkpoint`` then snapshot the model as a
+        durability barrier. (fsync absorbs the whole pending set, see
+        ``LFS.fsync``, so the oracle treats it as a full barrier.) A
+        cleaning pass checkpoints before reusing segments, but it may not
+        run at all, so cleaning is deliberately NOT a barrier — the oracle
+        only under-approximates what must survive.
+        """
         op.start_blocks = self._global_units()
         self.ops.append(op)
-        return op
+        call(*args)
+        self.model.apply(op)
+        if op.kind in _BARRIER_KINDS:
+            self.barriers.append(
+                self.model.snapshot(len(self.ops) - 1, self._global_units())
+            )
 
     def mkdir(self, path: str) -> None:
-        self._record(OpRecord("mkdir", path=path))
-        self.fs.mkdir(path)
-        self.model.apply(self.ops[-1])
+        self._mirror(OpRecord("mkdir", path=path), self.fs.mkdir, path)
 
     def write(self, path: str, data: bytes) -> None:
-        self._record(OpRecord("write", path=path, data=data))
-        self.fs.write_file(path, data)
-        self.model.apply(self.ops[-1])
+        self._mirror(OpRecord("write", path=path, data=data), self.fs.write_file, path, data)
 
     def append(self, path: str, data: bytes) -> None:
-        self._record(OpRecord("append", path=path, data=data))
-        self.fs.append(path, data)
-        self.model.apply(self.ops[-1])
+        self._mirror(OpRecord("append", path=path, data=data), self.fs.append, path, data)
 
     def update(self, path: str, data: bytes, offset: int) -> None:
-        self._record(OpRecord("update", path=path, data=data, offset=offset))
-        self.fs.write(path, data, offset)
-        self.model.apply(self.ops[-1])
+        self._mirror(
+            OpRecord("update", path=path, data=data, offset=offset),
+            self.fs.write, path, data, offset,
+        )
 
     def unlink(self, path: str) -> None:
-        self._record(OpRecord("unlink", path=path))
-        self.fs.unlink(path)
-        self.model.apply(self.ops[-1])
+        self._mirror(OpRecord("unlink", path=path), self.fs.unlink, path)
 
     def rename(self, old: str, new: str) -> None:
-        self._record(OpRecord("rename", path=old, path2=new))
-        self.fs.rename(old, new)
-        self.model.apply(self.ops[-1])
+        self._mirror(OpRecord("rename", path=old, path2=new), self.fs.rename, old, new)
 
     def link(self, existing: str, new: str) -> None:
-        self._record(OpRecord("link", path=existing, path2=new))
-        self.fs.link(existing, new)
-        self.model.apply(self.ops[-1])
+        self._mirror(OpRecord("link", path=existing, path2=new), self.fs.link, existing, new)
 
     def sync(self) -> None:
-        self._record(OpRecord("sync"))
-        self.fs.sync()
-        self._barrier()
+        self._mirror(OpRecord("sync"), self.fs.sync)
 
     def fsync(self, path: str) -> None:
-        self._record(OpRecord("fsync", path=path))
-        self.fs.fsync(path)
-        # fsync absorbs the whole pending set (see LFS.fsync), so the
-        # oracle treats it as a full durability barrier, same as sync.
-        self._barrier()
+        self._mirror(OpRecord("fsync", path=path), self.fs.fsync, path)
 
     def checkpoint(self) -> None:
-        self._record(OpRecord("checkpoint"))
-        self.fs.checkpoint()
-        self._barrier()
+        self._mirror(OpRecord("checkpoint"), self.fs.checkpoint)
 
     def clean(self) -> None:
-        self._record(OpRecord("clean"))
-        self.fs.clean_now()
-        # Each cleaning pass checkpoints before reusing segments, but a
-        # pass may not run at all (nothing worth cleaning), so cleaning is
-        # deliberately NOT counted as a durability barrier — the oracle
-        # only under-approximates what must survive.
-
-    def _barrier(self) -> None:
-        self.barriers.append(
-            self.model.snapshot(len(self.ops) - 1, self._global_units())
-        )
+        self._mirror(OpRecord("clean"), self.fs.clean_now)
 
     # -- finishing ------------------------------------------------------
     def finish(self) -> Recording:

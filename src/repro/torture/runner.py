@@ -2,11 +2,13 @@
 
 The runner takes one :class:`~repro.torture.record.Recording` and fans a
 set of crash points across a process pool. A crash point is a pair
-``(cut, variant)``: replay the recorded write stream onto a copy of the
-post-format image with the injector armed to fail after ``cut`` durable
-blocks in the given fault mode, then power the device back on, mount
-(running roll-forward recovery), and check the recovered namespace against
-the durability oracle plus a full ``lfsck`` of the resulting image.
+``(cut, variant)``, and every variant runs one pipeline,
+:func:`explore_point`: **arm** the injector to fail after ``cut`` durable
+blocks in the variant's fault mode, **replay** the recorded write stream
+onto a copy of the post-format image, **damage** the medium the variant
+targets (the aged platter, the NVM board), **mount** (running roll-forward
+recovery), and **judge** the recovered namespace against the durability
+oracle plus a full ``lfsck`` of the resulting image.
 
 Everything is deterministic: the sample of points is drawn in the parent
 from the base seed, each point derives its own fault seed with
@@ -24,10 +26,11 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 
-from repro.core.config import compute_layout
 from repro.core.errors import LFSError, MediaError
 from repro.core.filesystem import LFS
+from repro.core.superblock import Superblock
 from repro.disk.faults import FAULT_MODES, DiskCrashed, inject_media_faults
+from repro.disk.nvram import NVMDevice, NVMState
 from repro.obs import Observation, SegmentLedger, Watchdog
 from repro.simulator.sweep import derive_point_seed, resolve_workers
 from repro.tools.lfsck import check_filesystem
@@ -102,6 +105,11 @@ class PointResult:
             )
         return line
 
+    def note_fault(self, exc: Exception | None) -> None:
+        """Keep the site of the first fault that localized itself."""
+        if self.error_addr is None and isinstance(exc, (DiskCrashed, MediaError)):
+            self.error_addr, self.error_op = exc.addr, exc.op
+
 
 def _observe(watchdog: bool, timeline: bool = False) -> Observation | None:
     """Build the opt-in per-point observatory (None when off).
@@ -137,27 +145,18 @@ def _observe(watchdog: bool, timeline: bool = False) -> Observation | None:
 # wiped the first ``a_t`` appends from the board.
 
 
-def _split_cut(recording: Recording, g: int) -> tuple[int, int]:
-    """Map a global cut to ``(disk_cut, nvm_cut)`` durable prefixes."""
+def _split_cut(recording: Recording, g: int) -> tuple[int, int, bool]:
+    """Map a global cut to its ``(disk_cut, nvm_cut)`` durable prefixes,
+    plus whether the merged unit that trips the crash is an NVM append."""
     nvm_cut = 0
     for j, (d, _) in enumerate(recording.nvm_appends):
-        if d + j < g:
-            nvm_cut = j + 1
-        else:
-            break
-    return g - nvm_cut, nvm_cut
+        if d + j >= g:
+            return g - nvm_cut, nvm_cut, d + j == g
+        nvm_cut = j + 1
+    return g - nvm_cut, nvm_cut, False
 
 
-def _nvm_in_flight(recording: Recording, g: int) -> bool:
-    """True when the merged unit that trips the crash is an NVM append."""
-    _, nvm_cut = _split_cut(recording, g)
-    if nvm_cut >= len(recording.nvm_appends):
-        return False
-    d, _ = recording.nvm_appends[nvm_cut]
-    return d + nvm_cut == g
-
-
-def _nvm_at_cut(recording: Recording, g: int, variant: str, point_seed: int):
+def _nvm_at_cut(recording: Recording, g: int, variant: str, point_seed: int) -> NVMDevice:
     """The NVM board as a crash at global cut ``g`` leaves it.
 
     Surviving records are ``appends[T:nvm_cut]`` where ``T`` is the wipe
@@ -168,28 +167,109 @@ def _nvm_at_cut(recording: Recording, g: int, variant: str, point_seed: int):
     append whole: appends are single atomic requests, so there is nothing
     to reorder.)
     """
-    from repro.disk.nvram import NVMDevice, NVMState
-
-    _, nvm_cut = _split_cut(recording, g)
+    _, nvm_cut, in_flight = _split_cut(recording, g)
     wiped = 0
     for d_t, a_t in recording.nvm_truncates:
         if d_t + a_t <= g:
             wiped = max(wiped, a_t)
     records = [framed for _, framed in recording.nvm_appends[wiped:nvm_cut]]
+    torn = variant == "torn" and in_flight
+    if torn:
+        records.append(recording.nvm_appends[nvm_cut][1])
     nv = NVMDevice()
     nv.restore_state(
         NVMState(records=tuple(records), next_seq=len(recording.nvm_appends) + 1)
     )
-    if variant == "torn" and _nvm_in_flight(recording, g):
-        _, framed = recording.nvm_appends[nvm_cut]
-        nv.restore_state(
-            NVMState(
-                records=tuple(records) + (framed,),
-                next_seq=len(recording.nvm_appends) + 1,
-            )
-        )
+    if torn:
         nv.tear_last_record(seed=point_seed)
     return nv
+
+
+# ----------------------------------------------------------------------
+# one crash point: arm -> replay -> damage -> mount -> judge
+
+
+def _arm(recording: Recording, disk, cut: int, variant: str, point_seed: int):
+    """Arm ``disk`` to fail at global cut ``cut`` in fault mode ``variant``.
+
+    Returns the NVM board the cut leaves behind (None for a single-domain
+    recording, whose cuts are all disk blocks). ``cut == total_blocks``
+    never fires: the whole stream persists, which checks the oracle
+    against an orderly-but-unflushed device.
+    """
+    disk_cut, _, nvm_in_flight = _split_cut(recording, cut)
+    if disk_cut < recording.disk_blocks:
+        # When the dying unit is an NVM append the disk itself stops
+        # at a request boundary — its share of the cut is clean.
+        disk_mode = "clean" if nvm_in_flight else variant
+        disk.crash(after_writes=disk_cut, mode=disk_mode, seed=point_seed)
+    return _nvm_at_cut(recording, cut, variant, point_seed) if recording.nvram else None
+
+
+def _age_platter(disk, point_seed: int) -> None:
+    """Land seeded bit-rot, a latent sector and a transient error on the
+    written segment area (the fixed-position metadata stays intact)."""
+    area_start = Superblock.from_bytes(disk.peek(0)).segment_area_start
+    candidates = sorted(a for a in disk.written_addresses() if a >= area_start)
+    inject_media_faults(
+        disk, seed=point_seed, rot=2, latent=1, transient=1, candidates=candidates
+    )
+
+
+def _damage_nvm(recording: Recording, variant: str, point_seed: int) -> tuple[NVMDevice, bool]:
+    """The end-of-stream NVM board after ``variant``'s damage, plus
+    whether the mount must degrade to read-only.
+
+    ``nvm-media`` corrupts one seeded surviving record: damage to any
+    record but the last is indistinguishable from losing acknowledged
+    history, so the mount must degrade; damage to the last record alone
+    is indistinguishable from a torn unacknowledged append and is dropped
+    cleanly. ``nvm-dead`` kills the whole board: the mount cannot even
+    prove the staging log was empty, so it must degrade.
+    """
+    nv = _nvm_at_cut(recording, recording.total_blocks, "clean", point_seed)
+    if variant == "nvm-dead":
+        nv.fail_device()
+        return nv, True
+    surviving = nv.record_count
+    if not surviving:
+        return nv, False
+    k = random.Random(point_seed).randrange(surviving)
+    nv.corrupt_record(k, seed=point_seed)
+    return nv, k < surviving - 1
+
+
+def _judge_media(fs: LFS, result: PointResult, guaranteed: dict, acceptable: dict) -> None:
+    """Scrub the aged image, then read every guaranteed path back.
+
+    The oracle question is *honesty*, not durability: a read may fail
+    with a typed error (detected damage, a degraded path) or surface an
+    acceptable earlier value (a roll-forward write dropped because its
+    summary rotted), but returned bytes matching no acceptable value mean
+    the checksums let silent corruption through.
+    """
+    try:
+        scrub = scrub_filesystem(fs, rescue=True)
+        result.damage_found = (
+            len(scrub.corrupt_blocks)
+            + len(scrub.corrupt_summaries)
+            + len(scrub.unreadable_blocks)
+        )
+        result.blocks_rescued = scrub.blocks_rescued
+    except LFSError as exc:
+        result.note_fault(exc)
+    for path in sorted(guaranteed):
+        try:
+            got = DIR if fs.stat(path).is_directory else fs.read(path)
+        except LFSError as exc:
+            result.note_fault(exc)
+            result.paths_degraded += 1
+            continue
+        if got not in acceptable.get(path, {guaranteed[path]}):
+            result.violations.append(
+                f"media: {path} returned data matching no acceptable value "
+                f"(silent corruption slipped past the checksums)"
+            )
 
 
 def explore_point(
@@ -201,310 +281,98 @@ def explore_point(
     watchdog: bool = False,
     timeline: bool = False,
 ) -> PointResult:
-    """Replay to one crash point, recover, and verify.
+    """Run one crash point through arm -> replay -> damage -> mount -> judge.
 
-    ``cut == recording.total_blocks`` replays the whole stream with no
-    crash (the injector never fires), which checks the oracle against an
-    orderly-but-unflushed device. ``watchdog`` attaches the segment
-    ledger + invariant watchdog to the point's replay and recovery;
-    ``timeline`` attaches a flight recorder sampling the replay and
-    recovery I/O (purely observational — the outcome digest is
-    unchanged).
+    The crash variants (``clean``/``torn``/``reorder``) fail the device
+    after ``cut`` durable units and judge the recovered namespace by the
+    durability oracle at that cut, then ``lfsck`` the image. ``media``
+    and ``nvm-*`` persist the whole stream and use ``cut`` only to vary
+    the seeded damage: ``media`` ages the platter and is judged for
+    honesty (see :func:`_judge_media`); ``nvm-*`` damages the staging
+    board (see :func:`_damage_nvm`), and since lost acknowledged records
+    may roll any path back, every recovered value must be some operation
+    boundary state since format — degradation is honest, fabrication
+    never is.
 
     For a two-domain recording ``cut`` counts global units (disk blocks
     plus NVM appends, merged in issue order): the disk injector arms at
     the cut's disk share, the reconstructed NVM board holds the cut's
     append share, and the fault mode lands on whichever domain owns the
-    unit in flight.
+    unit in flight. ``watchdog`` attaches the segment ledger + invariant
+    watchdog to the point's replay and recovery; ``timeline`` attaches a
+    flight recorder sampling the replay and recovery I/O (purely
+    observational — the outcome digest is unchanged).
     """
-    if variant == "media":
-        return _explore_media_point(recording, cut, point_seed, watchdog=watchdog)
-    if variant in NVM_MODES:
-        return _explore_nvm_point(recording, cut, variant, point_seed, watchdog=watchdog)
+    check_request((variant,), sample=None, nvram=recording.nvram)
+    crash = variant in FAULT_MODES
     disk = recording.fresh_disk()
     obs = _observe(watchdog, timeline)
     if obs is not None:
         obs.attach_disk(disk)
-    nv = None
-    if recording.nvram:
-        disk_cut, _ = _split_cut(recording, cut)
-        nv = _nvm_at_cut(recording, cut, variant, point_seed)
-        if disk_cut < recording.disk_blocks:
-            # When the dying unit is an NVM append the disk itself stops
-            # at a request boundary — its share of the cut is clean.
-            disk_mode = "clean" if _nvm_in_flight(recording, cut) else variant
-            disk.crash(after_writes=disk_cut, mode=disk_mode, seed=point_seed)
-    elif cut < recording.total_blocks:
-        disk.crash(after_writes=cut, mode=variant, seed=point_seed)
-    crash_exc: DiskCrashed | None = None
-    replay_span = (
-        obs.span("torture.replay", cut=cut, variant=variant)
-        if obs is not None
-        else nullcontext()
+    result = PointResult(
+        cut=cut, variant=variant, nvm_active=recording.nvram and variant != "media"
     )
-    try:
-        with replay_span:
-            for addr, payloads in recording.requests:
-                if len(payloads) == 1:
-                    disk.write_block(addr, payloads[0])
-                else:
-                    disk.write_blocks(addr, list(payloads))
-                if obs is not None:
-                    obs.timeline_tick()
-    except DiskCrashed as exc:
-        crash_exc = exc
-    disk.power_on()
 
-    result = PointResult(cut=cut, variant=variant, nvm_active=recording.nvram)
-    if crash_exc is not None:
-        result.error_addr = crash_exc.addr
-        result.error_op = crash_exc.op
-    guaranteed, acceptable, touched = crash_state_bounds(
-        recording.ops, recording.barriers, cut
-    )
+    nv = _arm(recording, disk, cut, variant, point_seed) if crash else None
+    span = nullcontext() if obs is None else obs.span("torture.replay", cut=cut, variant=variant)
+    with span:
+        result.note_fault(recording.replay(disk, None if obs is None else obs.timeline_tick))
+
+    barriers, horizon, expect_read_only = recording.barriers, cut, False
+    if variant == "media":
+        _age_platter(disk, point_seed)
+        horizon = recording.total_blocks
+    elif variant in NVM_MODES:
+        nv, expect_read_only = _damage_nvm(recording, variant, point_seed)
+        # Lost acknowledged records may roll a path back to any operation
+        # boundary: bound by the format barrier and every op in the run.
+        barriers, horizon = barriers[:1], recording.total_blocks + 1
+    guaranteed, acceptable, touched = crash_state_bounds(recording.ops, barriers, horizon)
+
     try:
         fs = LFS.mount(disk, recording.config, obs=obs, nvram=nv)
     except LFSError as exc:
-        result.ok = False
-        result.violations.append(f"mount failed after crash: {exc}")
-        return result
-    report = fs.last_recovery
-    if report is not None:
-        result.recovery_elapsed = report.elapsed
-        result.partial_writes_replayed = report.partial_writes_replayed
-        result.torn_writes_dropped = report.torn_writes_dropped
-        result.nvm_records_replayed = report.nvm_records_replayed
-        result.nvm_records_dropped = report.nvm_records_dropped
-    result.nvm_read_only = fs.read_only
-    if fs.read_only:
-        # A crash-variant cut never damages acknowledged NVM records, so
-        # a read-only degrade here is itself a contract violation.
-        result.violations.append(
-            "crash cut degraded the mount to read-only (no NVM record "
-            "was damaged)"
-        )
-    recovered = snapshot_namespace(fs)
-    result.violations.extend(
-        verify_recovered(recovered, guaranteed, acceptable, touched)
-    )
+        fs = None
+        if variant == "media":
+            # Refusing to mount damaged metadata is the defense working, not
+            # a violation; everything the image held is (detectably) lost.
+            result.note_fault(exc)
+            result.paths_degraded = len(guaranteed)
+        else:
+            result.violations.append(f"{variant}: mount failed: {exc}")
+    if fs is not None:
+        report = fs.last_recovery
+        if report is not None:
+            result.recovery_elapsed = report.elapsed
+            result.partial_writes_replayed = report.partial_writes_replayed
+            result.torn_writes_dropped = report.torn_writes_dropped
+            result.nvm_records_replayed = report.nvm_records_replayed
+            result.nvm_records_dropped = report.nvm_records_dropped
+        if variant == "media":
+            _judge_media(fs, result, guaranteed, acceptable)
+        else:
+            result.nvm_read_only = fs.read_only
+            if fs.read_only != expect_read_only:
+                result.violations.append(
+                    f"{variant}: expected read_only={expect_read_only}, "
+                    f"mount says {fs.read_only}"
+                )
+            recovered = snapshot_namespace(fs)
+            result.violations.extend(verify_recovered(recovered, guaranteed, acceptable, touched))
     # Timing sanity: busy-time past elapsed simulated time means some
     # recovery path double-charged the clock (the clamped utilization
     # display would silently hide it).
     assert disk.stats.busy_time <= disk.clock.now + 1e-9, (
         f"disk busy_time {disk.stats.busy_time:.9f}s exceeds simulated "
-        f"time {disk.clock.now:.9f}s after recovery at cut={cut}"
+        f"time {disk.clock.now:.9f}s after recovery at cut={cut} variant={variant}"
     )
-    if not fs.read_only:
+    if crash and fs is not None and not fs.read_only:
         fs.unmount()
         check = check_filesystem(disk)
-        if not check.ok:
-            result.violations.extend(f"lfsck: {msg}" for msg in check.errors)
+        result.violations.extend(f"lfsck: {msg}" for msg in check.errors)
     if obs is not None and obs.timeline is not None:
         obs.timeline.finish()
         result.timeline_samples = obs.timeline.samples_taken
-    result.ok = not result.violations
-    return result
-
-
-def _explore_media_point(
-    recording: Recording, cut: int, point_seed: int, *, watchdog: bool = False
-) -> PointResult:
-    """Replay the whole stream, then age the platter and remount.
-
-    Unlike the crash variants, ``cut`` only varies the seeded fault plan
-    (each point derives its own seed): the stream persists in full, then
-    seeded bit-rot, a latent sector, and a transient error land on the
-    written image before the next mount. The oracle question changes from
-    durability to *honesty*: a read may fail with a typed error (detected
-    damage) or surface an acceptable earlier value (a roll-forward write
-    dropped because its summary rotted), but returned bytes matching no
-    acceptable value mean the checksums let silent corruption through —
-    the one outcome the defense stack promises is impossible.
-    """
-    disk = recording.fresh_disk()
-    obs = _observe(watchdog)
-    if obs is not None:
-        obs.attach_disk(disk)
-    replay_span = (
-        obs.span("torture.replay", cut=cut, variant="media")
-        if obs is not None
-        else nullcontext()
-    )
-    with replay_span:
-        for addr, payloads in recording.requests:
-            if len(payloads) == 1:
-                disk.write_block(addr, payloads[0])
-            else:
-                disk.write_blocks(addr, list(payloads))
-
-    result = PointResult(cut=cut, variant="media")
-    guaranteed, acceptable, _ = crash_state_bounds(
-        recording.ops, recording.barriers, recording.total_blocks
-    )
-    area_start = compute_layout(
-        recording.config,
-        recording.geometry.num_blocks,
-        align=getattr(recording.geometry, "erase_block_blocks", 1) or 1,
-    ).segment_area_start
-    candidates = sorted(a for a in disk.written_addresses() if a >= area_start)
-    inject_media_faults(
-        disk, seed=point_seed, rot=2, latent=1, transient=1, candidates=candidates
-    )
-
-    def note(exc: Exception) -> None:
-        if result.error_addr is None and isinstance(exc, MediaError):
-            result.error_addr = exc.addr
-            result.error_op = exc.op
-
-    try:
-        fs = LFS.mount(disk, recording.config, obs=obs)
-    except LFSError as exc:
-        # Refusing to mount damaged metadata is the defense working, not
-        # a violation; everything the image held is (detectably) lost.
-        note(exc)
-        result.paths_degraded = len(guaranteed)
-        return result
-    report = fs.last_recovery
-    if report is not None:
-        result.recovery_elapsed = report.elapsed
-        result.partial_writes_replayed = report.partial_writes_replayed
-        result.torn_writes_dropped = report.torn_writes_dropped
-
-    try:
-        scrub = scrub_filesystem(fs, rescue=True)
-        result.damage_found = (
-            len(scrub.corrupt_blocks)
-            + len(scrub.corrupt_summaries)
-            + len(scrub.unreadable_blocks)
-        )
-        result.blocks_rescued = scrub.blocks_rescued
-    except LFSError as exc:
-        note(exc)
-
-    for path in sorted(guaranteed):
-        allowed = acceptable.get(path, {guaranteed[path]})
-        try:
-            got = DIR if fs.stat(path).is_directory else fs.read(path)
-        except LFSError as exc:
-            note(exc)
-            result.paths_degraded += 1
-            continue
-        if got not in allowed:
-            result.violations.append(
-                f"media: {path} returned data matching no acceptable value "
-                f"(silent corruption slipped past the checksums)"
-            )
-    assert disk.stats.busy_time <= disk.clock.now + 1e-9, (
-        f"disk busy_time {disk.stats.busy_time:.9f}s exceeds simulated "
-        f"time {disk.clock.now:.9f}s after media point cut={cut}"
-    )
-    result.ok = not result.violations
-    return result
-
-
-def _all_boundary_values(recording: Recording) -> dict[str, set]:
-    """Every value each path held at any operation boundary of the run.
-
-    The honesty bound for partial-NVM-damage points: acknowledged records
-    may be lost (the mount says so, loudly), so recovery may surface any
-    earlier boundary state — but bytes that were never the file's content
-    at any boundary mean fabrication slipped through the CRCs.
-    """
-    from repro.torture.oracle import ModelFS
-
-    model = ModelFS()
-    allowed: dict[str, set] = {"/": {DIR}}
-    for op in recording.ops:
-        for path in model.apply(op):
-            value = model.contents(path) if path in model.paths else None
-            allowed.setdefault(path, set()).add(value)
-    return allowed
-
-
-def _explore_nvm_point(
-    recording: Recording,
-    cut: int,
-    variant: str,
-    point_seed: int,
-    *,
-    watchdog: bool = False,
-) -> PointResult:
-    """Replay the whole stream, then damage the NVM board and remount.
-
-    Like ``media``, ``cut`` only varies the seeded damage. ``nvm-media``
-    corrupts one seeded surviving record: damage to any record but the
-    last is indistinguishable from losing acknowledged history, so the
-    mount must succeed but degrade to read-only; damage to the last
-    record alone is indistinguishable from a torn unacknowledged append
-    and is dropped cleanly. ``nvm-dead`` kills the whole board: the mount
-    cannot even prove the staging log was empty, so it must degrade.
-    Either way every recovered value must be some operation-boundary
-    state — degradation is honest, fabrication never is.
-    """
-    if not recording.nvram:
-        raise ValueError(f"variant {variant!r} needs a two-domain recording")
-    disk = recording.fresh_disk()
-    obs = _observe(watchdog)
-    if obs is not None:
-        obs.attach_disk(disk)
-    replay_span = (
-        obs.span("torture.replay", cut=cut, variant=variant)
-        if obs is not None
-        else nullcontext()
-    )
-    with replay_span:
-        for addr, payloads in recording.requests:
-            if len(payloads) == 1:
-                disk.write_block(addr, payloads[0])
-            else:
-                disk.write_blocks(addr, list(payloads))
-
-    result = PointResult(cut=cut, variant=variant, nvm_active=True)
-    nv = _nvm_at_cut(recording, recording.total_blocks, "clean", point_seed)
-    surviving = nv.record_count
-    expect_read_only = False
-    if variant == "nvm-dead":
-        nv.fail_device()
-        expect_read_only = True
-    elif surviving:
-        k = random.Random(point_seed).randrange(surviving)
-        nv.corrupt_record(k, seed=point_seed)
-        expect_read_only = k < surviving - 1
-
-    try:
-        fs = LFS.mount(disk, recording.config, obs=obs, nvram=nv)
-    except LFSError as exc:
-        result.ok = False
-        result.violations.append(f"mount failed after NVM damage: {exc}")
-        return result
-    report = fs.last_recovery
-    if report is not None:
-        result.recovery_elapsed = report.elapsed
-        result.partial_writes_replayed = report.partial_writes_replayed
-        result.torn_writes_dropped = report.torn_writes_dropped
-        result.nvm_records_replayed = report.nvm_records_replayed
-        result.nvm_records_dropped = report.nvm_records_dropped
-    result.nvm_read_only = fs.read_only
-    if fs.read_only != expect_read_only:
-        result.violations.append(
-            f"{variant}: expected read_only={expect_read_only} "
-            f"(surviving={surviving}), mount says {fs.read_only}"
-        )
-
-    allowed = _all_boundary_values(recording)
-    recovered = snapshot_namespace(fs)
-    for path, got in recovered.items():
-        if path not in allowed:
-            result.violations.append(f"{variant}: phantom path {path} surfaced")
-        elif got not in allowed[path]:
-            result.violations.append(
-                f"{variant}: {path} holds bytes that were never an "
-                f"operation-boundary state (fabricated content)"
-            )
-    assert disk.stats.busy_time <= disk.clock.now + 1e-9, (
-        f"disk busy_time {disk.stats.busy_time:.9f}s exceeds simulated "
-        f"time {disk.clock.now:.9f}s after NVM point cut={cut}"
-    )
     result.ok = not result.violations
     return result
 
@@ -524,13 +392,25 @@ def _init_worker(blob: bytes, watchdog: bool = False) -> None:
 
 def _worker_point(cut: int, variant: str, point_seed: int) -> PointResult:
     assert _WORKER_RECORDING is not None, "worker initializer did not run"
-    return explore_point(
-        _WORKER_RECORDING, cut, variant, point_seed, watchdog=_WORKER_WATCHDOG
-    )
+    return explore_point(_WORKER_RECORDING, cut, variant, point_seed, watchdog=_WORKER_WATCHDOG)
 
 
 # ----------------------------------------------------------------------
 # the sweep itself
+
+
+def check_request(variants: tuple[str, ...], *, sample: int | None, nvram: bool) -> None:
+    """Reject a sweep that names no variant, an unknown variant, an NVM
+    variant without a two-domain recording, or a negative sample."""
+    if not variants:
+        raise ValueError("no fault variant to explore")
+    for v in variants:
+        if v not in TORTURE_MODES:
+            raise ValueError(f"unknown fault variant {v!r} (want one of {TORTURE_MODES})")
+        if v in NVM_MODES and not nvram:
+            raise ValueError(f"variant {v!r} needs a two-domain recording (run with nvram=True)")
+    if sample is not None and sample < 0:
+        raise ValueError(f"sample must be non-negative, got {sample}")
 
 
 def select_points(
@@ -548,13 +428,7 @@ def select_points(
     ``exhaustive`` (or a sample at least the population size) takes all of
     them. Each point gets its own derived fault seed.
     """
-    for v in variants:
-        if v not in TORTURE_MODES:
-            raise ValueError(f"unknown fault variant {v!r} (want one of {TORTURE_MODES})")
-        if v in NVM_MODES and not recording.nvram:
-            raise ValueError(
-                f"variant {v!r} needs a two-domain recording (run with nvram=True)"
-            )
+    check_request(variants, sample=sample, nvram=recording.nvram)
     population = [
         (cut, variant)
         for cut in range(recording.total_blocks + 1)
@@ -645,15 +519,7 @@ def run_torture(
         with ProcessPoolExecutor(
             max_workers=nworkers, initializer=_init_worker, initargs=(blob, watchdog)
         ) as pool:
-            points = list(
-                pool.map(
-                    _worker_point,
-                    [s[0] for s in specs],
-                    [s[1] for s in specs],
-                    [s[2] for s in specs],
-                    chunksize=chunk,
-                )
-            )
+            points = list(pool.map(_worker_point, *zip(*specs), chunksize=chunk))
     return TortureResult(
         workload=workload,
         base_seed=seed,

@@ -45,7 +45,7 @@ PAPER_TABLE3 = {
 }
 
 
-def run_recovery_case(file_size: int, data_mb: int, *, seed: int = 0) -> RecoveryCell:
+def run_recovery_case(file_size: int, data_mb: int) -> RecoveryCell:
     """Crash with ``data_mb`` of ``file_size`` files unrecovered; time recovery."""
     data_bytes = data_mb * 1024 * 1024
     num_files = max(1, data_bytes // file_size)
@@ -74,10 +74,7 @@ def run_recovery_case(file_size: int, data_mb: int, *, seed: int = 0) -> Recover
 
     fs.crash()
     disk.power_on()
-    before = disk.clock.now
-    recovered = LFS.mount(disk, roll_forward=True)
-    report = recovered.last_recovery
-    del before
+    report = LFS.mount(disk, roll_forward=True).last_recovery
     return RecoveryCell(
         file_size=file_size,
         data_mb=data_mb,

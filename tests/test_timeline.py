@@ -526,16 +526,26 @@ class TestServerTimeline:
 
 
 class TestTortureTimeline:
-    def test_timeline_point_samples_without_changing_outcome(self):
+    @pytest.mark.parametrize(
+        "workload, nvram, variant",
+        [
+            ("smallfile", False, "clean"),
+            ("smallfile", False, "media"),
+            ("syncheavy", True, "nvm-dead"),
+            ("syncheavy", True, "nvm-media"),
+        ],
+        ids=["clean", "media", "nvm-dead", "nvm-media"],
+    )
+    def test_timeline_point_samples_without_changing_outcome(self, workload, nvram, variant):
         from repro.simulator.sweep import derive_point_seed
         from repro.torture.runner import explore_point
         from repro.torture.workloads import record_workload
 
-        recording = record_workload("smallfile", 3)
+        recording = record_workload(workload, 3, nvram=nvram)
         cut = recording.total_blocks // 2
-        seed = derive_point_seed(3, "smallfile", cut, "clean")
-        plain = explore_point(recording, cut, "clean", seed)
-        sampled = explore_point(recording, cut, "clean", seed, timeline=True)
+        seed = derive_point_seed(3, workload, cut, variant)
+        plain = explore_point(recording, cut, variant, seed)
+        sampled = explore_point(recording, cut, variant, seed, timeline=True)
         assert sampled.timeline_samples > 0
         assert plain.timeline_samples == 0
         assert plain.digest_line() == sampled.digest_line()

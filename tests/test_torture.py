@@ -8,7 +8,6 @@ from repro.cli import main
 from repro.core.checkpoint import read_checkpoint, read_latest_checkpoint
 from repro.core.errors import CorruptionError
 from repro.core.filesystem import LFS
-from repro.disk.faults import DiskCrashed
 from repro.disk.image import load_disk, save_disk
 from repro.torture import (
     ModelFS,
@@ -139,11 +138,7 @@ class TestRecording:
     def test_replay_reproduces_final_image(self):
         rec = record_workload("andrew", 3)
         disk = rec.fresh_disk()
-        for addr, payloads in rec.requests:
-            if len(payloads) == 1:
-                disk.write_block(addr, payloads[0])
-            else:
-                disk.write_blocks(addr, list(payloads))
+        assert rec.replay(disk) is None
         fs = LFS.mount(disk, rec.config)
         recovered = snapshot_namespace(fs)
         guaranteed, acceptable, touched = crash_state_bounds(
@@ -160,15 +155,7 @@ def _replay_to(recording, cut: int):
     disk = recording.fresh_disk()
     if cut < recording.total_blocks:
         disk.crash(after_writes=cut)
-    try:
-        for addr, payloads in recording.requests:
-            if len(payloads) == 1:
-                disk.write_block(addr, payloads[0])
-            else:
-                disk.write_blocks(addr, list(payloads))
-    except DiskCrashed:
-        pass
-    disk.power_on()
+    recording.replay(disk)
     return disk
 
 
@@ -328,6 +315,25 @@ class TestTortureCLI:
         )
         assert code == 0
         assert not (tmp_path / "benchmarks").exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--variants", "clean,gamma-ray"], "unknown fault variant 'gamma-ray'"),
+            (["--variants", "nvm-dead"], "needs a two-domain recording"),
+            (["--sample", "-1"], "sample must be non-negative"),
+            (["--variants", ""], "no fault variant"),
+        ],
+        ids=["unknown-variant", "nvm-without-nvram", "negative-sample", "no-variants"],
+    )
+    def test_bad_input_exits_two(self, argv, message, tmp_path, capsys, monkeypatch):
+        # Exit 1 means an oracle violation; a request that cannot run is 2.
+        monkeypatch.chdir(tmp_path)
+        code = main(["torture", "--workload", "smallfile", "--workers", "1", *argv])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("torture: ") and message in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_no_json_flag_records_nothing(self, tmp_path, capsys, monkeypatch):
         # An ad-hoc run from the repo root must not overwrite the
