@@ -5,14 +5,13 @@ for every request using its :class:`~repro.disk.geometry.DiskGeometry`.
 Multi-block requests to contiguous addresses pay one seek plus one streamed
 transfer — exactly the economics that make log-structured writes fast.
 
-Contents live in contiguous ``bytearray`` extents (allocated lazily in
-fixed-size chunks so multi-gigabyte devices cost nothing until written)
-rather than a per-block dict. Read APIs still return immutable ``bytes``
-snapshots — callers retain payloads (the block cache, torture recordings),
-so handing out live views would alias later writes. :meth:`view` is the
-explicit zero-copy path for scan-and-discard consumers (checksums, image
-dumps): a read-only ``memoryview`` of the underlying extent, valid only
-until the next write.
+The image is a map from block address to an immutable, exactly
+block-sized ``bytes`` payload. The log only ever writes whole blocks and
+never changes a stored block in place (§3.1–3.2), so the device keeps the
+object it was handed and every reader gets that same object back: the
+block cache, the cleaner and torture recordings share one copy of each
+block, and a snapshot copies the map, not the bytes. Unwritten blocks are
+absent and read as one shared zero block.
 """
 
 from __future__ import annotations
@@ -26,20 +25,17 @@ from repro.disk.geometry import DiskGeometry, FlashGeometry
 from repro.disk.timing import IOStats, RetryPolicy, SimClock
 from repro.obs.events import FLASH_ERASE, MEDIA_ERROR, MEDIA_RETRY
 
-# Blocks per lazily allocated image extent. 4096 blocks is 16 MiB at the
-# default 4 KiB block size — big enough that any segment-sized request
-# stays inside one extent, small enough that sparse images stay cheap.
-_CHUNK_BLOCKS = 4096
-
 
 @dataclass(frozen=True)
 class DiskState:
     """A picklable snapshot of device contents (see ``Disk.snapshot_state``).
 
-    ``chunks`` mirrors the lazy extent table (``None`` = never allocated);
-    ``written`` is the exact set of block addresses ever written, which
-    must be preserved independently of the extents so that
+    ``blocks`` is a copy of the image's block map. Its payloads are the
+    image's own immutable objects, so a snapshot costs one dict copy and
+    no byte copy; its keys are exactly the addresses ever written, so
     ``written_addresses()`` round-trips through snapshot/restore.
+    ``num_blocks``/``block_size`` are the geometry it must be restored
+    onto.
 
     The four flash fields capture a flash device's erase-block state
     (``None`` on non-flash devices and in snapshots from before the flash
@@ -47,8 +43,9 @@ class DiskState:
     snapshot/restore — the torture replay harness depends on it.
     """
 
-    chunks: tuple[bytes | None, ...]
-    written: frozenset[int]
+    blocks: dict[int, bytes]
+    num_blocks: int
+    block_size: int
     erase_counts: tuple[int, ...] | None = None
     programmed: frozenset[int] | None = None
     trimmed: frozenset[int] | None = None
@@ -141,11 +138,9 @@ class Disk:
         # Optional observability hook (repro.obs.Observation). None means
         # disabled: the only cost on the request path is this one check.
         self.obs = None
-        # Lazily allocated contiguous extents; _written tracks the exact
-        # block addresses ever stored (writes, torn remnants, bit rot).
-        nchunks = -(-self.geometry.num_blocks // _CHUNK_BLOCKS)
-        self._chunks: list[bytearray | None] = [None] * nchunks
-        self._written: set[int] = set()
+        # Address -> stored payload for every block ever stored (writes,
+        # torn remnants, bit rot); payloads are immutable and shared.
+        self._image: dict[int, bytes] = {}
         self._zero_block = bytes(self.geometry.block_size)
         # ``_head`` is the address at which the *next* request would be
         # sequential — one past the last block accessed (see _account).
@@ -167,44 +162,34 @@ class Disk:
                 f"{self.geometry.num_blocks} blocks"
             )
 
-    def _check_payload(self, data: bytes) -> bytes:
-        if len(data) > self.geometry.block_size:
-            raise DiskRangeError(
-                f"payload of {len(data)} bytes exceeds block size "
-                f"{self.geometry.block_size}"
-            )
-        if len(data) < self.geometry.block_size:
-            data = data + bytes(self.geometry.block_size - len(data))
+    def _check_payload(self, data: bytes | bytearray | memoryview) -> bytes:
+        """``data`` as exactly one block of immutable ``bytes``.
+
+        An exact-size ``bytes`` object comes back as is; any other
+        bytes-like value is copied once, so a caller that mutates its
+        buffer afterwards cannot reach the stored block.
+        """
+        if type(data) is not bytes:
+            data = bytes(data)
+        bs = self.geometry.block_size
+        if len(data) != bs:
+            if len(data) > bs:
+                raise DiskRangeError(
+                    f"payload of {len(data)} bytes exceeds block size {bs}"
+                )
+            data += bytes(bs - len(data))
         return data
 
     # ------------------------------------------------------------------
     # image storage
 
-    def _chunk(self, index: int) -> bytearray:
-        """The extent holding chunk ``index``, allocated on first touch."""
-        c = self._chunks[index]
-        if c is None:
-            lo = index * _CHUNK_BLOCKS
-            span = min(_CHUNK_BLOCKS, self.geometry.num_blocks - lo)
-            c = self._chunks[index] = bytearray(span * self.geometry.block_size)
-        return c
-
     def _load(self, addr: int) -> bytes:
-        """One block's contents as an immutable snapshot."""
-        if addr not in self._written:
-            return self._zero_block
-        bs = self.geometry.block_size
-        index, slot = divmod(addr, _CHUNK_BLOCKS)
-        off = slot * bs
-        return bytes(self._chunks[index][off : off + bs])
+        """One block's stored payload (the shared zero block if unwritten)."""
+        return self._image.get(addr, self._zero_block)
 
     def _store(self, addr: int, payload: bytes) -> None:
-        """Store one exactly-block-sized payload into the image."""
-        bs = self.geometry.block_size
-        index, slot = divmod(addr, _CHUNK_BLOCKS)
-        off = slot * bs
-        self._chunk(index)[off : off + bs] = payload
-        self._written.add(addr)
+        """Store one exactly-block-sized ``bytes`` payload into the image."""
+        self._image[addr] = payload
 
     def _account(
         self, to_block: int, nblocks: int, *, write: bool, force_latency: bool = False
@@ -415,7 +400,8 @@ class Disk:
         self._flash_check_read(addr, count)
         self._media_check(addr, count, "read")
         self._account(addr, count, write=False)
-        return [self._load(addr + i) for i in range(count)]
+        get, zero = self._image.get, self._zero_block
+        return [get(a, zero) for a in range(addr, addr + count)]
 
     def write_block(self, addr: int, data: bytes, *, force_latency: bool = False) -> None:
         """Write one block (short payloads are zero-padded).
@@ -465,7 +451,11 @@ class Disk:
         self._media_check(addr, len(payloads), "write")
         self._flash_prepare(addr, len(payloads))
         self._account(addr, len(payloads), write=True, force_latency=force_latency)
-        for i in self.faults.request_order(len(payloads)):
+        faults = self.faults
+        if not (faults.armed or faults.crashed):
+            self._image.update(zip(range(addr, addr + len(payloads)), payloads))
+            return
+        for i in faults.request_order(len(payloads)):
             self._persist(addr + i, payloads[i])
 
     # ------------------------------------------------------------------
@@ -477,24 +467,17 @@ class Disk:
         return self._load(addr)
 
     def view(self, addr: int, count: int = 1) -> memoryview:
-        """A read-only window onto stored bytes — no time, no copy.
+        """A read-only window onto stored bytes — no time.
 
-        Zero-copy whenever the range sits inside one image extent (any
-        segment-sized range does); a range spanning extents, or one whose
-        extent was never allocated, falls back to a snapshot. The view
-        aliases live storage: it is valid only until the next write, and
-        callers that retain payloads must use :meth:`peek` instead.
+        A one-block view is zero-copy over the stored payload. Stored
+        payloads are immutable (a write replaces the object, it never
+        edits it), so the view keeps showing the bytes it was taken of.
+        A multi-block view joins its blocks into one buffer.
         """
         self._check_range(addr, count)
-        bs = self.geometry.block_size
-        index, slot = divmod(addr, _CHUNK_BLOCKS)
-        if (addr + count - 1) // _CHUNK_BLOCKS == index:
-            c = self._chunks[index]
-            if c is None:
-                return memoryview(bytes(count * bs))
-            off = slot * bs
-            return memoryview(c).toreadonly()[off : off + count * bs]
-        return memoryview(b"".join(self._load(addr + i) for i in range(count)))
+        if count == 1:
+            return memoryview(self._load(addr))
+        return memoryview(b"".join(self._load(a) for a in range(addr, addr + count)))
 
     def corrupt_block(self, addr: int, payload: bytes) -> None:
         """Silently replace stored bytes — no time, no stats, no faults.
@@ -508,14 +491,15 @@ class Disk:
 
     def written_addresses(self) -> Iterable[int]:
         """Addresses of every block that has ever been written."""
-        return self._written
+        return self._image.keys()
 
     def snapshot_state(self) -> DiskState:
         """Capture contents for later :meth:`restore_state` (picklable)."""
         fl = self.flash
         return DiskState(
-            chunks=tuple(bytes(c) if c is not None else None for c in self._chunks),
-            written=frozenset(self._written),
+            blocks=dict(self._image),
+            num_blocks=self.geometry.num_blocks,
+            block_size=self.geometry.block_size,
             erase_counts=tuple(fl.erase_counts) if fl is not None else None,
             programmed=frozenset(fl.programmed) if fl is not None else None,
             trimmed=frozenset(fl.trimmed) if fl is not None else None,
@@ -524,15 +508,13 @@ class Disk:
 
     def restore_state(self, state: DiskState) -> None:
         """Replace contents with a prior :meth:`snapshot_state` capture."""
-        if len(state.chunks) != len(self._chunks):
+        geo = self.geometry
+        if (state.num_blocks, state.block_size) != (geo.num_blocks, geo.block_size):
             raise DiskRangeError(
-                f"snapshot of {len(state.chunks)} extents does not fit a "
-                f"device of {len(self._chunks)} extents"
+                f"snapshot of {state.num_blocks} x {state.block_size} B blocks "
+                f"does not fit a device of {geo.num_blocks} x {geo.block_size} B"
             )
-        self._chunks = [
-            bytearray(c) if c is not None else None for c in state.chunks
-        ]
-        self._written = set(state.written)
+        self._image = dict(state.blocks)
         if self.flash is not None:
             if state.erase_counts is not None:
                 self.flash.erase_counts = list(state.erase_counts)
@@ -573,5 +555,5 @@ class Disk:
         return (
             f"Disk(blocks={self.geometry.num_blocks}, "
             f"block_size={self.geometry.block_size}, "
-            f"written={len(self._written)})"
+            f"written={len(self._image)})"
         )

@@ -186,7 +186,12 @@ class TestCrashSemantics:
 
 
 class TestDeviceImageEquivalence:
-    """The contiguous image behaves exactly like the old per-block dict."""
+    """The block-map image keeps the device's observable contract.
+
+    Short payloads pad with zeroes, unwritten blocks read zero and stay
+    unlisted, bit rot bypasses the stats, views and snapshots see stored
+    bytes, and images survive a save/load round trip.
+    """
 
     def _disk(self, num_blocks=256, block_size=512):
         from repro.disk.device import Disk
@@ -216,19 +221,21 @@ class TestDeviceImageEquivalence:
         assert disk.peek(7) == b"b" * 100 + bytes(412)
 
     def test_view_is_zero_copy_and_tracks_writes(self):
+        """A one-block view is zero-copy over the stored object.
+
+        A write replaces the stored object instead of editing it, so the
+        view keeps showing the bytes it was taken of, as a ``peek`` does.
+        """
         disk = self._disk()
-        disk.write_block(4, b"c" * 512)
+        stored = b"c" * 512
+        disk.write_block(4, stored)
         view = disk.view(4)
         assert isinstance(view, memoryview)
         assert view.readonly
-        assert bytes(view) == disk.peek(4)
-        # the view aliases live storage: a later write shows through
+        assert view.obj is stored is disk.peek(4)
         disk.write_block(4, b"d" * 512)
-        assert bytes(view) == b"d" * 512
-        # while peek snapshots are immutable and unaffected
-        snap = disk.peek(4)
-        disk.write_block(4, b"e" * 512)
-        assert snap == b"d" * 512
+        assert bytes(view) == stored
+        assert disk.peek(4) == b"d" * 512
 
     def test_multi_block_view_spans_blocks(self):
         disk = self._disk()
@@ -263,3 +270,105 @@ class TestDeviceImageEquivalence:
         assert sorted(loaded.written_addresses()) == sorted(addrs)
         crc_after = zlib.crc32(b"".join(loaded.peek(a) for a in sorted(addrs)))
         assert crc_after == crc_before
+
+
+_WRITE_ENTRY_POINTS = {
+    "write_block": lambda disk, addr, data: disk.write_block(addr, data),
+    "write_blocks": lambda disk, addr, data: disk.write_blocks(addr, [data]),
+    "corrupt_block": lambda disk, addr, data: disk.corrupt_block(addr, data),
+}
+
+
+class TestPayloadTypes:
+    """Every write entry point accepts any bytes-like payload."""
+
+    @pytest.mark.parametrize("entry", sorted(_WRITE_ENTRY_POINTS))
+    @pytest.mark.parametrize("size", [100, 4096], ids=["short", "exact"])
+    @pytest.mark.parametrize("kind", [bytes, bytearray, memoryview])
+    def test_stores_an_immutable_padded_copy(self, disk, entry, size, kind):
+        buf = bytearray(b"p" * size)
+        data = bytes(buf) if kind is bytes else kind(buf)
+        _WRITE_ENTRY_POINTS[entry](disk, 6, data)
+        stored = disk.peek(6)
+        assert type(stored) is bytes
+        assert stored == b"p" * size + bytes(4096 - size)
+        buf[0] = ord("q")  # the caller reuses its buffer
+        assert disk.peek(6) == stored == b"p" * size + bytes(4096 - size)
+
+    @pytest.mark.parametrize("kind", [bytearray, memoryview])
+    def test_oversized_payload_rejected(self, disk, kind):
+        with pytest.raises(DiskRangeError):
+            disk.write_block(1, kind(b"x" * 5000))
+
+
+class TestSharedBlocks:
+    """The image stores the payload it is handed and hands it back.
+
+    Log blocks are immutable once written, so one object serves the
+    image, the block cache, torture recordings and snapshots. A copy
+    reintroduced on any of these paths doubles resident memory.
+    """
+
+    def test_reads_return_the_stored_object(self, disk):
+        a, b = b"a" * 4096, b"b" * 4096
+        disk.write_block(3, a)
+        disk.write_blocks(10, [a, b])
+        assert disk.read_block(3) is a
+        assert disk.peek(3) is a
+        got = disk.read_blocks(10, 2)
+        assert got[0] is a and got[1] is b
+
+    def test_cold_read_caches_the_image_object(self):
+        from repro.core.config import LFSConfig
+        from repro.core.filesystem import LFS
+
+        config = LFSConfig(segment_bytes=64 * 1024, max_inodes=128)
+        disk = Disk(DiskGeometry.wren4(num_blocks=4096))
+        fs = LFS.format(disk, config)
+        fs.write_file("/f", b"x" * 10000)
+        fs.unmount()
+        fs = LFS.mount(disk, config)
+        assert fs.read("/f") == b"x" * 10000
+        inum = fs._resolve("/f")
+        for fbn in range(3):
+            addr = fs.filemap(inum).get(fbn)
+            assert fs.cache.peek(inum, fbn).payload is disk.peek(addr)
+
+    def test_recorded_requests_share_the_image_objects(self):
+        from repro.torture.record import RecordingDisk
+
+        rec = RecordingDisk(DiskGeometry.wren4(num_blocks=64))
+        rec.recording = True
+        rec.write_block(1, b"one")
+        rec.write_blocks(2, [b"two" * 1000, bytearray(b"three")])
+        (a1, (p1,)), (a2, (p2, p3)) = rec.requests
+        assert (a1, a2) == (1, 2)
+        assert p1 is rec.peek(1) and p2 is rec.peek(2) and p3 is rec.peek(3)
+
+    def test_snapshot_is_isolated_from_later_writes(self, disk):
+        disk.write_block(1, b"old")
+        snap = disk.snapshot_state()
+        disk.write_block(1, b"new")
+        disk.write_block(2, b"more")
+        assert set(snap.blocks) == {1}
+        assert snap.blocks[1].rstrip(b"\0") == b"old"
+        disk.restore_state(snap)
+        first = {a: disk.peek(a) for a in range(8)}
+        disk.write_block(5, b"after the first restore")
+        disk.restore_state(snap)
+        assert {a: disk.peek(a) for a in range(8)} == first
+        assert sorted(disk.written_addresses()) == [1]
+
+    def test_snapshot_refuses_another_geometry(self, disk):
+        snap = disk.snapshot_state()
+        with pytest.raises(DiskRangeError):
+            Disk(DiskGeometry.wren4(num_blocks=2048)).restore_state(snap)
+
+    def test_snapshot_pickles(self, disk):
+        import pickle
+
+        disk.write_blocks(0, [b"a", b"b"])
+        other = Disk(DiskGeometry.wren4(num_blocks=1024))
+        other.restore_state(pickle.loads(pickle.dumps(disk.snapshot_state())))
+        assert other.peek(1) == disk.peek(1)
+        assert sorted(other.written_addresses()) == [0, 1]
