@@ -400,8 +400,7 @@ class Disk:
         self._flash_check_read(addr, count)
         self._media_check(addr, count, "read")
         self._account(addr, count, write=False)
-        get, zero = self._image.get, self._zero_block
-        return [get(a, zero) for a in range(addr, addr + count)]
+        return [self._load(a) for a in range(addr, addr + count)]
 
     def write_block(self, addr: int, data: bytes, *, force_latency: bool = False) -> None:
         """Write one block (short payloads are zero-padded).
@@ -451,11 +450,7 @@ class Disk:
         self._media_check(addr, len(payloads), "write")
         self._flash_prepare(addr, len(payloads))
         self._account(addr, len(payloads), write=True, force_latency=force_latency)
-        faults = self.faults
-        if not (faults.armed or faults.crashed):
-            self._image.update(zip(range(addr, addr + len(payloads)), payloads))
-            return
-        for i in faults.request_order(len(payloads)):
+        for i in self.faults.request_order(len(payloads)):
             self._persist(addr + i, payloads[i])
 
     # ------------------------------------------------------------------
@@ -469,14 +464,13 @@ class Disk:
     def view(self, addr: int, count: int = 1) -> memoryview:
         """A read-only window onto stored bytes — no time.
 
-        A one-block view is zero-copy over the stored payload. Stored
-        payloads are immutable (a write replaces the object, it never
-        edits it), so the view keeps showing the bytes it was taken of.
-        A multi-block view joins its blocks into one buffer.
+        A one-block view is zero-copy over the stored payload (joining a
+        single ``bytes`` returns that object). Stored payloads are
+        immutable (a write replaces the object, it never edits it), so
+        the view keeps showing the bytes it was taken of. A multi-block
+        view joins its blocks into one buffer.
         """
         self._check_range(addr, count)
-        if count == 1:
-            return memoryview(self._load(addr))
         return memoryview(b"".join(self._load(a) for a in range(addr, addr + count)))
 
     def corrupt_block(self, addr: int, payload: bytes) -> None:

@@ -81,5 +81,7 @@ def load_disk(path: str) -> Disk:
             if len(addr_raw) != 8 or len(payload) != block_size:
                 raise CorruptionError("disk image block records truncated")
             (addr,) = struct.unpack("<Q", addr_raw)
+            if addr >= num_blocks:
+                raise CorruptionError("disk image block address out of range")
             disk._store(addr, payload)
     return disk

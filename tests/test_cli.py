@@ -55,6 +55,23 @@ class TestDiskImage:
         with pytest.raises(CorruptionError):
             load_disk(str(path))
 
+    def test_out_of_range_record_rejected(self, tmp_path):
+        import struct
+
+        from repro.core.errors import CorruptionError
+
+        disk = Disk(DiskGeometry.wren4(num_blocks=2048))
+        disk.write_block(7, b"seven")
+        path = tmp_path / "img"
+        save_disk(disk, str(path))
+        raw = bytearray(path.read_bytes())
+        # The one record's address follows the header; point it one past
+        # the last block.
+        struct.pack_into("<Q", raw, len(raw) - 8 - 4096, 2048)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CorruptionError, match="out of range"):
+            load_disk(str(path))
+
 
 class TestCli:
     @pytest.fixture
