@@ -13,6 +13,7 @@ from __future__ import annotations
 import pathlib
 import time
 
+from repro.obs.events import CLEAN_SEGMENT, LOG_WRITE
 from repro.simulator.sweep import record_bench as _record_bench
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
@@ -53,6 +54,32 @@ def assert_time_sane(obs) -> None:
     assert abs(obs.attribution.total - io.busy_time) < 1e-6, (
         "attributed seconds do not sum to the disk's busy_time"
     )
+
+
+def assert_trace_matches_counters(obs) -> None:
+    """The trace records what the counters count.
+
+    Every ``clean.segment`` utilization equals ``CleanerStats``'s, in
+    order, and the ``log.write`` kinds sum to ``LogWriteStats``'s blocks
+    by kind. Needs every such event retained: an unbounded ring, filtered
+    to those two kinds at most.
+    """
+    if "cleaner" in obs.registry.names():
+        cleaner = obs.registry.source("cleaner")
+        utils = [e.fields["utilization"] for e in obs.tracer.events(CLEAN_SEGMENT)]
+        assert utils == cleaner.cleaned_utilizations, (
+            f"trace has {len(utils)} cleaned utilizations, "
+            f"counters {len(cleaner.cleaned_utilizations)} (or values differ)"
+        )
+    if "log" in obs.registry.names():
+        kinds: dict[str, int] = {}
+        for event in obs.tracer.events(LOG_WRITE):
+            for name, count in event.fields["kinds"].items():
+                kinds[name] = kinds.get(name, 0) + count
+        log = obs.registry.source("log")
+        counted = {kind.name: n for kind, n in log.blocks_by_kind.items() if n}
+        assert kinds == counted, f"trace blocks by kind {kinds} != counters {counted}"
+        assert sum(kinds.values()) == log.total_blocks
 
 
 def record_bench(name: str, *, wall_seconds: float, **kwargs) -> pathlib.Path:

@@ -7,7 +7,8 @@ asserts the traced run stays within 10% wall-clock of the untraced one,
 and the sampled run within 10% of the traced one (plus a small floor so
 tiny runs aren't noise-bound). A sample of the trace is exported as
 JSONL *after* timing, so export cost never pollutes the overhead
-measurement.
+measurement. The traced run's ``clean.segment`` and ``log.write`` events
+must also match the cleaner and log-writer counters.
 
 Standalone on purpose (not pytest-collected): CI runs it directly.
 
@@ -25,11 +26,10 @@ import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))  # for conftest helpers
 
-from conftest import RESULTS_DIR, assert_time_sane, record_bench
+from conftest import RESULTS_DIR, assert_time_sane, assert_trace_matches_counters, record_bench
 
 from repro.disk.geometry import DiskGeometry
 from repro.obs import Observation, TimelineRecorder
-from repro.obs.derive import cross_check
 from repro.workloads.smallfile import run_smallfile
 
 
@@ -64,10 +64,7 @@ def main(argv: list[str] | None = None) -> int:
             traced, obs = elapsed, candidate
 
     assert obs is not None
-    problems = cross_check(obs)
-    if problems:
-        print("trace/counter mismatch:", problems)
-        return 1
+    assert_trace_matches_counters(obs)
     assert_time_sane(obs)
 
     # Third leg: tracer + flight recorder, gated against the traced run

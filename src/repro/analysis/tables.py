@@ -68,7 +68,7 @@ def table2_production(
 
     ``obs_factory``, if given, is called once per config and must return a
     :class:`repro.obs.Observation` (or None); the benchmark harness uses
-    it to cross-check each row against its trace.
+    it to check each run's trace against its counters.
     """
     cfgs = configs if configs is not None else default_configs()
     rows = []

@@ -221,20 +221,13 @@ def _run_observed(args: argparse.Namespace, obs) -> None:
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
-    """Run a workload under the tracer and cross-check trace vs counters.
-
-    Exit 0 when every trace-derived number agrees bit-identically with
-    the legacy counters, 1 on any mismatch. With ``--load`` no workload
-    runs: a previously exported JSONL trace is rendered instead (the
-    filters and --spans apply the same way).
+    """Run a workload under the tracer: event counts, busy-time
+    attribution, and Tables 2 and 4 from the cleaner and log counters
+    (so a bounded ``--ring`` never changes them). With ``--load`` no
+    workload runs: a previously exported JSONL trace is rendered instead
+    (the filters and --spans apply the same way).
     """
     from repro.obs import Observation, load_trace_jsonl, render_span_tree
-    from repro.obs.derive import (
-        cleaned_utilizations,
-        cleaning_summary,
-        cross_check,
-        log_bandwidth_breakdown,
-    )
 
     filtering = args.kind or args.cause or args.since is not None
 
@@ -266,22 +259,24 @@ def cmd_trace(args: argparse.Namespace) -> int:
     rows = [[kind, counts[kind]] for kind in sorted(counts)]
     print(render_table(["event kind", "emitted"], rows, title=f"trace — {args.workload}"))
     if obs.tracer.dropped:
-        print(f"ring dropped {obs.tracer.dropped} events (raise --ring for derivation)")
+        print(f"ring dropped {obs.tracer.dropped} events")
     print()
     print(obs.attribution.render())
     print()
 
-    events = obs.tracer.events()
-    summary = cleaning_summary(cleaned_utilizations(events))
-    print("cleaning (Table 2 inputs, derived from trace):")
+    fs = obs._fs
+    summary = fs.cleaner.stats.table2()
+    print("cleaning (Table 2 inputs, from the cleaner counters):")
     print(f"  segments cleaned  {summary['segments_cleaned']}")
     print(f"  fraction empty    {summary['fraction_empty']:.3f}")
     print(f"  avg non-empty u   {summary['avg_nonempty_utilization']:.3f}")
-    breakdown = log_bandwidth_breakdown(events)
+    breakdown = fs.log_bandwidth_breakdown()
     total = sum(breakdown.values()) or 1
-    print("log bandwidth by block type (Table 4, derived from trace):")
+    print("log bandwidth by block type (Table 4, from the log-writer counters):")
     for kind, blocks in breakdown.items():
         print(f"  {kind:<10} {blocks:>8} blocks  {100.0 * blocks / total:5.1f}%")
+
+    events = obs.tracer.events()
 
     if args.spans:
         print()
@@ -291,14 +286,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
         matched = _filter_events(events, args)
         print(f"{len(matched)} events match the filters:")
         _print_events(matched)
-
-    problems = cross_check(obs)
-    if problems:
-        print("\nTRACE / COUNTER MISMATCH:")
-        for msg in problems:
-            print(f"  {msg}")
-        return 1
-    print("\ntrace agrees bit-identically with the legacy counters")
     if args.jsonl:
         print(f"wrote JSONL trace to {args.jsonl}")
     return 0
@@ -807,16 +794,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "trace",
-        help="run a workload under the event tracer and cross-check it",
+        help="run a workload under the event tracer",
         description=(
-            "Run a live workload with the observability layer attached, "
+            "Run a live workload with the observability layer attached and "
             "print the event counts, the disk-time attribution, and the "
-            "Table 2 / Table 4 numbers rederived from the trace, then "
-            "verify the derived numbers agree bit-identically with the "
-            "legacy counters. Exit 1 on any mismatch."
+            "Table 2 / Table 4 numbers from the cleaner and log-writer "
+            "counters."
         ),
     )
-    add_observed_workload(p, ring=0, ring_help="ring capacity (0 = unbounded, the default, so derivation never drops events)")
+    add_observed_workload(p, ring=0, ring_help="ring capacity (0 = unbounded, the default)")
     p.add_argument("--jsonl", default=None, help="write the trace through to this JSONL file")
     p.add_argument("--spans", action="store_true", help="render the span tree (durations + per-cause breakdown)")
     p.add_argument("--kind", default=None, help="only print events of this kind (e.g. clean.segment)")

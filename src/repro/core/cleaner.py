@@ -61,20 +61,29 @@ class CleanerStats:
     blocks_rescued: int = 0
     blocks_lost: int = 0
 
-    @property
-    def fraction_empty(self) -> float:
-        """Fraction of cleaned segments that were totally empty."""
-        if not self.segments_cleaned:
-            return 0.0
-        return self.empty_segments_cleaned / self.segments_cleaned
+    def table2(self, since: int = 0) -> dict[str, float | int]:
+        """Table 2's cleaning numbers over ``cleaned_utilizations[since:]``.
 
-    @property
-    def avg_nonempty_utilization(self) -> float:
-        """Mean utilization of the non-empty segments cleaned (Table 2's u)."""
-        nonempty = [u for u in self.cleaned_utilizations if u > 0.0]
-        if not nonempty:
-            return 0.0
-        return sum(nonempty) / len(nonempty)
+        ``since`` windows the summary to the cleanings after a baseline
+        count (``run_production`` measures only after its aging phase).
+        The average u is over the non-empty segments, as in the paper.
+        """
+        utils = self.cleaned_utilizations[since:]
+        empty = sum(1 for u in utils if u == 0.0)
+        nonempty = [u for u in utils if u > 0.0]
+        return {
+            "segments_cleaned": len(utils),
+            "empty_segments_cleaned": empty,
+            "fraction_empty": (empty / len(utils)) if utils else 0.0,
+            "avg_nonempty_utilization": (sum(nonempty) / len(nonempty)) if nonempty else 0.0,
+        }
+
+    def figure6(self, bins: int = 20) -> list[int]:
+        """Figure 6: how many cleaned segments fell in each u bin."""
+        counts = [0] * bins
+        for u in self.cleaned_utilizations:
+            counts[min(bins - 1, int(u * bins))] += 1
+        return counts
 
 
 class Cleaner:
@@ -197,9 +206,14 @@ class Cleaner:
                 if not chosen:
                     break
                 before = self._free_blocks()
+                recorded = len(self.stats.cleaned_utilizations)
                 try:
                     cleaned += self._clean_pass(chosen)
                 except MediaError as exc:
+                    # The pass cleaned none of its victims: forget the
+                    # utilizations it recorded, or Table 2 would average
+                    # over segments that were never cleaned.
+                    del self.stats.cleaned_utilizations[recorded:]
                     # A victim turned out to sit on failing media. Salvage
                     # what still verifies and retire the segment; the next
                     # iteration re-selects without it.

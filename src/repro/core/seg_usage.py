@@ -63,15 +63,14 @@ class SegmentUsageTable:
         self.clean_count = num_segments
         self._dirty_blocks: set[int] = set()
         self.block_addrs: list[int] = [NULL_ADDR] * self.num_blocks
-        # Optional mutation observer: called as observer(seg_no, record,
-        # when) after every per-segment state change (when is the write
-        # time for add_live, else None). The obs-layer segment ledger
-        # installs one to mirror liveness; None costs a single check.
+        # Optional mutation observer: called as observer(seg_no, record)
+        # after every per-segment state change. The obs-layer segment
+        # ledger installs one to mirror liveness; None costs one check.
         self.observer = None
 
     def _notify(self, seg_no: int) -> None:
         if self.observer is not None:
-            self.observer(seg_no, self._segments[seg_no], None)
+            self.observer(seg_no, self._segments[seg_no])
 
     def _set_clean(self, seg: SegmentUsage, clean: bool) -> None:
         if seg.clean != clean:
@@ -114,7 +113,7 @@ class SegmentUsageTable:
             seg.last_write = when
         self._dirty_blocks.add(seg_no // self.entries_per_block)
         if self.observer is not None:
-            self.observer(seg_no, seg, when)
+            self.observer(seg_no, seg)
 
     def remove_live(self, seg_no: int, nbytes: int) -> None:
         """Account bytes that just died (overwrite, delete, truncate)."""
@@ -125,7 +124,7 @@ class SegmentUsageTable:
         seg.live_bytes = live if live > 0 else 0
         self._dirty_blocks.add(seg_no // self.entries_per_block)
         if self.observer is not None:
-            self.observer(seg_no, seg, None)
+            self.observer(seg_no, seg)
 
     def mark_clean(self, seg_no: int) -> None:
         """Return a segment to the clean pool (after cleaning)."""

@@ -328,8 +328,8 @@ class LogWriter:
             self.usage.add_live(segment, 0, now)  # stamp write time
             obs = self.disk.obs
             if obs is not None:
-                # Mirrors the stats.count() calls below exactly, so trace
-                # derivation reproduces blocks_by_kind bit-for-bit.
+                # Mirrors the stats.count() calls below exactly, so the
+                # summed trace kinds equal blocks_by_kind bit-for-bit.
                 evt = dict(
                     segment=segment,
                     seq=self.seq,

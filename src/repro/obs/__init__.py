@@ -13,14 +13,15 @@ Three pieces, usable together (via :class:`Observation`) or alone:
   over the previously scattered counter structs (``IOStats``,
   ``CleanerStats``, ``LFSStats``, ``LogWriteStats``, ``FFSStats``).
 
-:mod:`repro.obs.derive` rederives the paper's Table 2 and Table 4
-numbers from trace events and cross-checks them bit-identically against
-the legacy counters.
+The paper's Table 2, Table 4 and Figure 6 are not computed here: the
+cleaner and log-writer counters (``CleanerStats.table2``/``figure6``,
+``LFS.log_bandwidth_breakdown``) are their one accounting, and the trace
+records the same occurrences event by event.
 
 The segment-lifecycle observatory builds on the tracer's subscriber
 hook: :mod:`repro.obs.spans` adds nested scopes with simulated-time
 durations, :mod:`repro.obs.ledger` reconstructs every segment's life
-(birth, writes, decay, death) with live Figure 6 / Table 2 views,
+(birth, writes, decay, death) and mirrors its live bytes,
 :mod:`repro.obs.watchdog` continuously asserts cross-layer invariants
 and raises a typed :class:`InvariantViolation` on the offending event,
 and :mod:`repro.obs.report` emits run reports and bench-to-bench

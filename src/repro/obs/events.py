@@ -39,8 +39,8 @@ kind               fields
 
 Events emitted while a tenant attribution scope is open additionally
 carry a ``tenant`` field (the server wraps every request it services in
-one), so per-tenant views — busy-time rows, the ledger's
-blocks-by-tenant breakdown — derive from the same stream.
+one), so per-tenant views such as the busy-time rows derive from the
+same stream.
 
 Spans are nested scopes (a clean pass, a checkpoint, a scrub, a
 recovery) emitted into the same stream: ``span.begin`` opens a scope,
@@ -49,9 +49,9 @@ emitted while a span is open carries a ``span`` field naming the
 innermost scope's id — so a flat trace reconstructs the full tree.
 
 ``log.write``'s ``kinds`` maps :class:`~repro.core.constants.BlockKind`
-*names* to block counts for that partial write, so the Table 4 bandwidth
-breakdown can be rederived from the trace alone and compared
-bit-identically with the legacy ``LogWriteStats`` counters.
+*names* to block counts for that partial write; summed over a trace
+they equal the ``LogWriteStats.blocks_by_kind`` counters that Table 4
+reads.
 """
 
 from __future__ import annotations

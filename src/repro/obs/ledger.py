@@ -9,24 +9,19 @@ counters give totals; the ledger reconstructs lives.
 It subscribes to the tracer (``log.segment_open`` / ``log.write`` /
 ``clean.segment`` / ``clean.quarantine``) for lifecycle edges and
 installs a :class:`~repro.core.seg_usage.SegmentUsageTable` observer for
-byte-level liveness, maintaining per segment: birth sequence number,
-block kinds written during its life, bounded utilization-over-time
-samples, age at cleaning, and death cause. From closed lives it derives
-the Figure 6 distribution and the Table 2 summary via the *same*
-arithmetic as the legacy counters (:func:`repro.obs.derive.cleaning_summary`),
-so the two paths agree bit-identically — and the watchdog can hold them
-to that continuously.
+byte-level liveness, maintaining per segment: writes, live bytes, age at
+cleaning, and death cause. Table 2 and Figure 6 are not computed here:
+``CleanerStats`` is their one accounting.
 
 The byte mirror tracks **every** segment (not just ones with an open
-life), so ``total_live_bytes()`` and ``utilization_histogram()`` must
-equal the usage table's own answers exactly, at any instant.
+life), so ``total_live_bytes()`` must equal the usage table's own answer
+exactly, at any instant — the watchdog holds it to that.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.obs.derive import cleaning_summary
 from repro.obs.events import (
     CLEAN_QUARANTINE,
     CLEAN_SEGMENT,
@@ -39,11 +34,6 @@ from repro.obs.events import (
     Event,
 )
 
-#: Cap on utilization-over-time samples retained per life; when full,
-#: every other sample is discarded and the stride doubles, keeping a
-#: bounded, evenly thinned history however long the life runs.
-MAX_SAMPLES = 64
-
 
 @dataclass
 class SegmentLife:
@@ -51,17 +41,9 @@ class SegmentLife:
 
     segment: int
     opened_at: float
-    birth_seq: int | None = None
     writes: int = 0
-    blocks_by_kind: dict[str, int] = field(default_factory=dict)
-    #: tenant -> blocks written into this segment on that tenant's
-    #: behalf (``log.write`` events emitted inside a tenant scope);
-    #: blocks written outside any scope are not tenant-attributed.
-    blocks_by_tenant: dict[str, int] = field(default_factory=dict)
     live_bytes: int = 0
     last_write: float = 0.0
-    #: (time, live_bytes) samples, thinned to at most MAX_SAMPLES
-    samples: list[tuple[float, int]] = field(default_factory=list)
     death_cause: str | None = None  # "cleaned" | "cleaned-empty" | "quarantined"
     death_time: float | None = None
     death_utilization: float | None = None
@@ -85,13 +67,12 @@ class SegmentLedger:
         self.lives: dict[int, SegmentLife] = {}
         #: closed lives, in death order
         self.history: list[SegmentLife] = []
-        #: mirror of CleanerStats.cleaned_utilizations, in event order
-        self.cleaned_utilizations: list[float] = []
+        #: ``clean.segment`` events seen
+        self.segments_cleaned = 0
         #: segments retired by media errors (never to be reopened)
         self.quarantined: set[int] = set()
         #: byte-level mirror of the usage table: seg -> (live, clean, quar)
         self._mirror: dict[int, tuple[int, bool, bool]] = {}
-        self._sample_stride: dict[int, int] = {}
         self._fs = None
         # Flash lifecycle totals (all zero off flash).
         self.erase_events = 0
@@ -132,7 +113,7 @@ class SegmentLedger:
             if rec.quarantined:
                 self.quarantined.add(seg_no)
 
-    def on_usage(self, seg_no: int, rec, when: float | None) -> None:
+    def on_usage(self, seg_no: int, rec) -> None:
         """SegmentUsageTable observer: keep the byte mirror exact."""
         self._mirror[seg_no] = (rec.live_bytes, rec.clean, rec.quarantined)
         if rec.quarantined:
@@ -141,14 +122,6 @@ class SegmentLedger:
         if life is not None and not life.closed:
             life.live_bytes = rec.live_bytes
             life.last_write = rec.last_write
-            self._sample(life, when if when is not None else rec.last_write)
-
-    def _sample(self, life: SegmentLife, when: float) -> None:
-        stride = self._sample_stride.setdefault(life.segment, 1)
-        life.samples.append((when, life.live_bytes))
-        if len(life.samples) > MAX_SAMPLES:
-            life.samples = life.samples[::2]
-            self._sample_stride[life.segment] = stride * 2
 
     # ------------------------------------------------------------------
     # event stream
@@ -193,7 +166,6 @@ class SegmentLedger:
             stale.death_cause = "reopened"
             stale.death_time = event.time
             self.history.append(stale)
-        self._sample_stride.pop(seg_no, None)
         mirror = self._mirror.get(seg_no)
         life = SegmentLife(segment=seg_no, opened_at=event.time)
         life.cold = bool(event.fields.get("cold"))
@@ -206,22 +178,11 @@ class SegmentLedger:
         if life is None or life.closed:
             return
         life.writes += 1
-        if life.birth_seq is None:
-            life.birth_seq = event.fields.get("seq")
-        for kind_name, count in event.fields.get("kinds", {}).items():
-            life.blocks_by_kind[kind_name] = life.blocks_by_kind.get(kind_name, 0) + count
-        tenant = event.fields.get("tenant")
-        if tenant is not None:
-            life.blocks_by_tenant[tenant] = (
-                life.blocks_by_tenant.get(tenant, 0) + event.fields.get("blocks", 0)
-            )
 
     def _close_life(self, event: Event, *, cause: str, utilization) -> None:
         seg_no = event.fields["segment"]
         if utilization is not None:
-            # Same float the cleaner appended to its own counter at the
-            # same instant — the bit-identity the watchdog holds us to.
-            self.cleaned_utilizations.append(utilization)
+            self.segments_cleaned += 1
         life = self.lives.pop(seg_no, None)
         if life is None:
             # A segment written before this ledger attached (e.g. cleaned
@@ -250,34 +211,6 @@ class SegmentLedger:
         entry = self._mirror.get(seg_no)
         return entry[0] if entry is not None else 0
 
-    def utilization_histogram(self, bins: int = 20) -> list[int]:
-        """Live per-segment utilization histogram from the mirror.
-
-        Same binning as ``SegmentUsageTable.utilization_histogram`` (clean
-        and quarantined segments excluded), so the two are comparable
-        integer-for-integer.
-        """
-        counts = [0] * bins
-        if not self.segment_bytes:
-            return counts
-        for live, clean, quarantined in self._mirror.values():
-            if clean or quarantined:
-                continue
-            u = min(1.0, live / self.segment_bytes)
-            counts[min(bins - 1, int(u * bins))] += 1
-        return counts
-
-    def figure6_distribution(self, bins: int = 20) -> list[int]:
-        """Figure 6: distribution of segment utilization *at cleaning*."""
-        counts = [0] * bins
-        for u in self.cleaned_utilizations:
-            counts[min(bins - 1, int(u * bins))] += 1
-        return counts
-
-    def table2_summary(self) -> dict:
-        """Table 2's cleaning stats via the shared derive arithmetic."""
-        return cleaning_summary(self.cleaned_utilizations)
-
     def death_causes(self) -> dict[str, int]:
         causes: dict[str, int] = {}
         for life in self.history:
@@ -296,7 +229,7 @@ class SegmentLedger:
             "mean_age_at_death": (sum(ages) / len(ages)) if ages else 0.0,
             "mean_writes_per_life": (sum(writes) / len(writes)) if writes else 0.0,
             "total_live_bytes": self.total_live_bytes(),
-            "segments_cleaned": len(self.cleaned_utilizations),
+            "segments_cleaned": self.segments_cleaned,
         }
         if self.erase_events or self.trim_events:
             all_lives = list(self.lives.values()) + self.history

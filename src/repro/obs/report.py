@@ -132,10 +132,7 @@ def build_report(
         if hasattr(fs, "cleaner"):
             stats = fs.cleaner.stats
             fs_section["cleaning"] = {
-                "segments_cleaned": stats.segments_cleaned,
-                "empty_segments_cleaned": stats.empty_segments_cleaned,
-                "fraction_empty": stats.fraction_empty,
-                "avg_nonempty_utilization": stats.avg_nonempty_utilization,
+                **stats.table2(),
                 "live_blocks_seen": stats.live_blocks_seen,
                 "live_blocks_moved": stats.live_blocks_moved,
                 "blocks_rescued": stats.blocks_rescued,
@@ -144,8 +141,9 @@ def build_report(
         report["fs"] = fs_section
     if ledger is not None:
         report["ledger"] = ledger.stats()
-        report["table2"] = ledger.table2_summary()
-        report["figure6_distribution"] = ledger.figure6_distribution()
+    if hasattr(fs, "cleaner"):
+        report["table2"] = fs.cleaner.stats.table2()
+        report["figure6_distribution"] = fs.cleaner.stats.figure6()
     for section in sections:
         if not report.get(section):
             report[section] = None  # requested, but nothing ran under it

@@ -2,10 +2,9 @@
 
 A :class:`Tracer` is deliberately dumb — it timestamps, filters, and
 stores. Retention is a bounded ring (``capacity=None`` for unbounded,
-which derivation-heavy harnesses use so no ``clean.segment`` or
-``log.write`` event is ever dropped), optionally restricted to a set of
-kinds so a long production run can record only the events it will derive
-tables from. ``emitted_counts`` always counts every emit, before the
+which harnesses use when they compare every ``clean.segment`` or
+``log.write`` event against the counters), optionally restricted to a
+set of kinds so a long production run records only the events it needs. ``emitted_counts`` always counts every emit, before the
 kind filter and before ring eviction, so a summary stays truthful even
 when the ring dropped events; ``dropped`` counts ring evictions
 explicitly so a bounded run can *say* how much history it lost.

@@ -160,18 +160,16 @@ def run_production(config: ProductionConfig, *, obs=None) -> ProductionResult:
     fs.checkpoint()
     live_files = fs.imap.live_count
     total_bytes = sum(fs.get_inode(i).size for i in fs.imap.allocated_inums())
-    cleaned = fs.cleaner.stats.cleaned_utilizations[baseline.cleaned_count :]
-    empty = sum(1 for u in cleaned if u == 0.0)
-    nonempty = [u for u in cleaned if u > 0.0]
+    cleaning = fs.cleaner.stats.table2(baseline.cleaned_count)
     return ProductionResult(
         name=config.name,
         disk_mb=config.disk_mb,
         avg_file_kb=(total_bytes / live_files / 1024.0) if live_files else 0.0,
         traffic_mb=config.traffic_mb,
         in_use=fs.disk_capacity_utilization,
-        segments_cleaned=len(cleaned),
-        fraction_empty=(empty / len(cleaned)) if cleaned else 0.0,
-        avg_cleaned_u=(sum(nonempty) / len(nonempty)) if nonempty else 0.0,
+        segments_cleaned=cleaning["segments_cleaned"],
+        fraction_empty=cleaning["fraction_empty"],
+        avg_cleaned_u=cleaning["avg_nonempty_utilization"],
         write_cost=baseline.write_cost_since(fs),
         seg_utilizations=fs.segment_utilizations(),
     )

@@ -364,3 +364,40 @@ class TestWriteCostAccounting:
         fs.write_file("/f", b"x" * 409600)
         fs.sync()
         assert 0.0 < fs.disk_capacity_utilization < 1.0
+
+
+class TestAbortedPass:
+    def test_a_pass_cut_short_by_rot_records_no_utilizations(self):
+        """A media error aborts a pass before any victim is marked clean,
+        so none of its victims may stay in Table 2's utilization list."""
+        fs = LFS.format(Disk(DiskGeometry.wren4(num_blocks=4096)), small_config())
+        for i in range(60):
+            fs.write_file(f"/f{i}", bytes([i]) * 30000)
+        for i in range(0, 60, 2):
+            fs.write_file(f"/f{i}", bytes([i + 1]) * 30000)
+        fs.sync()
+        fs.checkpoint()
+        victims = [
+            s for s in fs.cleaner.select_segments(fs.config.segments_per_pass)
+            if fs.usage.get(s).live_bytes > 0
+        ]
+        start = fs.layout.segment_start(victims[1])
+        addr = next(
+            start + step.offset + 1 + i
+            for step in walk_segment(
+                fs.disk.peek, fs.disk.peek, start, fs.config.segment_blocks,
+                fs.config.block_size, seq_limit=fs.writer.seq,
+            )
+            if isinstance(step, SegmentWrite)
+            for i, entry in enumerate(step.summary.entries)
+            if entry.kind == BlockKind.DATA
+            and fs.cleaner._entry_live(entry, start + step.offset + 1 + i)
+        )
+        raw = bytearray(fs.disk.peek(addr))
+        raw[7] ^= 0x10
+        fs.disk.corrupt_block(addr, bytes(raw))
+        fs.clean_now(fs.usage.clean_count + 4)
+        stats = fs.cleaner.stats
+        assert stats.segments_quarantined == 1
+        assert len(stats.cleaned_utilizations) == stats.segments_cleaned
+        assert stats.table2()["empty_segments_cleaned"] == stats.empty_segments_cleaned

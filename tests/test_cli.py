@@ -196,7 +196,20 @@ class TestObservedWorkloads:
     @pytest.mark.parametrize("workload", WORKLOADS)
     def test_trace_cross_check_passes(self, workload, capsys):
         assert main(["trace", "--workload", workload, *SIZES]) == 0
-        assert "agrees bit-identically" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "Table 2 inputs, from the cleaner counters" in out
+        assert "Table 4, from the log-writer counters" in out
+
+    def test_bounded_ring_keeps_the_tables(self, capsys):
+        def tables(*ring):
+            assert main(["trace", "--workload", "production", *SIZES, *ring]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            start = next(i for i, l in enumerate(lines) if l.startswith("cleaning (Table 2"))
+            return lines[start:start + 12]
+
+        bounded = tables("--ring", "64")
+        assert bounded == tables()
+        assert bounded[-1].startswith("  summary")
 
     @pytest.mark.parametrize("workload", WORKLOADS)
     def test_report_runs(self, workload, tmp_path, capsys):

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from repro.core.cache import BlockCache
-from repro.core.cleaner import Cleaner
+from repro.core.cleaner import Cleaner, CleanerStats
 from repro.core.filesystem import LFS
 from repro.disk.device import Disk
 from repro.disk.geometry import DiskGeometry
@@ -25,13 +25,6 @@ from repro.obs import (
     load_trace_jsonl,
     scrape,
 )
-from repro.obs.derive import (
-    TABLE_KINDS,
-    cleaned_utilizations,
-    cleaning_summary,
-    cross_check,
-    log_bandwidth_breakdown,
-)
 from repro.obs.events import (
     CHECKPOINT_WRITE,
     CLEAN_SEGMENT,
@@ -42,6 +35,21 @@ from repro.obs.events import (
 )
 
 from tests.conftest import small_config
+
+
+def assert_trace_matches_counters(obs) -> None:
+    """The trace records what the counters count: each cleaned
+    segment's utilization, in order, and each log write's blocks by kind."""
+    cleaner = obs.registry.source("cleaner")
+    utils = [e.fields["utilization"] for e in obs.tracer.events(CLEAN_SEGMENT)]
+    assert utils == cleaner.cleaned_utilizations
+    kinds: dict[str, int] = {}
+    for event in obs.tracer.events(LOG_WRITE):
+        for name, count in event.fields["kinds"].items():
+            kinds[name] = kinds.get(name, 0) + count
+    log = obs.registry.source("log")
+    assert kinds == {kind.name: n for kind, n in log.blocks_by_kind.items() if n}
+    assert sum(kinds.values()) == log.total_blocks
 
 
 # ----------------------------------------------------------------------
@@ -508,11 +516,8 @@ class TestObservationWiring:
         assert fs.cleaner.stats.live_blocks_moved > 0
         assert obs.attribution.seconds[CLEANING_READ] > 0.0
         assert obs.attribution.seconds[CLEANING_WRITE] > 0.0
-        clean_events = obs.tracer.events(CLEAN_SEGMENT)
-        assert [e.fields["utilization"] for e in clean_events] == (
-            fs.cleaner.stats.cleaned_utilizations
-        )
-        assert cross_check(obs) == []
+        assert fs.cleaner.stats.cleaned_utilizations
+        assert_trace_matches_counters(obs)
 
     def test_untraced_fs_has_no_obs(self, fs):
         assert fs.obs is None
@@ -535,7 +540,7 @@ class TestWorkloadAgreement:
             geometry=DiskGeometry.wren4(block_size=1024, num_blocks=16384),
             obs=obs,
         )
-        assert cross_check(obs) == []
+        assert_trace_matches_counters(obs)
         assert obs.tracer.events(LOG_WRITE)
 
     def test_andrew_trace_matches_counters(self):
@@ -544,27 +549,41 @@ class TestWorkloadAgreement:
         obs = Observation(ring_capacity=None)
         result = run_andrew("lfs", obs=obs)
         assert result.total > 0
-        assert cross_check(obs) == []
+        assert_trace_matches_counters(obs)
 
     def test_filtered_ring_still_derives_tables(self):
         from repro.workloads.smallfile import run_smallfile
 
-        obs = Observation(ring_capacity=None, kinds=TABLE_KINDS)
-        run_smallfile(
-            "lfs",
-            num_files=200,
-            geometry=DiskGeometry.wren4(block_size=1024, num_blocks=16384),
-            obs=obs,
-        )
-        breakdown = log_bandwidth_breakdown(obs.tracer.events())
-        assert breakdown["data"] > 0
-        assert cross_check(obs) == []
+        tables = []
+        for kinds in (None, (DISK_WRITE,)):
+            obs = Observation(ring_capacity=None, kinds=kinds)
+            run_smallfile(
+                "lfs",
+                num_files=200,
+                geometry=DiskGeometry.wren4(block_size=1024, num_blocks=16384),
+                obs=obs,
+            )
+            fs = obs._fs
+            tables.append((fs.cleaner.stats.table2(), fs.log_bandwidth_breakdown()))
+        # The filter drops every clean.segment and log.write event, and
+        # the tables come from the counters, so they do not move.
+        assert not obs.tracer.events(LOG_WRITE)
+        assert tables[0] == tables[1]
+        assert tables[0][1]["data"] > 0
 
     def test_cleaning_summary_arithmetic(self):
-        utils = [0.0, 0.5, 0.0, 0.25]
-        summary = cleaning_summary(utils)
+        stats = CleanerStats(cleaned_utilizations=[0.0, 0.5, 0.0, 0.25])
+        summary = stats.table2()
         assert summary["segments_cleaned"] == 4
         assert summary["empty_segments_cleaned"] == 2
         assert summary["fraction_empty"] == 0.5
         assert summary["avg_nonempty_utilization"] == 0.375
-        assert cleaned_utilizations([]) == []
+        # windowed: only the cleanings after a baseline count
+        assert stats.table2(since=2) == {
+            "segments_cleaned": 2,
+            "empty_segments_cleaned": 1,
+            "fraction_empty": 0.5,
+            "avg_nonempty_utilization": 0.25,
+        }
+        assert CleanerStats().table2()["avg_nonempty_utilization"] == 0.0
+        assert stats.figure6(bins=4) == [2, 1, 1, 0]

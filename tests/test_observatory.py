@@ -28,7 +28,6 @@ from repro.obs import (
     render_report,
     render_span_tree,
 )
-from repro.obs.derive import cleaning_summary
 from repro.obs.events import (
     CHECKPOINT_WRITE,
     DISK_READ,
@@ -39,7 +38,6 @@ from repro.obs.events import (
     SPAN_BEGIN,
     SPAN_END,
 )
-from repro.obs.ledger import MAX_SAMPLES
 from repro.obs.report import BenchFormatError
 
 from tests.conftest import small_config
@@ -175,13 +173,19 @@ class TestSegmentLedger:
         fs.checkpoint()
         stats = fs.cleaner.stats
         assert stats.segments_cleaned > 0, "workload never triggered cleaning"
-        # The ledger appended the *same floats* the cleaner's counters did.
-        assert ledger.cleaned_utilizations == stats.cleaned_utilizations
-        assert ledger.table2_summary() == cleaning_summary(stats.cleaned_utilizations)
+        report = build_report(obs, fs, ledger)
         legacy_fig6 = [0] * 20
         for u in stats.cleaned_utilizations:
             legacy_fig6[min(19, int(u * 20))] += 1
-        assert ledger.figure6_distribution() == legacy_fig6
+        assert report["figure6_distribution"] == legacy_fig6
+        nonempty = [u for u in stats.cleaned_utilizations if u > 0.0]
+        assert report["table2"] == {
+            "segments_cleaned": stats.segments_cleaned,
+            "empty_segments_cleaned": stats.empty_segments_cleaned,
+            "fraction_empty": stats.empty_segments_cleaned / stats.segments_cleaned,
+            "avg_nonempty_utilization": (sum(nonempty) / len(nonempty)) if nonempty else 0.0,
+        }
+        assert report["ledger"]["segments_cleaned"] == stats.segments_cleaned
 
     def test_mirror_matches_usage_table_exactly(self):
         obs, ledger, _, _, fs = observed_fs()
@@ -190,7 +194,6 @@ class TestSegmentLedger:
         fs.clean_now(fs.usage.clean_count + 4)
         fs.checkpoint()
         assert ledger.total_live_bytes() == fs.usage.total_live_bytes()
-        assert ledger.utilization_histogram() == fs.usage.utilization_histogram()
         for seg_no in range(fs.usage.num_segments):
             assert ledger.live_bytes_of(seg_no) == fs.usage.get(seg_no).live_bytes
 
@@ -205,10 +208,9 @@ class TestSegmentLedger:
             assert life.death_cause in ("cleaned", "cleaned-empty", "quarantined")
             assert life.death_time is not None
             assert life.age_at_death is not None and life.age_at_death >= 0.0
-            assert len(life.samples) <= MAX_SAMPLES
         # at least one non-empty victim has a real biography
         cleaned = [l for l in ledger.history if l.death_cause == "cleaned"]
-        assert any(l.writes > 0 and l.birth_seq is not None for l in cleaned)
+        assert any(l.writes > 0 for l in cleaned)
         stats = ledger.stats()
         assert stats["lives_closed"] == len(ledger.history)
         assert stats["segments_cleaned"] == fs.cleaner.stats.segments_cleaned
@@ -507,9 +509,7 @@ class TestRunReport:
         assert report["ledger"]["segments_cleaned"] == (
             fs.cleaner.stats.segments_cleaned
         )
-        assert report["table2"] == cleaning_summary(
-            fs.cleaner.stats.cleaned_utilizations
-        )
+        assert report["table2"] == fs.cleaner.stats.table2()
         text = render_report(report)
         assert "write cost" in text
         assert "busy-time attribution" in text
