@@ -52,7 +52,7 @@ NUM_FILES = 8
 FILE_SIZE = 4096
 
 
-def build_config(staging: bool) -> LFSConfig:
+def build_config() -> LFSConfig:
     return LFSConfig(
         segment_bytes=512 * 1024,
         max_inodes=256,
@@ -61,7 +61,6 @@ def build_config(staging: bool) -> LFSConfig:
         clean_low_water=0,
         clean_high_water=0,
         sync_flush_barrier=True,
-        nvram_staging=staging,
     )
 
 
@@ -69,7 +68,7 @@ def run_arm(staging: bool, commits: int, payload: int, seed: int) -> dict:
     """One arm of the experiment; returns simulated-time measurements."""
     disk = Disk(DiskGeometry.wren4(num_blocks=16384))
     nvm = NVMDevice(clock=disk.clock) if staging else None
-    fs = LFS.format(disk, build_config(staging), nvram=nvm)
+    fs = LFS.format(disk, build_config(), nvram=nvm)
     rng = random.Random(seed)
     for i in range(NUM_FILES):
         fs.write_file(f"/f{i}", b"\x00" * FILE_SIZE)

@@ -65,6 +65,9 @@ class LFSConfig:
             crash the battery holds the buffer up long enough to flush it
             and checkpoint, so no buffered writes are lost. A power cut
             that kills the disk itself still loses the in-flight write.
+            NVM write-ahead staging, which survives a power cut too, is
+            not a knob: pass an NVM device to ``LFS.format``/``LFS.mount``
+            (:mod:`repro.core.nvlog`).
         media_error_budget: unrecoverable media/corruption errors the
             read path tolerates before the file system degrades to
             read-only mode (writes then fail fast as ``ReadOnlyError``
@@ -85,24 +88,6 @@ class LFSConfig:
             across the device. Only meaningful on a flash disk; off by
             default so HDD-profile victim selection stays bit-identical
             to the reference oracle.
-        nvram_staging: absorb ``sync()``/``fsync()`` into CRC-framed
-            records appended to a byte-addressable NVM staging log (the
-            paper's "non-volatile RAM may be used for the write buffer"
-            future work, in its modern NVLog shape) instead of forcing a
-            synchronous segment write. Covered data stays dirty in the
-            cache until an ordinary flush destages it to the log, after
-            which the NVM log is truncated — so the NVM log is always
-            exactly the acknowledged-but-not-yet-on-disk suffix. Requires
-            an NVM device to be passed to ``LFS.format``/``LFS.mount``;
-            off by default so all existing recordings and digests are
-            untouched. Unlike ``battery_backed_buffer`` (which flushes
-            during an orderly OS crash), NVM staging survives a hard
-            power cut: surviving records are replayed after roll-forward.
-        nvram_destage_bytes: destage (flush + truncate the NVM log) once
-            this many bytes of records are staged. 0 means one segment's
-            worth (``segment_bytes``) — the paper-shaped "write the data
-            to disk in a single large I/O" batch. The device's capacity
-            is a second, hard bound.
         sync_flush_barrier: charge a synchronous flush's first disk
             request half a rotation of latency even when it lands
             sequentially — a lone synchronous writer has let the platter
@@ -130,8 +115,6 @@ class LFSConfig:
     media_error_budget: int = 8
     hot_cold_segregation: bool = False
     wear_leveling: bool = False
-    nvram_staging: bool = False
-    nvram_destage_bytes: int = 0
     sync_flush_barrier: bool = False
 
     def __post_init__(self) -> None:
@@ -157,8 +140,6 @@ class LFSConfig:
             raise ValueError("selective_read_utilization must be in [0, 1]")
         if self.media_error_budget < 0:
             raise ValueError("media_error_budget must be >= 0")
-        if self.nvram_destage_bytes < 0:
-            raise ValueError("nvram_destage_bytes must be >= 0")
 
     @property
     def segment_blocks(self) -> int:

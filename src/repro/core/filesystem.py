@@ -47,21 +47,25 @@ from repro.core.errors import (
     NoSpaceError,
     NotADirectoryError_,
     NotMountedError,
-    NVMDeviceFailedError,
-    NVMError,
     ReadOnlyError,
 )
 from repro.core.inode import Inode, inodes_per_block, pack_inode_block, unpack_inode_block
 from repro.core.inode_map import InodeMap
 from repro.core.mapping import FileMap
-from repro.core.nvlog import NVDirOp, NVMeta, NVPatch, pack_body
+from repro.core.nvlog import NVLog
 from repro.core.seg_usage import SegmentUsageTable
 from repro.core.segments import LogItem, LogWriter
 from repro.core.summary import SegmentGap, walk_segment
 from repro.core.superblock import Superblock
 from repro.disk.device import Disk
-from repro.obs.attribution import CHECKPOINT, CLEANING_WRITE, DATA_WRITE, NVM_DESTAGE
-from repro.obs.events import CACHE_FLUSH, FLASH_TRIM, FS_SYNC, NVM_FAIL
+from repro.obs.attribution import (
+    CHECKPOINT,
+    CLEANING_WRITE,
+    DATA_WRITE,
+    NVM_DESTAGE,
+    write_cost,
+)
+from repro.obs.events import CACHE_FLUSH, FLASH_TRIM, FS_SYNC
 
 # Shared no-op context for the untraced path: one instance, no allocation
 # per flush when observability is off.
@@ -107,7 +111,9 @@ class LFS:
     crash). Paths are ``/``-separated absolute strings.
     """
 
-    def __init__(self, disk: Disk, config: LFSConfig, layout: DiskLayout) -> None:
+    def __init__(
+        self, disk: Disk, config: LFSConfig, layout: DiskLayout, nvram=None
+    ) -> None:
         self.disk = disk
         self.config = config
         self.layout = layout
@@ -152,21 +158,11 @@ class LFS:
         self.read_only = False
         self.media_errors_seen = 0
         self._read_only_reason: str | None = None
-        # NVM write-ahead staging (``config.nvram_staging``): the second
-        # persistence domain. ``nvram`` is the staging device (attached by
-        # format/mount); the bookkeeping below tracks which pending state
-        # the staging log already covers, so each sync stages only the
-        # delta since the previous record:
-        #  - ``_nvm_staged_dirops``: count of ``_pending_dirops`` entries
-        #    already staged (reset when a flush consumes the list);
-        #  - ``_nvm_dirty_ranges``: inum -> fbn -> merged (start, end)
-        #    byte ranges written since the last record/flush;
-        #  - ``_nvm_staged_meta``: inum -> (size, mtime) last staged, so
-        #    unchanged metadata is not re-staged every fsync.
-        self.nvram = None
-        self._nvm_staged_dirops = 0
-        self._nvm_dirty_ranges: dict[int, dict[int, list[tuple[int, int]]]] = {}
-        self._nvm_staged_meta: dict[int, tuple[int, float]] = {}
+        # NVM write-ahead staging, the second persistence domain: present
+        # only when format/mount were handed a staging device (passing one
+        # is the opt-in — it may hold acknowledged records from before a
+        # crash, and ignoring it would silently lose them).
+        self.nvlog = NVLog(self, nvram) if nvram is not None else None
         # Segments whose on-disk summaries have been folded into the
         # writer's CRC index (lazy back-fill for pre-mount writes).
         self._crc_indexed_segments: set[int] = set()
@@ -188,9 +184,9 @@ class LFS:
         ``obs`` (a :class:`repro.obs.Observation`) is attached before the
         first write so the trace covers the whole session, including the
         format-time checkpoint. ``nvram`` (a
-        :class:`~repro.disk.nvram.NVMDevice`) supplies the staging board
-        when ``config.nvram_staging`` is on; omitted, a default board is
-        created sharing the disk's clock.
+        :class:`~repro.disk.nvram.NVMDevice`) attaches NVM write-ahead
+        staging (:class:`~repro.core.nvlog.NVLog`); omitted, syncs flush
+        to the log.
         """
         config = config if config is not None else LFSConfig()
         if config.block_size != disk.geometry.block_size:
@@ -200,8 +196,7 @@ class LFS:
             )
         align = getattr(disk.geometry, "erase_block_blocks", 1) or 1
         layout = compute_layout(config, disk.geometry.num_blocks, align=align)
-        fs = cls(disk, config, layout)
-        fs._attach_nvram(nvram)
+        fs = cls(disk, config, layout, nvram)
         if obs is not None:
             obs.attach(fs)
         sb = Superblock.from_layout(config, layout)
@@ -245,7 +240,8 @@ class LFS:
         to the scavenger (:func:`repro.core.recovery.scavenge`), rebuilding
         the inode map and segment usage table from segment summaries alone;
         pass ``scavenge=False`` to surface the :class:`CorruptionError`
-        instead.
+        instead. ``nvram`` attaches staging as in :meth:`format`; its
+        surviving records replay after the log is recovered.
         """
         sb = Superblock.from_bytes(disk.read_block(0))
         runtime = config if config is not None else LFSConfig()
@@ -259,8 +255,7 @@ class LFS:
         layout = compute_layout(merged, disk.geometry.num_blocks, align=align)
         if layout.num_segments != sb.num_segments or layout.segment_area_start != sb.segment_area_start:
             raise CorruptionError("superblock layout does not match device geometry")
-        fs = cls(disk, merged, layout)
-        fs._attach_nvram(nvram)
+        fs = cls(disk, merged, layout, nvram)
         if obs is not None:
             obs.attach(fs)
         try:
@@ -274,27 +269,27 @@ class LFS:
             fs.last_recovery = do_scavenge(fs)
             # Scavenge rebuilds the same durable state roll-forward would
             # have reached, so staged records replay on top of it too.
-            fs._nvm_mount_replay(fs.last_recovery)
+            if fs.nvlog is not None:
+                fs.nvlog.mount(fs.last_recovery)
             fs.checkpoint()
             return fs
         fs._load_checkpoint(cp, was_b)
         fs._mounted = True
+        report = None
         if roll_forward:
             from repro.core.recovery import roll_forward as do_roll_forward
 
-            report = do_roll_forward(fs, cp)
-            fs.last_recovery = report
-            fs._nvm_mount_replay(report)
-            if (
-                report.partial_writes_replayed
-                or report.dirops_applied
-                or report.nvm_records_replayed
-            ):
-                fs.checkpoint()
-        else:
-            # Discarding everything after the checkpoint by contract also
-            # discards the staged suffix the records describe.
-            fs._nvm_mount_replay(None, discard=True)
+            report = fs.last_recovery = do_roll_forward(fs, cp)
+        if fs.nvlog is not None:
+            # Without roll-forward the mount discards the post-checkpoint
+            # suffix by contract, and with it the staged records.
+            fs.nvlog.mount(report, discard=not roll_forward)
+        if report is not None and (
+            report.partial_writes_replayed
+            or report.dirops_applied
+            or report.nvm_records_replayed
+        ):
+            fs.checkpoint()
         # Capture the CRC index for every in-log segment while its
         # summaries are known-good: a scrub can then convict a block whose
         # own summary rots away later, including the final summary of a
@@ -341,27 +336,6 @@ class LFS:
         for addr, payload in loaded:
             self._verify_log_payload(addr, payload)
 
-    def _attach_nvram(self, nvram) -> None:
-        """Bind the NVM staging board (or build one) when the knob is on.
-
-        The board shares the disk's clock so staging latency and disk
-        latency advance the same simulated timeline. Passing a device is
-        itself the opt-in — it may hold acknowledged records from before
-        a crash, and ignoring it would silently lose them — while the
-        ``nvram_staging`` knob governs auto-creating a default board when
-        none is supplied.
-        """
-        if nvram is None:
-            if not self.config.nvram_staging:
-                self.nvram = None
-                return
-            from repro.disk.nvram import NVMDevice
-
-            nvram = NVMDevice(clock=self.disk.clock)
-        else:
-            nvram.clock = self.disk.clock
-        self.nvram = nvram
-
     def unmount(self) -> None:
         """Checkpoint and detach.
 
@@ -406,11 +380,8 @@ class LFS:
         self._dir_states.clear()
         self._pending_dirops.clear()
         self._pending_trims.clear()
-        # Staging bookkeeping is RAM; the NVM device itself (a second
-        # persistence domain) keeps its records for mount-time replay.
-        self._nvm_staged_dirops = 0
-        self._nvm_dirty_ranges.clear()
-        self._nvm_staged_meta.clear()
+        if self.nvlog is not None:
+            self.nvlog.reset()
 
     @property
     def mounted(self) -> bool:
@@ -758,7 +729,7 @@ class LFS:
         now = self.disk.clock.now
         end = offset + len(data)
         pos = offset
-        track = self.nvram is not None
+        nvlog = self.nvlog
         while pos < end:
             fbn = pos // bs
             block_off = pos % bs
@@ -770,8 +741,8 @@ class LFS:
                 base[block_off : block_off + take] = data[pos - offset : pos - offset + take]
                 payload = bytes(base)
             self.cache.write(inum, fbn, payload, now)
-            if track:
-                self._nvm_note_range(inum, fbn, block_off, block_off + take)
+            if nvlog is not None:
+                nvlog.note_range(inum, fbn, block_off, block_off + take)
             pos += take
         if end > inode.size:
             inode.size = end
@@ -845,7 +816,8 @@ class LFS:
         for _, addr in freed:
             self.usage.remove_live(self.layout.segment_of(addr), bs)
         self.cache.drop_from(inum, first_dead_fbn)
-        self._nvm_trim_ranges(inum, first_dead_fbn)
+        if self.nvlog is not None:
+            self.nvlog.trim_ranges(inum, first_dead_fbn)
         inode.size = size
         inode.mtime = self.disk.clock.now
         if size == 0:
@@ -1007,10 +979,8 @@ class LFS:
         self._filemaps.pop(inum, None)
         self._dir_states.pop(inum, None)
         self._dirty_inodes.discard(inum)
-        # Staged byte ranges die with the file: the inum may be reused,
-        # and a surviving range must never patch a successor's blocks.
-        self._nvm_dirty_ranges.pop(inum, None)
-        self._nvm_staged_meta.pop(inum, None)
+        if self.nvlog is not None:
+            self.nvlog.forget(inum)
 
     # ==================================================================
     # flushing and checkpoints
@@ -1073,12 +1043,8 @@ class LFS:
         bs = self.config.block_size
         now = self.disk.clock.now
 
-        # A flush takes every pending dirop and every dirty block, so the
-        # NVM staging bookkeeping resets with it: once these items are on
-        # disk, nothing the staging log covers is still pending.
-        self._nvm_staged_dirops = 0
-        self._nvm_dirty_ranges.clear()
-        self._nvm_staged_meta.clear()
+        if self.nvlog is not None:
+            self.nvlog.reset()
 
         # -- directory operation log
         if self._pending_dirops:
@@ -1294,47 +1260,63 @@ class LFS:
         self._require_mounted()
         dirty_before = self.cache.dirty_count
         items = self._build_flush_items(include_meta=include_meta, cleaning=cleaning)
-        if not items:
-            self._nvm_truncate_after_flush()
-            return 0
-        if self.obs is not None:
-            self.obs.emit(CACHE_FLUSH, dirty=dirty_before, items=len(items), cleaning=cleaning)
-        with self._cause(cause or (CLEANING_WRITE if cleaning else DATA_WRITE)):
-            writes = self.writer.append(items, cleaning=cleaning, barrier=barrier)
-        self.stats.flushes += 1
-        self._nvm_truncate_after_flush()
-        if self.obs is not None:
+        writes = 0
+        if items:
+            if self.obs is not None:
+                self.obs.emit(CACHE_FLUSH, dirty=dirty_before, items=len(items), cleaning=cleaning)
+            with self._cause(cause or (CLEANING_WRITE if cleaning else DATA_WRITE)):
+                writes = self.writer.append(items, cleaning=cleaning, barrier=barrier)
+            self.stats.flushes += 1
+        if self.nvlog is not None:
+            self.nvlog.truncate_after_flush()
+        if items and self.obs is not None:
             self.obs.timeline_tick()
         return writes
 
     def sync(self) -> None:
         """Make everything pending durable in *some* domain (no checkpoint).
 
-        With NVM staging enabled, the pending sync set — unstaged
-        directory operations, dirty byte ranges, and changed file
+        With an NVM staging board attached, the pending sync set —
+        unstaged directory operations, dirty byte ranges, and changed file
         sizes/mtimes — is absorbed into one CRC-framed staging record and
-        the call returns without touching the disk log. Otherwise
-        (staging off, the record would push the staging log past the
-        destage threshold, or the board has failed) everything dirty is
-        flushed to the on-disk log synchronously; a destage flush charges
+        the call returns without touching the disk log. Otherwise (no
+        board, the record would push the staging log past the destage
+        threshold, or the board has failed) everything dirty is flushed
+        to the on-disk log synchronously; with a board, that flush charges
         its disk time to the ``nvm_destage`` cause.
         """
         self._require_mounted()
-        staged_bytes = self._nvm_try_stage()
+        nvlog = self.nvlog
+        staged_bytes = nvlog.stage() if nvlog is not None else None
         if staged_bytes is None:
             self._ensure_space(self.cache.dirty_count + len(self._dirty_inodes) + 8)
-            destage = self.nvram is not None
             self.flush(
                 barrier=self.config.sync_flush_barrier,
-                cause=NVM_DESTAGE if destage else None,
+                cause=NVM_DESTAGE if nvlog is not None else None,
             )
         if self.obs is not None:
             self.obs.emit(
                 FS_SYNC,
                 staged=staged_bytes is not None,
                 bytes=staged_bytes or 0,
-                unstaged_dirty=self._nvm_uncovered(staged=staged_bytes is not None),
+                unstaged_dirty=(
+                    self._unflushed() if staged_bytes is None
+                    else nvlog.uncovered_after_stage()
+                ),
             )
+
+    def _unflushed(self) -> int:
+        """Acked-sync state the on-disk log does not hold yet: dirty
+        blocks plus unlogged directory operations.
+
+        ``_dirty_inodes`` is deliberately excluded: data placements
+        re-mark inodes dirty while a flush runs, but inode payloads pack
+        lazily *after* every data placement in the same flush, so the
+        durable inode already carries the new addresses — the lingering
+        dirty flags are conservative bookkeeping, not unacknowledged
+        state.
+        """
+        return self.cache.dirty_count + len(self._pending_dirops)
 
     def fsync(self, path: str) -> None:
         """fsync(2): make ``path``'s acknowledged state durable.
@@ -1459,177 +1441,6 @@ class LFS:
                 erased=erased,
             )
 
-    # ==================================================================
-    # NVM write-ahead staging (the second persistence domain)
-
-    def _nvm_note_range(self, inum: int, fbn: int, start: int, end: int) -> None:
-        """Record one written byte range (merged with existing ranges)."""
-        per_fbn = self._nvm_dirty_ranges.setdefault(inum, {})
-        ranges = per_fbn.setdefault(fbn, [])
-        ranges.append((start, end))
-        if len(ranges) > 1:
-            ranges.sort()
-            merged = [ranges[0]]
-            for s, e in ranges[1:]:
-                last_s, last_e = merged[-1]
-                if s <= last_e:
-                    merged[-1] = (last_s, max(last_e, e))
-                else:
-                    merged.append((s, e))
-            per_fbn[fbn] = merged
-
-    def _nvm_trim_ranges(self, inum: int, first_dead_fbn: int) -> None:
-        """Drop staged ranges truncate just invalidated."""
-        per_fbn = self._nvm_dirty_ranges.get(inum)
-        if not per_fbn:
-            return
-        for fbn in [f for f in per_fbn if f >= first_dead_fbn]:
-            del per_fbn[fbn]
-        if not per_fbn:
-            del self._nvm_dirty_ranges[inum]
-
-    def _nvm_collect(self) -> tuple[list[NVDirOp], list[NVPatch], list[NVMeta]]:
-        """The pending sync set as staging entries (consumes no state).
-
-        Directory operations carry the named inode's file type so replay
-        can materialize inodes that never reached the disk log; patches
-        carry exactly the dirty byte ranges; metas are emitted only for
-        files whose (size, mtime) changed since they were last staged.
-        """
-        dirops: list[NVDirOp] = []
-        for rec in self._pending_dirops[self._nvm_staged_dirops :]:
-            inode = self._inodes.get(rec.file_inum)
-            ftype = inode.ftype if inode is not None else FileType.REGULAR
-            dirops.append(NVDirOp(record=rec, ftype=ftype))
-        patches: list[NVPatch] = []
-        bs = self.config.block_size
-        for inum in sorted(self._nvm_dirty_ranges):
-            per_fbn = self._nvm_dirty_ranges[inum]
-            for fbn in sorted(per_fbn):
-                entry = self.cache.peek(inum, fbn)
-                if entry is None:
-                    continue  # truncated away since the range was noted
-                for start, end in per_fbn[fbn]:
-                    patches.append(
-                        NVPatch(
-                            inum=inum,
-                            offset=fbn * bs + start,
-                            data=entry.payload[start:end],
-                        )
-                    )
-        metas: list[NVMeta] = []
-        for inum in sorted(self._dirty_inodes):
-            inode = self._inodes.get(inum)
-            if inode is None or inode.is_directory:
-                continue
-            if self._nvm_staged_meta.get(inum) != (inode.size, inode.mtime):
-                metas.append(NVMeta(inum=inum, size=inode.size, mtime=inode.mtime))
-        return dirops, patches, metas
-
-    def _nvm_try_stage(self) -> int | None:
-        """Absorb the pending sync set into one NVM staging record.
-
-        Returns the staged body size in bytes (0 when nothing was pending
-        — acked trivially), or None when the caller must fall back to a
-        synchronous flush: staging off, the board has failed, or the
-        record would push the staging log past the destage threshold
-        (``nvram_destage_bytes``, default one segment).
-        """
-        nvram = self.nvram
-        if nvram is None or nvram.dead:
-            return None
-        dirops, patches, metas = self._nvm_collect()
-        if not dirops and not patches and not metas:
-            return 0
-        body = pack_body(dirops, patches, metas)
-        from repro.disk.nvram import RECORD_OVERHEAD
-
-        limit = min(
-            nvram.profile.capacity_bytes,
-            self.config.nvram_destage_bytes or self.config.segment_bytes,
-        )
-        if nvram.used_bytes + RECORD_OVERHEAD + len(body) > limit:
-            return None  # destage: batch the staging log out through a flush
-        try:
-            nvram.append_record(body)
-        except NVMDeviceFailedError:
-            # The board died under us. Nothing is lost — everything staged
-            # is still dirty in the cache — so fall back to flushing.
-            self._nvm_note_failure("append")
-            return None
-        except NVMError:
-            return None  # full despite the threshold: destage
-        # Consume the markers only once the record is durable.
-        self._nvm_staged_dirops = len(self._pending_dirops)
-        self._nvm_dirty_ranges.clear()
-        for meta in metas:
-            self._nvm_staged_meta[meta.inum] = (meta.size, meta.mtime)
-        return len(body)
-
-    def _nvm_truncate_after_flush(self) -> None:
-        """Release the staging log once a flush made its records redundant.
-
-        Every flush takes the complete dirty set (and dirty blocks are
-        never evicted), so after any flush the staged records describe
-        only durable state. ``uncovered`` reports what would still be
-        pending — the watchdog asserts it is zero
-        (nvm-truncate-covered-by-disk).
-        """
-        nvram = self.nvram
-        if nvram is None or nvram.dead or nvram.record_count == 0:
-            return
-        nvram.truncate_all(uncovered=self._nvm_uncovered(staged=False))
-
-    def _nvm_uncovered(self, *, staged: bool) -> int:
-        """Acked-sync state covered by neither domain (invariantly zero).
-
-        ``_dirty_inodes`` is deliberately excluded from the post-flush
-        count: data placements re-mark inodes dirty while the flush runs,
-        but inode payloads pack lazily *after* every data placement in
-        the same flush, so the durable inode already carries the new
-        addresses — the lingering dirty flags are conservative
-        bookkeeping, not unacknowledged state.
-        """
-        if staged:
-            ranges = sum(
-                len(per_fbn)
-                for per_fbn in self._nvm_dirty_ranges.values()
-            )
-            return (len(self._pending_dirops) - self._nvm_staged_dirops) + ranges
-        return self.cache.dirty_count + len(self._pending_dirops)
-
-    def _nvm_note_failure(self, reason: str) -> None:
-        """Trace an NVM board failure (graceful fallback, not data loss)."""
-        if self.obs is not None:
-            self.obs.emit(NVM_FAIL, reason=reason)
-
-    def _nvm_mount_replay(self, report, *, discard: bool = False) -> None:
-        """Replay (or intentionally discard) staged records at mount time.
-
-        A dead board is indistinguishable from lost acked records, so it
-        degrades the mount to read-only; ``discard`` serves
-        ``mount(roll_forward=False)``, whose contract already throws away
-        the post-checkpoint suffix the records describe.
-        """
-        nvram = self.nvram
-        if nvram is None:
-            return
-        if nvram.dead:
-            self._degrade_read_only(
-                "NVM staging device failed; acknowledged synchronous "
-                "writes may be lost"
-            )
-            if report is not None:
-                report.nvm_lost = True
-            return
-        if discard:
-            if nvram.record_count:
-                nvram.truncate_all(uncovered=0)
-            return
-        from repro.core.recovery import replay_nvm
-
-        replay_nvm(self, report)
-
     def clean_now(self, target_clean: int | None = None) -> int:
         """Run the cleaner immediately; returns segments cleaned."""
         self._require_mounted()
@@ -1646,11 +1457,14 @@ class LFS:
         ``(log blocks written + cleaner blocks read) / new data blocks``;
         1.0 means the full disk bandwidth went to new data.
         """
-        total_written = self.writer.stats.total_blocks + self.stats.checkpoint_region_blocks
-        new_data = self.writer.stats.total_blocks - self.writer.stats.cleaner_blocks
-        if new_data <= 0:
-            return 1.0
-        return (total_written + self.cleaner.stats.blocks_read) / new_data
+        log = self.writer.stats
+        cost = write_cost(
+            log.total_blocks,
+            self.stats.checkpoint_region_blocks,
+            log.cleaner_blocks,
+            self.cleaner.stats.blocks_read,
+        )
+        return 1.0 if cost is None else cost
 
     @property
     def disk_capacity_utilization(self) -> float:

@@ -30,14 +30,11 @@ from repro.core.constants import (
     ROOT_INUM,
     BlockKind,
     DirOp,
-    FileType,
 )
-from repro.core.directory import Directory
 from repro.core.dirlog import DirOpRecord, unpack_block
 from repro.core.errors import CorruptionError, MediaError, TrimmedBlockError
 from repro.core.inode import Inode, unpack_inode_block
 from repro.core.mapping import FileMap
-from repro.core.nvlog import NVDirOp, NVMeta, NVPatch, unpack_body
 from repro.core.summary import SegmentGap, SegmentSummary, try_parse_summary, walk_segment
 from repro.obs.events import RECOVER_SCAVENGE
 
@@ -313,251 +310,6 @@ def roll_forward(fs, cp: Checkpoint) -> RecoveryReport:
             )
         report.elapsed = fs.disk.clock.now - start_time
     return report
-
-
-# ======================================================================
-# NVM staging-log replay (the second persistence domain)
-#
-# Staged records are *re-executed*, not fixed up: an NVM-staged CREATE
-# whose inode never reached the on-disk log has nothing for
-# :func:`_replay_dirop` to key on — that pass would treat the entry as an
-# orphan and remove it, deleting an acknowledged file. Re-execution
-# instead materializes the missing inode (the record carries its file
-# type) and replays the operation through the live directory paths, which
-# regenerate the directory blocks dirty in cache. Replay leaves state
-# dirty and the records in place; the next flush (normally the
-# post-recovery checkpoint) makes everything durable and truncates the
-# staging log.
-#
-# Re-execution must also stay conservative when the durable disk state
-# already reflects a *later, unacknowledged but flushed* operation (a
-# threshold or destage flush that tore before its NVM truncate):
-#  - content: a file whose durable inode mtime is strictly newer than the
-#    record's staged META was covered completely by a later flush (data
-#    blocks precede the inode within every flush), so its patches and
-#    meta are skipped — the newer consistent state wins;
-#  - namespace: an entry is inserted only into a vacant slot, removed
-#    only while it still points at the staged inode, and a CREATE/LINK
-#    whose link count is already satisfied is treated as superseded.
-# Either way the recovered state lands inside the crash oracle's bounds:
-# the staged (acknowledged) state or a later applied one.
-
-
-def _nvm_materialize(fs, inum: int, ftype: FileType) -> Inode:
-    """Bring to life an inode that never reached the on-disk log.
-
-    Mirrors :meth:`LFS.create`'s allocation: the slot points at
-    ``PENDING_ADDR`` until the next flush writes the inode. The mtime is
-    zeroed so the staleness guard never mistakes a materialized inode for
-    newer durable state; the record's META supplies the real values.
-    """
-    fs.imap.set_addr(inum, PENDING_ADDR)
-    if inum >= fs.imap._next_inum:
-        fs.imap._next_inum = inum + 1
-    inode = Inode(
-        inum=inum,
-        version=fs.imap.version_of(inum),
-        ftype=ftype,
-        nlink=0,
-        mtime=0.0,
-        ctime=0.0,
-    )
-    fs._inodes[inum] = inode
-    fs._mark_inode_dirty(inum)
-    if ftype == FileType.DIRECTORY:
-        fs._dir_states[inum] = Directory(fs.config.block_size)
-    return inode
-
-
-def _nvm_stale_files(fs, metas: list[NVMeta]) -> set[int]:
-    """Files whose durable inode is strictly newer than this record.
-
-    A newer durable mtime proves a later flush covered the file
-    completely — within every flush the data items precede the inode
-    item, so a durable inode implies durable data. Re-imposing the
-    record's older acked content over it would manufacture a state that
-    never existed; skipping leaves a later consistent state, which the
-    crash bounds accept.
-    """
-    stale: set[int] = set()
-    for meta in metas:
-        if not fs.imap.is_allocated(meta.inum):
-            continue
-        try:
-            inode = fs.get_inode(meta.inum)
-        except (CorruptionError, MediaError):
-            continue
-        if inode.mtime > meta.mtime:
-            stale.add(meta.inum)
-    return stale
-
-
-def _nvm_apply_dirop(fs, op: NVDirOp, report: RecoveryReport | None) -> None:
-    """Re-execute one staged directory operation (see module notes)."""
-    rec = op.record
-    inum = rec.file_inum
-
-    def dir_alive(dinum: int) -> bool:
-        return fs.imap.is_allocated(dinum) and fs.get_inode(dinum).is_directory
-
-    def lookup(dinum: int, name: str) -> int | None:
-        if not dir_alive(dinum):
-            return None
-        return fs._dir_state(dinum).lookup(name)
-
-    def set_nlink(n: int) -> None:
-        inode = fs.get_inode(inum)
-        if inode.nlink != n:
-            inode.nlink = n
-            fs._mark_inode_dirty(inum)
-
-    applied = False
-    if rec.op in (DirOp.CREATE, DirOp.LINK):
-        target = lookup(rec.dir1, rec.name1)
-        if target == inum:
-            set_nlink(rec.refcount)
-            applied = True
-        elif target is None and dir_alive(rec.dir1):
-            if fs.imap.is_allocated(inum):
-                if fs.get_inode(inum).nlink >= rec.refcount:
-                    # The link count is satisfied without this entry: a
-                    # later durable operation moved or removed it.
-                    return
-            else:
-                _nvm_materialize(fs, inum, op.ftype)
-            fs._dir_insert(rec.dir1, rec.name1, inum)
-            set_nlink(rec.refcount)
-            applied = True
-        # else: another inode owns the name — a later durable operation
-        # claimed it; the staged op is superseded.
-    elif rec.op == DirOp.UNLINK:
-        if lookup(rec.dir1, rec.name1) == inum:
-            fs._dir_remove(rec.dir1, rec.name1)
-        if fs.imap.is_allocated(inum):
-            if rec.refcount <= 0:
-                fs._free_inode(inum)
-                if report is not None:
-                    report.files_freed += 1
-            else:
-                set_nlink(rec.refcount)
-        applied = True
-    elif rec.op == DirOp.RENAME:
-        src = lookup(rec.dir1, rec.name1)
-        dst = lookup(rec.dir2, rec.name2)
-        if dst == inum:
-            if src == inum:
-                fs._dir_remove(rec.dir1, rec.name1)  # half-applied move
-            applied = True
-        elif src == inum and dst is None and dir_alive(rec.dir2):
-            fs._dir_remove(rec.dir1, rec.name1)
-            fs._dir_insert(rec.dir2, rec.name2, inum)
-            set_nlink(rec.refcount)
-            applied = True
-        elif (
-            not fs.imap.is_allocated(inum)
-            and src is None
-            and dst is None
-            and dir_alive(rec.dir2)
-        ):
-            # The renamed inode never reached any domain's durable state
-            # (both its CREATE and this RENAME were staged only, and an
-            # earlier record should have materialized it — defensive).
-            _nvm_materialize(fs, inum, op.ftype)
-            fs._dir_insert(rec.dir2, rec.name2, inum)
-            set_nlink(rec.refcount)
-            applied = True
-    if applied and report is not None:
-        report.nvm_dirops_applied += 1
-
-
-def _nvm_apply_patch(fs, patch: NVPatch, report: RecoveryReport | None) -> None:
-    """Apply one staged byte-range delta through the cache."""
-    if not fs.imap.is_allocated(patch.inum):
-        return
-    inode = fs.get_inode(patch.inum)
-    if inode.is_directory:
-        return
-    bs = fs.config.block_size
-    fbn = patch.offset // bs
-    block_off = patch.offset % bs
-    base = bytearray(fs._read_data_block(patch.inum, fbn))
-    base[block_off : block_off + len(patch.data)] = patch.data
-    fs.cache.write(patch.inum, fbn, bytes(base), inode.mtime)
-    if patch.offset + len(patch.data) > inode.size:
-        inode.size = patch.offset + len(patch.data)
-    fs._mark_inode_dirty(patch.inum)
-    if report is not None:
-        report.nvm_patches_applied += 1
-
-
-def _nvm_apply_meta(fs, meta: NVMeta, report: RecoveryReport | None) -> None:
-    """Apply one staged (size, mtime); a shrink replays as a truncate."""
-    if not fs.imap.is_allocated(meta.inum):
-        return
-    inode = fs.get_inode(meta.inum)
-    if inode.is_directory:
-        return
-    bs = fs.config.block_size
-    if meta.size < inode.size:
-        first_dead_fbn = (meta.size + bs - 1) // bs
-        fmap = fs.filemap(meta.inum)
-        freed = fmap.clear_from(first_dead_fbn, inode.nblocks(bs))
-        for _, addr in freed:
-            fs.usage.remove_live(fs.layout.segment_of(addr), bs)
-        fs.cache.drop_from(meta.inum, first_dead_fbn)
-        if meta.size == 0:
-            inode.version = fs.imap.bump_version(meta.inum)
-    inode.size = meta.size
-    inode.mtime = meta.mtime
-    fs._mark_inode_dirty(meta.inum)
-    if report is not None:
-        report.nvm_metas_applied += 1
-
-
-def replay_nvm(fs, report: RecoveryReport | None = None) -> None:
-    """Replay surviving NVM staging records on top of roll-forward state.
-
-    Records apply in append order; within a record, directory operations
-    first (they may materialize the inodes the patches target), then
-    patches, then metas. Damage confined to the final record is the
-    expected torn tail of a mid-append power cut — that append was never
-    acknowledged, so it is dropped (and, if it was the only content,
-    truncated away). Damage earlier in the log means acknowledged records
-    are gone: the valid prefix is still applied, then the mount degrades
-    to read-only rather than silently continue from a hole in the acked
-    history.
-    """
-    nvram = fs.nvram
-    result = nvram.read_records()
-    with fs._span("recovery.nvm", records=len(result.bodies), dropped=result.dropped):
-        for body in result.bodies:
-            dirops, patches, metas = unpack_body(body)
-            stale = _nvm_stale_files(fs, metas)
-            for op in dirops:
-                _nvm_apply_dirop(fs, op, report)
-            for patch in patches:
-                if patch.inum in stale:
-                    continue
-                _nvm_apply_patch(fs, patch, report)
-            for meta in metas:
-                if meta.inum in stale:
-                    continue
-                _nvm_apply_meta(fs, meta, report)
-    if report is not None:
-        report.nvm_records_replayed += len(result.bodies)
-        report.nvm_records_dropped += result.dropped
-    if result.lost:
-        if report is not None:
-            report.nvm_lost = True
-        fs._degrade_read_only(
-            "NVM staging log damaged mid-log; acknowledged synchronous "
-            "writes were lost"
-        )
-    elif not result.bodies and result.dropped:
-        # Only a torn tail survived — an append that was never
-        # acknowledged. Dropping it is the expected crash residue, not a
-        # loss, so the log is simply reset.
-        nvram.truncate_all(uncovered=0)
 
 
 def _scan_all_segments(fs, report: RecoveryReport) -> list[_PartialWrite]:

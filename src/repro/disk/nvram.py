@@ -202,7 +202,7 @@ class NVMDevice:
         self.stats.appends += 1
         self.stats.bytes_staged += len(framed)
         if self.obs is not None:
-            self.obs.on_nvm_io(self.clock.now, len(framed), elapsed)
+            self.obs.on_staging_io(self.clock.now, len(framed), elapsed)
             from repro.obs.events import NVM_APPEND
 
             self.obs.emit(
@@ -256,7 +256,7 @@ class NVMDevice:
         if self._used:
             elapsed = self._charge(self._used, self.profile.read_latency)
             if self.obs is not None:
-                self.obs.on_nvm_io(self.clock.now, self._used, elapsed)
+                self.obs.on_staging_io(self.clock.now, self._used, elapsed)
         result = NVMReadResult()
         first_bad = None
         for i, framed in enumerate(self._records):

@@ -68,8 +68,6 @@ from repro.obs.timeline import (
     render_dashboard,
 )
 from repro.obs.tracer import (
-    NULL_TRACER,
-    NullTracer,
     TraceFormatError,
     Tracer,
     load_trace_jsonl,
@@ -90,10 +88,8 @@ __all__ = [
     "InvariantViolation",
     "LatencyHistogram",
     "MetricsRegistry",
-    "NULL_TRACER",
     "NVM_DESTAGE",
     "NVM_STAGE",
-    "NullTracer",
     "Observation",
     "SLOObjective",
     "SLOTracker",

@@ -61,6 +61,22 @@ SYSTEM_TENANT = "@system"
 CLEANING_CAUSES = (CLEANING_READ, CLEANING_WRITE)
 
 
+def write_cost(
+    log_blocks: float, region_blocks: float, cleaner_blocks: float, cleaner_reads: float
+) -> float | None:
+    """The paper's write cost in blocks: disk traffic per block of new data.
+
+    Traffic is every log block, checkpoint-region block and cleaner read;
+    new data is the log blocks the cleaner did not write. ``None`` when
+    no new data was written. ``LFS.write_cost``, the timeline's window
+    gauge and Table 2 all use this one formula (over totals or deltas).
+    """
+    new_data = log_blocks - cleaner_blocks
+    if new_data <= 0:
+        return None
+    return (log_blocks + region_blocks + cleaner_reads) / new_data
+
+
 class _CauseScope:
     """Context manager pushing one cause onto the attribution stack."""
 
@@ -126,9 +142,10 @@ class TimeAttribution:
         """The innermost open tenant scope, if any."""
         return self._tenant_stack[-1] if self._tenant_stack else None
 
-    def charge(self, elapsed: float, *, write: bool) -> None:
-        """Charge ``elapsed`` seconds of disk service time."""
-        name = self.current_cause(write=write)
+    def charge(self, elapsed: float, *, write: bool = True, cause: str | None = None) -> None:
+        """Charge ``elapsed`` seconds of device service time to ``cause``
+        (default: the innermost scope, else by direction)."""
+        name = cause if cause is not None else self.current_cause(write=write)
         self.seconds[name] = self.seconds.get(name, 0.0) + elapsed
         if self._tenant_stack:
             row = self.tenant_seconds.setdefault(self._tenant_stack[-1], {})

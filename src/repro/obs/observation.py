@@ -83,10 +83,10 @@ class Observation:
         self.attach_disk(fs.disk)
         fs.obs = self
         fs.cache.obs = self
-        nvram = getattr(fs, "nvram", None)
-        if nvram is not None:
-            nvram.obs = self
-            self.registry.register("nvm", lambda n=nvram: n.stats)
+        nvlog = getattr(fs, "nvlog", None)
+        if nvlog is not None:
+            nvlog.device.obs = self
+            self.registry.register("nvm", lambda n=nvlog.device: n.stats)
         self.registry.register("cache", fs.cache)
         if hasattr(fs, "writer"):  # Sprite LFS
             self.registry.register("lfs", fs.stats)
@@ -174,7 +174,7 @@ class Observation:
             **fields,
         )
 
-    def on_nvm_io(self, now: float, nbytes: int, elapsed: float) -> None:
+    def on_staging_io(self, now: float, nbytes: int, elapsed: float) -> None:
         """Per-append NVM hook: charge staging time to the nvm cause.
 
         The staging board is a second device, so its busy seconds join
@@ -182,10 +182,7 @@ class Observation:
         compares against disk *plus* NVM busy time.
         """
         att = self.attribution
-        att.seconds[NVM_STAGE] = att.seconds.get(NVM_STAGE, 0.0) + elapsed
-        if att._tenant_stack:
-            row = att.tenant_seconds.setdefault(att._tenant_stack[-1], {})
-            row[NVM_STAGE] = row.get(NVM_STAGE, 0.0) + elapsed
+        att.charge(elapsed, cause=NVM_STAGE)
         assert att.total <= now + 1e-9, (
             f"attributed busy-time {att.total:.9f}s exceeds simulated "
             f"elapsed time {now:.9f}s (double-charged NVM I/O?)"

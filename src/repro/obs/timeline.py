@@ -46,7 +46,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from repro.obs.attribution import CLEANING_CAUSES
+from repro.obs.attribution import CLEANING_CAUSES, write_cost
 from repro.obs.events import (
     FS_READONLY,
     FS_SYNC,
@@ -569,7 +569,7 @@ class TimelineRecorder:
                 if tracker.objective.name == "server":
                     tracker.record(event.time, latency)
         elif event.kind in (FS_READONLY, FS_SYNC, NVM_FAIL):
-            self.detector.on_event(event, nvm_attached=self._nvm_attached())
+            self.detector.on_event(event, nvm_attached=self._board_attached())
         # Every traced event doubles as a sampling opportunity, so runs
         # without an event loop (plain workloads, torture replays) still
         # sample at cadence resolution.
@@ -584,7 +584,7 @@ class TimelineRecorder:
             )
         return shard
 
-    def _nvm_attached(self) -> bool:
+    def _board_attached(self) -> bool:
         return self._obs is not None and "nvm" in self._obs.registry.names()
 
     def _annotate(self, annotation: TimelineAnnotation) -> None:
@@ -648,18 +648,14 @@ class TimelineRecorder:
         p_lfs = prev.get("lfs", {})
         p_log = prev.get("log", {})
         p_cleaner = prev.get("cleaner", {})
-        d_total = (
-            _num(log, "total_blocks") - _num(p_log, "total_blocks")
-            + _num(lfs, "checkpoint_region_blocks")
-            - _num(p_lfs, "checkpoint_region_blocks")
+        cost = write_cost(
+            _num(log, "total_blocks") - _num(p_log, "total_blocks"),
+            _num(lfs, "checkpoint_region_blocks") - _num(p_lfs, "checkpoint_region_blocks"),
+            _num(log, "cleaner_blocks") - _num(p_log, "cleaner_blocks"),
+            _num(cleaner, "blocks_read") - _num(p_cleaner, "blocks_read"),
         )
-        d_read = _num(cleaner, "blocks_read") - _num(p_cleaner, "blocks_read")
-        d_new = (
-            _num(log, "total_blocks") - _num(p_log, "total_blocks")
-            - (_num(log, "cleaner_blocks") - _num(p_log, "cleaner_blocks"))
-        )
-        if log and d_new > 0:
-            values[COL_WRITE_COST] = (d_total + d_read) / d_new
+        if log and cost is not None:
+            values[COL_WRITE_COST] = cost
 
         cache = snapshot.get("cache", {})
         p_cache = prev.get("cache", {})

@@ -18,9 +18,9 @@ JSONL files are framed (:mod:`repro.obs.framing`, ``TRACE_SCHEMA`` 2);
 the trailer carries total emit and drop counts, plus a ``warning`` when
 the ring dropped events. Headerless files read as legacy schema 1.
 
-:class:`NullTracer` is the disabled configuration: ``emit`` is a bound
-no-op and ``enabled`` is False, so hook sites stay zero-cost beyond one
-attribute check.
+There is no disabled tracer: an unobserved run has no
+:class:`~repro.obs.Observation`, so hook sites cost one ``obs is None``
+check.
 """
 
 from __future__ import annotations
@@ -42,8 +42,6 @@ TRACE_FRAME = Frame("trace", TRACE_SCHEMA, TraceFormatError, headerless_schema=1
 
 class Tracer:
     """Records :class:`Event` objects into a bounded ring buffer."""
-
-    enabled = True
 
     def __init__(
         self,
@@ -128,38 +126,6 @@ class Tracer:
             self._jsonl.write(self._trailer())
             self._jsonl.close()
             self._jsonl = None
-
-
-class NullTracer:
-    """The disabled sink: every emit is a no-op."""
-
-    enabled = False
-    capacity = 0
-    emitted_counts: dict[str, int] = {}
-    dropped = 0
-
-    def subscribe(self, callback: Callable[[Event], None]) -> None:
-        pass
-
-    def emit(self, kind: str, time: float, cause: str | None = None, **fields) -> None:
-        pass
-
-    def events(self, kind: str | None = None) -> list[Event]:
-        return []
-
-    def __len__(self) -> int:
-        return 0
-
-    def export_jsonl(self, path: str) -> int:
-        with open(path, "w"):
-            pass
-        return 0
-
-    def close(self) -> None:
-        pass
-
-
-NULL_TRACER = NullTracer()
 
 
 def load_trace_jsonl(path: str) -> tuple[dict, list[Event]]:

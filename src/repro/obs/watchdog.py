@@ -114,7 +114,7 @@ class Watchdog:
         # NVM appends counted since the last truncate; None until the
         # first truncate establishes a known-empty staging log (records
         # staged before this watchdog attached are otherwise uncountable).
-        self._nvm_counted: int | None = None
+        self._staged_since_truncate: int | None = None
 
     def install(self, obs) -> "Watchdog":
         """Subscribe to an :class:`~repro.obs.observation.Observation`."""
@@ -167,10 +167,10 @@ class Watchdog:
         if kind == FS_SYNC:
             self._check_sync_durable(event)
         if kind == NVM_APPEND:
-            if self._nvm_counted is not None:
-                self._nvm_counted += 1
+            if self._staged_since_truncate is not None:
+                self._staged_since_truncate += 1
         if kind == NVM_TRUNCATE:
-            self._check_nvm_truncate(event)
+            self._check_staging_truncate(event)
         if kind in _LIFECYCLE_KINDS:
             self._check_clean_count(event)
             self._check_ledger_totals(event)
@@ -345,7 +345,7 @@ class Watchdog:
                 event,
             )
 
-    def _check_nvm_truncate(self, event: Event) -> None:
+    def _check_staging_truncate(self, event: Event) -> None:
         self.checks_run += 1
         uncovered = event.fields.get("uncovered", 0)
         if uncovered != 0:
@@ -356,14 +356,14 @@ class Watchdog:
                 event,
             )
         dropped = event.fields.get("records", 0)
-        if self._nvm_counted is not None and dropped != self._nvm_counted:
+        if self._staged_since_truncate is not None and dropped != self._staged_since_truncate:
             raise InvariantViolation(
                 "destage-conservation",
                 f"NVM truncate dropped {dropped} records but "
-                f"{self._nvm_counted} were appended since the last truncate",
+                f"{self._staged_since_truncate} were appended since the last truncate",
                 event,
             )
-        self._nvm_counted = 0
+        self._staged_since_truncate = 0
 
     def _check_erase_conservation(self, event: Event) -> None:
         if self._obs is None:

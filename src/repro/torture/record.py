@@ -240,9 +240,9 @@ class TortureRecorder:
     def finish(self) -> Recording:
         """Stop recording (leaving any unsynced tail dirty) and bundle up."""
         self.disk.recording = False
-        if self.fs.nvram is not None:
-            self.fs.nvram.on_append = None
-            self.fs.nvram.on_truncate = None
+        if self.fs.nvlog is not None:
+            self.fs.nvlog.device.on_append = None
+            self.fs.nvlog.device.on_truncate = None
         return Recording(
             geometry=self.disk.geometry,
             config=self._config,

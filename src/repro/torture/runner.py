@@ -156,7 +156,7 @@ def _split_cut(recording: Recording, g: int) -> tuple[int, int, bool]:
     return g - nvm_cut, nvm_cut, False
 
 
-def _nvm_at_cut(recording: Recording, g: int, variant: str, point_seed: int) -> NVMDevice:
+def _board_at_cut(recording: Recording, g: int, variant: str, point_seed: int) -> NVMDevice:
     """The NVM board as a crash at global cut ``g`` leaves it.
 
     Surviving records are ``appends[T:nvm_cut]`` where ``T`` is the wipe
@@ -203,7 +203,7 @@ def _arm(recording: Recording, disk, cut: int, variant: str, point_seed: int):
         # at a request boundary — its share of the cut is clean.
         disk_mode = "clean" if nvm_in_flight else variant
         disk.crash(after_writes=disk_cut, mode=disk_mode, seed=point_seed)
-    return _nvm_at_cut(recording, cut, variant, point_seed) if recording.nvram else None
+    return _board_at_cut(recording, cut, variant, point_seed) if recording.nvram else None
 
 
 def _age_platter(disk, point_seed: int) -> None:
@@ -227,7 +227,7 @@ def _damage_nvm(recording: Recording, variant: str, point_seed: int) -> tuple[NV
     cleanly. ``nvm-dead`` kills the whole board: the mount cannot even
     prove the staging log was empty, so it must degrade.
     """
-    nv = _nvm_at_cut(recording, recording.total_blocks, "clean", point_seed)
+    nv = _board_at_cut(recording, recording.total_blocks, "clean", point_seed)
     if variant == "nvm-dead":
         nv.fail_device()
         return nv, True

@@ -26,6 +26,7 @@ from repro.core.config import LFSConfig
 from repro.core.filesystem import LFS
 from repro.disk.device import Disk
 from repro.disk.geometry import DiskGeometry
+from repro.obs.attribution import write_cost
 
 
 @dataclass
@@ -196,15 +197,13 @@ class _Baseline:
         )
 
     def write_cost_since(self, fs: LFS) -> float:
-        total = (
-            (fs.writer.stats.total_blocks - self.total_blocks)
-            + (fs.stats.checkpoint_region_blocks - self.checkpoint_blocks)
+        cost = write_cost(
+            fs.writer.stats.total_blocks - self.total_blocks,
+            fs.stats.checkpoint_region_blocks - self.checkpoint_blocks,
+            fs.writer.stats.cleaner_blocks - self.cleaner_blocks,
+            fs.cleaner.stats.blocks_read - self.blocks_read,
         )
-        reads = fs.cleaner.stats.blocks_read - self.blocks_read
-        new = total - (fs.writer.stats.cleaner_blocks - self.cleaner_blocks)
-        if new <= 0:
-            return 1.0
-        return (total + reads) / new
+        return 1.0 if cost is None else cost
 
 
 class _FileChurn:

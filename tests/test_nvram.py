@@ -27,7 +27,6 @@ from repro.core.nvlog import (
     NVDirOp,
     NVMeta,
     NVPatch,
-    body_size,
     pack_body,
     unpack_body,
 )
@@ -204,7 +203,6 @@ class TestNVLogFormat:
         patches = [NVPatch(7, 0, b"hello"), NVPatch(8, 4096, b"\x00" * 200)]
         metas = [NVMeta(7, 5, 1.25), NVMeta(8, 4296, 2.5)]
         body = pack_body(dirops, patches, metas)
-        assert len(body) == body_size(dirops, patches, metas)
         got_dirops, got_patches, got_metas = unpack_body(body)
         assert got_dirops == dirops
         assert got_patches == patches
@@ -238,12 +236,9 @@ class TestNVLogFormat:
 # ----------------------------------------------------------------------
 # staging + replay through the filesystem
 
-NVM_CONFIG = dict(nvram_staging=True, sync_flush_barrier=True)
-
-
-def _nvm_fs(disk, **overrides):
-    cfg = small_config(**NVM_CONFIG, **overrides)
-    nvm = NVMDevice(clock=disk.clock)
+def _nvm_fs(disk, profile=None):
+    cfg = small_config(sync_flush_barrier=True)
+    nvm = NVMDevice(profile, clock=disk.clock)
     fs = LFS.format(disk, cfg, nvram=nvm)
     return cfg, nvm, fs
 
@@ -349,7 +344,7 @@ class TestNVMStaging:
     def test_large_sync_destages_directly(self, disk):
         """Writes past the destage threshold skip staging: one big flush
         beats staging megabytes through a 1 MB/s board."""
-        cfg, nvm, fs = _nvm_fs(disk, nvram_destage_bytes=2048)
+        cfg, nvm, fs = _nvm_fs(disk, NVMProfile(capacity_bytes=2048))
         fs.create("/big")
         fs.write("/big", b"z" * 100_000, 0)
         fs.sync()
@@ -506,6 +501,52 @@ class TestTwoDomainTorture:
         pooled = run_torture("syncheavy", workers=2, **kwargs)
         assert pooled.outcome_digest == solo.outcome_digest
 
+    def test_lost_first_record_needs_the_roll_back_allowance(self):
+        """Losing the first of two surviving records rolls back past the
+        last barrier: the mount degrades, the judge accepts the roll-back
+        as honest, and bounds from the last barrier alone would not."""
+        from repro.disk.geometry import DiskGeometry
+        from repro.torture import (
+            TortureRecorder,
+            crash_state_bounds,
+            explore_point,
+            snapshot_namespace,
+            verify_recovered,
+        )
+        from repro.torture.runner import _damage_nvm
+
+        rec = TortureRecorder(
+            small_config(), DiskGeometry.wren4(num_blocks=4096),
+            workload="rollback", seed=0, nvram=True,
+        )
+        rec.write("/a", b"checkpointed")
+        rec.checkpoint()
+        rec.write("/b", b"staged first")
+        rec.sync()
+        rec.write("/c", b"staged second")
+        rec.sync()  # no flush after: both records survive
+        recording = rec.finish()
+
+        seed = next(s for s in range(64) if _damage_nvm(recording, "nvm-media", s)[1])
+        probe = _damage_nvm(recording, "nvm-media", seed)[0].read_records()
+        assert probe.bodies == [] and probe.dropped == 2  # record 0 is hit
+
+        point = explore_point(recording, recording.total_blocks, "nvm-media", seed)
+        assert point.nvm_read_only
+        assert point.violations == []
+
+        disk = recording.fresh_disk()
+        assert recording.replay(disk) is None
+        board, _ = _damage_nvm(recording, "nvm-media", seed)
+        fs = LFS.mount(disk, recording.config, nvram=board)
+        assert fs.read_only
+        recovered = snapshot_namespace(fs)
+        assert "/b" not in recovered and "/c" not in recovered
+        last_barrier_bounds = crash_state_bounds(
+            recording.ops, recording.barriers, recording.total_blocks
+        )
+        assert verify_recovered(recovered, *last_barrier_bounds)
+
 
 # ----------------------------------------------------------------------
 # report sections (requested-but-absent prints, NVM table renders)
@@ -516,7 +557,7 @@ class TestReportSections:
         from repro.obs import Observation
 
         obs = Observation(ring_capacity=None)
-        cfg = small_config(**NVM_CONFIG)
+        cfg = small_config(sync_flush_barrier=True)
         nvm = NVMDevice(clock=disk.clock)
         fs = LFS.format(disk, cfg, obs=obs, nvram=nvm)
         fs.create("/f")

@@ -21,7 +21,6 @@ from repro.obs import (
     TRACE_SCHEMA,
     TimeAttribution,
     Tracer,
-    NullTracer,
     load_trace_jsonl,
     scrape,
 )
@@ -118,14 +117,6 @@ class TestTracer:
         header, events = load_trace_jsonl(str(path))
         assert header["schema"] == TRACE_SCHEMA
         assert [(e.kind, e.fields["n"]) for e in events] == [("x", 1), ("y", 2)]
-
-    def test_null_tracer_is_inert(self, tmp_path):
-        null = NullTracer()
-        null.emit("anything", 0.0, payload=1)
-        assert len(null) == 0
-        assert null.events() == []
-        assert not null.enabled
-        assert null.export_jsonl(str(tmp_path / "empty.jsonl")) == 0
 
 
 # ----------------------------------------------------------------------
