@@ -10,13 +10,15 @@ exists to protect.
 Everything is simulated time, so every metric is deterministic per seed
 and regression-gates cleanly::
 
-    PYTHONPATH=src python benchmarks/bench_server_tail_latency.py
     PYTHONPATH=src python benchmarks/bench_server_tail_latency.py \
-        --clients 512 --out BENCH_server_smoke.json   # CI subset
+        --workers 2 --out BENCH_server_smoke.json     # the full grid, as CI runs it
+    PYTHONPATH=src python benchmarks/bench_server_tail_latency.py \
+        --clients 512 --out BENCH_server_subset.json  # a subset
 
 The recorded metrics are keyed ``latency_p99[c1000/drr/cleaner]`` so
-``repro bench-diff`` treats them as lower-better; a CI run over a subset
-grid diffs against the checked-in baseline on the shared keys.
+``repro bench-diff`` treats them as lower-better; a run over a subset
+grid diffs against the checked-in baseline on the shared keys. CI runs
+the full grid and pins its ``result_digest`` (``7a5396715fef287d``).
 
 Every point also runs with the flight recorder attached (sampling is
 passive, so the event and latency digests are identical to a bare run)

@@ -303,13 +303,18 @@ class Cleaner:
         )
         with scope:
             moved = 0
+            utilizations = self.stats.cleaned_utilizations
+            first = len(utilizations)
             for seg_no in victims:
-                u = fs.usage.utilization(seg_no)
-                self.stats.cleaned_utilizations.append(u)
-                if obs is not None:
-                    obs.emit(CLEAN_SEGMENT, segment=seg_no, utilization=u, empty=False)
+                utilizations.append(fs.usage.utilization(seg_no))
                 moved += self._gather_live(seg_no)
             if obs is not None:
+                # Every victim read back, so the pass cleans them all. A
+                # media error above aborts it into a rescue before any
+                # victim's death reaches the trace (``clean`` drops the
+                # utilizations it appended).
+                for seg_no, u in zip(victims, utilizations[first:]):
+                    obs.emit(CLEAN_SEGMENT, segment=seg_no, utilization=u, empty=False)
                 obs.emit(CLEAN_PASS, victims=list(victims), moved=moved)
             fs.flush(cleaning=True)
             # Persist the moved inodes/pointers before the sources are reused.
@@ -610,4 +615,5 @@ class Cleaner:
             else:
                 fmap._load_child(entry.offset - 1)
                 fmap.dirty_children.add(entry.offset - 1)
+            fs._dirty_maps.add(entry.inum)
         return True

@@ -130,7 +130,11 @@ class LFS:
         self._inodes: dict[int, Inode] = {}
         self._dirty_inodes: set[int] = set()
         self._filemaps: dict[int, FileMap] = {}
-        # The two hooks every FileMap calls back through, built once.
+        # Every inum whose FileMap has an indirect block to write (it may
+        # hold more: the flush prunes freed and clean maps as it walks).
+        # Cleared in place, never rebound: each map holds its ``add``.
+        self._dirty_maps: set[int] = set()
+        # The three hooks every FileMap calls back through, built once.
         # They reach this object through a weak proxy: the maps live in
         # ``_filemaps``, so a strong reference would make every LFS a
         # cycle that only the collector can free.
@@ -138,6 +142,7 @@ class LFS:
         self._filemap_hooks = (
             lambda addr: weak._read_log_block(addr),
             lambda inum: weak._mark_inode_dirty(inum),
+            self._dirty_maps.add,
         )
         self._dir_states: dict[int, dirfmt.Directory] = {}
         self._pending_dirops: list[DirOpRecord] = []
@@ -377,6 +382,7 @@ class LFS:
         self._inodes.clear()
         self._dirty_inodes.clear()
         self._filemaps.clear()
+        self._dirty_maps.clear()
         self._dir_states.clear()
         self._pending_dirops.clear()
         self._pending_trims.clear()
@@ -1083,9 +1089,17 @@ class LFS:
                 )
             )
 
-        # -- indirect blocks: children and single-indirects, then doubles
+        # -- indirect blocks: children and single-indirects, then doubles.
+        # Only maps in ``_dirty_maps`` can have any; a freed or clean one
+        # leaves the set here. A dirty one stays until a later flush finds
+        # it clean, so an append that raises strands nothing.
         double_items: list[LogItem] = []
-        for inum, fmap in sorted(self._filemaps.items()):
+        dirty_maps = self._dirty_maps
+        for inum in sorted(dirty_maps):
+            fmap = self._filemaps.get(inum)
+            if fmap is None or not (fmap.l1_dirty or fmap.l2_dirty or fmap.dirty_children):
+                dirty_maps.discard(inum)
+                continue
             version = self.imap.version_of(inum)
             mtime = fmap.inode.mtime
             for child_idx in sorted(fmap.dirty_children):
@@ -1097,9 +1111,7 @@ class LFS:
                         version=version,
                         mtime=mtime,
                         get_payload=lambda m=fmap, c=child_idx: m.pack_child(c),
-                        on_placed=lambda item, addr, m=fmap, c=child_idx: (
-                            self._place_indirect(m.place_child(c, addr), addr)
-                        ),
+                        on_placed=self._place_child,
                     )
                 )
             if fmap.l1_dirty:
@@ -1111,9 +1123,7 @@ class LFS:
                         version=version,
                         mtime=mtime,
                         get_payload=fmap.pack_l1,
-                        on_placed=lambda item, addr, m=fmap: (
-                            self._place_indirect(m.place_l1(addr), addr)
-                        ),
+                        on_placed=self._place_l1,
                     )
                 )
             if fmap.l2_dirty or (fmap.dirty_children and fmap.inode.dindirect == NULL_ADDR):
@@ -1126,9 +1136,7 @@ class LFS:
                         version=version,
                         mtime=mtime,
                         get_payload=fmap.pack_l2,
-                        on_placed=lambda item, addr, m=fmap: (
-                            self._place_indirect(m.place_l2(addr), addr)
-                        ),
+                        on_placed=self._place_l2,
                     )
                 )
         items.extend(double_items)
@@ -1213,6 +1221,18 @@ class LFS:
         # flush, so it already carries the entry's mtime.
         self.usage.add_live(self.layout.segment_of(addr), bs, item.mtime)
         self.cache.mark_clean(inum, fbn)
+
+    # Indirect items find their map from the item: ``offset`` 0 is the
+    # single-indirect block, ``1 + k`` the k-th child under the double.
+
+    def _place_child(self, item: LogItem, addr: int) -> None:
+        self._place_indirect(self._filemaps[item.inum].place_child(item.offset - 1, addr), addr)
+
+    def _place_l1(self, item: LogItem, addr: int) -> None:
+        self._place_indirect(self._filemaps[item.inum].place_l1(addr), addr)
+
+    def _place_l2(self, item: LogItem, addr: int) -> None:
+        self._place_indirect(self._filemaps[item.inum].place_l2(addr), addr)
 
     def _place_indirect(self, old: int, addr: int) -> None:
         bs = self.config.block_size

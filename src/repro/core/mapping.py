@@ -20,17 +20,27 @@ from repro.core.errors import InvalidOperationError
 from repro.core.inode import Inode, addrs_per_indirect
 
 
+def _ignore(inum: int) -> None:
+    """The default ``note_dirty`` hook, for owners that scan every map."""
+
+
 class FileMap:
     """Block-address mapping for one file.
 
-    The map calls back into its owner through two hooks supplied at
+    The map calls back into its owner through three hooks supplied at
     construction: ``read_block(addr) -> bytes`` to load an indirect block
-    from the log, and ``mark_inode_dirty(inum)`` when a pointer stored in
-    the inode itself changes. Neither hook is specific to the file, so an
-    owner can hand the same two callables to every map it builds.
+    from the log, ``mark_inode_dirty(inum)`` when a pointer stored in the
+    inode itself changes, and ``note_dirty(inum)`` whenever it sets
+    ``l1_dirty``, ``l2_dirty`` or adds to ``dirty_children``, so an owner
+    can keep the set of maps with indirect blocks to write without
+    scanning every map. ``note_dirty`` defaults to a no-op for owners
+    that scan. No hook is specific to the file, so an owner can hand the
+    same callables to every map it builds.
     """
 
-    def __init__(self, inode: Inode, block_size: int, read_block, mark_inode_dirty) -> None:
+    def __init__(
+        self, inode: Inode, block_size: int, read_block, mark_inode_dirty, note_dirty=_ignore
+    ) -> None:
         self.inode = inode
         self.block_size = block_size
         self.per = addrs_per_indirect(block_size)
@@ -38,6 +48,7 @@ class FileMap:
         self._double_span = self.per * self.per
         self._read_block = read_block
         self._mark_inode_dirty = mark_inode_dirty
+        self._note_dirty = note_dirty
         self._l1: list[int] | None = None  # single-indirect contents
         self._l2: list[int] | None = None  # double-indirect contents
         self._children: dict[int, list[int]] = {}  # loaded L1s under L2
@@ -127,6 +138,7 @@ class FileMap:
             old = l1[slot]
             l1[slot] = addr
             self.l1_dirty = True
+            self._note_dirty(self.inode.inum)
             return old
         idx = fbn - self._first_double
         if not 0 <= idx < self._double_span:
@@ -136,6 +148,7 @@ class FileMap:
         old = child[slot]
         child[slot] = addr
         self.dirty_children.add(child_idx)
+        self._note_dirty(self.inode.inum)
         return old
 
     def ensure_structures(self, fbn: int) -> None:
@@ -150,6 +163,7 @@ class FileMap:
         if NUM_DIRECT <= fbn < self._first_double:
             self._load_l1()
             self.l1_dirty = True
+            self._note_dirty(self.inode.inum)
             return
         idx = fbn - self._first_double
         if not 0 <= idx < self._double_span:
@@ -159,6 +173,7 @@ class FileMap:
         self._load_child(child_idx)
         self.dirty_children.add(child_idx)
         self.l2_dirty = True
+        self._note_dirty(self.inode.inum)
 
     # ------------------------------------------------------------------
     # flush support
@@ -198,6 +213,7 @@ class FileMap:
         l2[child_idx] = addr
         self.l2_dirty = True
         self.dirty_children.discard(child_idx)
+        self._note_dirty(self.inode.inum)
         return old
 
     # ------------------------------------------------------------------
@@ -306,4 +322,6 @@ class FileMap:
                 self.inode.dindirect = NULL_ADDR
                 self._l2 = None
                 self.l2_dirty = False
+        if self.l1_dirty or self.l2_dirty or self.dirty_children:
+            self._note_dirty(self.inode.inum)
         return freed

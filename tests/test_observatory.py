@@ -41,6 +41,7 @@ from repro.obs.events import (
 from repro.obs.report import BenchFormatError
 
 from tests.conftest import small_config
+from tests.test_obs import assert_trace_matches_counters
 
 
 def observed_fs(num_blocks=4096, **overrides):
@@ -215,6 +216,31 @@ class TestSegmentLedger:
         assert stats["lives_closed"] == len(ledger.history)
         assert stats["segments_cleaned"] == fs.cleaner.stats.segments_cleaned
         json.dumps(stats)  # must be JSON-serializable for reports
+
+    def test_media_aborted_pass_counts_no_deaths(self):
+        # A latent sector in a victim aborts its pass into a rescue. The
+        # victims that pass never cleaned must not reach the trace: the
+        # ledger's deaths, the clean.segment utilizations and the counters
+        # agree after it.
+        obs, ledger, _, disk, fs = observed_fs()
+        overwrite_churn(fs)
+        fs.checkpoint()
+        sick = next(
+            s
+            for s in fs.cleaner.select_segments(fs.config.segments_per_pass)
+            if fs.usage.get(s).live_bytes > 0
+        )
+        disk.media.add_latent(fs.layout.segment_start(sick) + 1)
+        fs.clean_now(fs.usage.clean_count + 6)
+        fs.checkpoint()
+        stats = fs.cleaner.stats
+        assert stats.segments_quarantined == 1, "no pass aborted into a rescue"
+        assert fs.usage.get(sick).quarantined
+        assert stats.segments_cleaned > 0
+        assert ledger.segments_cleaned == stats.segments_cleaned
+        cleaned = [l for l in ledger.history if l.death_cause.startswith("cleaned")]
+        assert len(cleaned) == stats.segments_cleaned
+        assert_trace_matches_counters(obs)
 
     def test_survives_remount(self):
         obs, ledger, _, disk, fs = observed_fs()
