@@ -9,8 +9,8 @@ the simulator under hot-and-cold access with age-sorting.
 from conftest import run_once, save_result
 
 from repro.analysis.ascii_chart import render_table
+from repro.core.policy import CleaningPolicy, GroupingPolicy
 from repro.simulator.model import SimConfig
-from repro.simulator.policies import GroupingPolicy, SelectionPolicy
 from repro.simulator.sweep import SweepPoint, run_sweep as sweep
 
 PASS_SIZES = (1, 4, 16)
@@ -19,7 +19,7 @@ PASS_SIZES = (1, 4, 16)
 def _point(segments_per_pass: int) -> SweepPoint:
     cfg = SimConfig(
         utilization=0.75,
-        selection=SelectionPolicy.COST_BENEFIT,
+        selection=CleaningPolicy.COST_BENEFIT,
         grouping=GroupingPolicy.AGE_SORT,
         segments_per_pass=segments_per_pass,
         clean_threshold=max(2, segments_per_pass),

@@ -9,8 +9,8 @@ patterns against both policies at 75% utilization.
 from conftest import run_once, save_result
 
 from repro.analysis.ascii_chart import render_table
+from repro.core.policy import CleaningPolicy, GroupingPolicy
 from repro.simulator.model import SimConfig
-from repro.simulator.policies import GroupingPolicy, SelectionPolicy
 from repro.simulator.sweep import SweepPoint, run_sweep as sweep
 
 PATTERN_SPECS = (
@@ -24,7 +24,7 @@ def run_sweep():
     keys = []
     points = []
     for name, spec in PATTERN_SPECS:
-        for policy in (SelectionPolicy.GREEDY, SelectionPolicy.COST_BENEFIT):
+        for policy in (CleaningPolicy.GREEDY, CleaningPolicy.COST_BENEFIT):
             cfg = SimConfig(
                 utilization=0.75,
                 selection=policy,

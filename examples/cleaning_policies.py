@@ -14,9 +14,9 @@ import sys
 
 from repro.analysis.ascii_chart import render_histogram, render_table
 from repro.simulator import (
+    CleaningPolicy,
     GroupingPolicy,
     HotColdPattern,
-    SelectionPolicy,
     SimConfig,
     Simulator,
     UniformPattern,
@@ -47,9 +47,9 @@ def main() -> None:
 
     rows = []
     for util in utils:
-        uniform = run(util, UniformPattern(), SelectionPolicy.GREEDY, GroupingPolicy.NONE, fast)
-        greedy = run(util, HotColdPattern(), SelectionPolicy.GREEDY, GroupingPolicy.AGE_SORT, fast)
-        costben = run(util, HotColdPattern(), SelectionPolicy.COST_BENEFIT, GroupingPolicy.AGE_SORT, fast)
+        uniform = run(util, UniformPattern(), CleaningPolicy.GREEDY, GroupingPolicy.NONE, fast)
+        greedy = run(util, HotColdPattern(), CleaningPolicy.GREEDY, GroupingPolicy.AGE_SORT, fast)
+        costben = run(util, HotColdPattern(), CleaningPolicy.COST_BENEFIT, GroupingPolicy.AGE_SORT, fast)
         rows.append(
             [
                 f"{util:.0%}",
@@ -68,8 +68,8 @@ def main() -> None:
     )
 
     print("\nWhy greedy fails under locality (compare paper Figures 5 and 6):")
-    greedy = run(0.75, HotColdPattern(), SelectionPolicy.GREEDY, GroupingPolicy.AGE_SORT, fast)
-    costben = run(0.75, HotColdPattern(), SelectionPolicy.COST_BENEFIT, GroupingPolicy.AGE_SORT, fast)
+    greedy = run(0.75, HotColdPattern(), CleaningPolicy.GREEDY, GroupingPolicy.AGE_SORT, fast)
+    costben = run(0.75, HotColdPattern(), CleaningPolicy.COST_BENEFIT, GroupingPolicy.AGE_SORT, fast)
     print("\n-- greedy: segments pile up just above the cleaning point")
     print(render_histogram(greedy.utilization_histogram, label="segment utilization"))
     print("\n-- cost-benefit: the bimodal distribution the paper wanted")

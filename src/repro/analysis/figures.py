@@ -13,11 +13,11 @@ from dataclasses import dataclass, field
 from repro.analysis.ascii_chart import render_histogram, render_series, render_table
 from repro.core.config import LFSConfig
 from repro.core.filesystem import LFS
+from repro.core.policy import CleaningPolicy, GroupingPolicy
 from repro.disk.device import Disk
 from repro.disk.geometry import DiskGeometry
 from repro.ffs.filesystem import FFS, FFSConfig
 from repro.simulator.model import SimConfig
-from repro.simulator.policies import GroupingPolicy, SelectionPolicy
 from repro.simulator.sweep import SweepPoint, run_sweep
 from repro.simulator.writecost import (
     FFS_IMPROVED_WRITE_COST,
@@ -192,10 +192,10 @@ def fig04_greedy_simulation(
         title="Figure 4 — write cost vs disk utilization (greedy cleaner)"
     )
     points = [
-        SweepPoint(_sim_config(u, SelectionPolicy.GREEDY, GroupingPolicy.NONE, fast=fast), "uniform")
+        SweepPoint(_sim_config(u, CleaningPolicy.GREEDY, GroupingPolicy.NONE, fast=fast), "uniform")
         for u in utils
     ] + [
-        SweepPoint(_sim_config(u, SelectionPolicy.GREEDY, GroupingPolicy.AGE_SORT, fast=fast), "hot-cold")
+        SweepPoint(_sim_config(u, CleaningPolicy.GREEDY, GroupingPolicy.AGE_SORT, fast=fast), "hot-cold")
         for u in utils
     ]
     runs = run_sweep(points, workers=workers)
@@ -230,8 +230,8 @@ def fig05_greedy_distributions(
         title="Figure 5 — segment utilization distributions, greedy cleaner"
     )
     names_points = [
-        ("uniform", SweepPoint(_sim_config(util, SelectionPolicy.GREEDY, GroupingPolicy.NONE, fast=fast), "uniform")),
-        ("hot-and-cold", SweepPoint(_sim_config(util, SelectionPolicy.GREEDY, GroupingPolicy.AGE_SORT, fast=fast), "hot-cold")),
+        ("uniform", SweepPoint(_sim_config(util, CleaningPolicy.GREEDY, GroupingPolicy.NONE, fast=fast), "uniform")),
+        ("hot-and-cold", SweepPoint(_sim_config(util, CleaningPolicy.GREEDY, GroupingPolicy.AGE_SORT, fast=fast), "hot-cold")),
     ]
     runs = run_sweep([p for _, p in names_points], workers=workers)
     for (name, _), r in zip(names_points, runs):
@@ -248,8 +248,8 @@ def fig06_costbenefit_distribution(
         title="Figure 6 — segment utilization distribution, cost-benefit policy"
     )
     names_points = [
-        ("LFS cost-benefit", SweepPoint(_sim_config(util, SelectionPolicy.COST_BENEFIT, GroupingPolicy.AGE_SORT, fast=fast), "hot-cold")),
-        ("LFS greedy", SweepPoint(_sim_config(util, SelectionPolicy.GREEDY, GroupingPolicy.AGE_SORT, fast=fast), "hot-cold")),
+        ("LFS cost-benefit", SweepPoint(_sim_config(util, CleaningPolicy.COST_BENEFIT, GroupingPolicy.AGE_SORT, fast=fast), "hot-cold")),
+        ("LFS greedy", SweepPoint(_sim_config(util, CleaningPolicy.GREEDY, GroupingPolicy.AGE_SORT, fast=fast), "hot-cold")),
     ]
     runs = run_sweep([p for _, p in names_points], workers=workers)
     for (name, _), r in zip(names_points, runs):
@@ -269,10 +269,10 @@ def fig07_costbenefit_writecost(
         title="Figure 7 — write cost including the cost-benefit policy"
     )
     points = [
-        SweepPoint(_sim_config(u, SelectionPolicy.GREEDY, GroupingPolicy.AGE_SORT, fast=fast), "hot-cold")
+        SweepPoint(_sim_config(u, CleaningPolicy.GREEDY, GroupingPolicy.AGE_SORT, fast=fast), "hot-cold")
         for u in utils
     ] + [
-        SweepPoint(_sim_config(u, SelectionPolicy.COST_BENEFIT, GroupingPolicy.AGE_SORT, fast=fast), "hot-cold")
+        SweepPoint(_sim_config(u, CleaningPolicy.COST_BENEFIT, GroupingPolicy.AGE_SORT, fast=fast), "hot-cold")
         for u in utils
     ]
     runs = run_sweep(points, workers=workers)

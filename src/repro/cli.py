@@ -34,12 +34,12 @@ from repro.analysis.ascii_chart import render_table
 from repro.core.config import LFSConfig
 from repro.core.errors import CorruptionError
 from repro.core.filesystem import LFS
+from repro.core.policy import CleaningPolicy, GroupingPolicy
 from repro.disk.device import Disk
 from repro.disk.geometry import DiskGeometry, FlashGeometry
 from repro.disk.image import load_disk, save_disk
 from repro.obs.framing import FormatError
 from repro.simulator.model import SimConfig
-from repro.simulator.policies import GroupingPolicy, SelectionPolicy
 from repro.simulator.sweep import (
     SweepPoint,
     derive_point_seed,
@@ -339,7 +339,7 @@ def cmd_dump(args: argparse.Namespace) -> int:
 def _sweep_points(args: argparse.Namespace) -> tuple[list[SweepPoint], list[tuple]]:
     """The sweep grid a ``sweep``/``profile`` invocation describes."""
     utils = [float(u) for u in args.utils.split(",") if u]
-    selections = [SelectionPolicy(p) for p in args.policies.split(",") if p]
+    selections = [CleaningPolicy(p) for p in args.policies.split(",") if p]
     groupings = [GroupingPolicy(g) for g in args.grouping.split(",") if g]
     patterns = [p for p in args.patterns.split(",") if p]
     for spec in patterns:

@@ -5,10 +5,10 @@ Public entry points:
 - :class:`~repro.core.filesystem.LFS` — format/mount/operate the file system
 - :class:`~repro.core.config.LFSConfig` — tunables (segment size, cleaning
   policy, checkpoint interval, ...)
-- :class:`~repro.core.config.CleaningPolicy` — greedy vs. cost-benefit
+- :class:`~repro.core.policy.CleaningPolicy` — greedy vs. cost-benefit
 """
 
-from repro.core.config import CleaningPolicy, LFSConfig
+from repro.core.config import LFSConfig
 from repro.core.errors import (
     AlreadyMountedError,
     CorruptionError,
@@ -30,6 +30,7 @@ from repro.core.errors import (
     TrimmedBlockError,
 )
 from repro.core.filesystem import LFS, StatResult
+from repro.core.policy import CleaningPolicy
 from repro.core.recovery import RecoveryReport
 
 __all__ = [

@@ -3,9 +3,9 @@
 Mechanism: read segments, identify live blocks from segment summaries
 (using the inode-map version for the fast uid check), and rewrite the live
 blocks through the normal log write path. Policy: segments are selected
-greedily (least utilized) or by cost-benefit, ``(1-u) * age / (1+u)``; live
-blocks are optionally age-sorted before rewriting, which segregates cold
-data from hot.
+greedily (least utilized) or by cost-benefit, ``(1-u) * age / (1+u)``, the
+rules the simulator uses (:mod:`repro.core.policy`); live blocks are
+age-sorted before rewriting, which segregates cold data from hot.
 
 A cleaning pass checkpoints before reusing the source segments so that
 cleaned segments are never overwritten while an inode on disk still points
@@ -20,10 +20,10 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 from repro.core.blocks import checksum
-from repro.core.config import CleaningPolicy
 from repro.core.constants import INODE_SIZE, NULL_ADDR, BlockKind
 from repro.core.errors import MediaError, TrimmedBlockError
 from repro.core.inode import Inode, inode_slot_ids
+from repro.core.policy import CleaningPolicy, choose
 from repro.core.summary import SegmentGap, walk_segment
 from repro.obs.attribution import CLEANING_READ
 from repro.obs.events import CLEAN_PASS, CLEAN_QUARANTINE, CLEAN_SEGMENT
@@ -111,55 +111,50 @@ class Cleaner:
         production systems in Table 2 show most cleaned segments empty.
 
         Otherwise the candidates are ranked the way the paper ranks the
-        segment usage table: least utilized first, or highest
-        benefit-to-cost first. Ties break by ascending segment number
-        (candidate order plus a stable sort); every pinned digest
-        depends on that. A selector that avoids the rescan (Lomet &
-        Luo, PAPERS.md) starts to pay at several hundred segments — a
-        heap measured 2.4x on a 400-segment simulated disk, ~5 % at 100.
+        segment usage table, through the chooser the simulator uses
+        (:func:`~repro.core.policy.choose`): least utilized first, or
+        highest benefit-to-cost first, with u from the usage table and
+        age from the segment's last write time. Ties break by ascending
+        segment number (candidate order); every pinned digest depends on
+        that. A selector that avoids the rescan (Lomet & Luo,
+        PAPERS.md) starts to pay at several hundred segments — a heap
+        measured 2.4x on a 400-segment simulated disk, ~5 % at 100.
         """
         fs = self.fs
+        usage = fs.usage
         candidates = self._candidates()
-        empty = [s for s in candidates if fs.usage.get(s).live_bytes == 0]
+        empty = [s for s in candidates if usage.get(s).live_bytes == 0]
         if empty:
             return empty[:count]
-        now = fs.disk.clock.now
-        if fs.config.cleaning_policy == CleaningPolicy.GREEDY:
-            candidates.sort(key=fs.usage.utilization)
-        else:
-            candidates.sort(key=lambda s: -self._benefit_cost(s, now))
-        return candidates[:count]
+        return choose(
+            fs.config.cleaning_policy, candidates, count, usage.utilization,
+            lambda seg: usage.get(seg).last_write, fs.disk.clock.now,
+            weight=self._wear_factor() if fs.config.wear_leveling else None,
+        )
 
-    def _benefit_cost(self, seg_no: int, now: float) -> float:
-        """The paper's cost-benefit ratio: free space * age / cost.
+    def _wear_factor(self):
+        """The wear nudge as ``seg -> multiplier``, or None off flash.
 
-        With ``wear_leveling`` enabled on a flash disk, the ratio is
-        multiplied by a small deterministic factor favoring segments on
-        *low*-wear erase blocks (cleaning a segment soon re-erases its
-        erase blocks, so preferring cold-wear victims spreads erases).
-        The factor scales the ratio itself, so it nudges only the
-        cost-benefit ranking; empties-first and greedy never see it.
+        Above 1 (at most 1.1) when the segment's most worn erase block is
+        below the mean wear, below 1 above it: cleaning a segment soon
+        re-erases its erase blocks, so preferring cold-wear victims
+        spreads erases. Only the cost-benefit ranking applies it.
         """
-        u = self.fs.usage.utilization(seg_no)
-        age = max(0.0, now - self.fs.usage.get(seg_no).last_write)
-        score = (1.0 - u) * age / (1.0 + u)
-        if self.fs.config.wear_leveling:
-            score *= self._wear_factor(seg_no)
-        return score
-
-    def _wear_factor(self, seg_no: int) -> float:
-        """Bounded multiplier in [0.9, 1.1]: >1 for low-wear erase blocks."""
         fs = self.fs
         fl = fs.disk.flash
         if fl is None:
-            return 1.0
+            return None
         geom = fs.disk.geometry
-        start = fs.layout.segment_start(seg_no)
-        first = geom.erase_block_of(start)
-        last = geom.erase_block_of(start + fs.config.segment_blocks - 1)
-        wear = max(fl.erase_counts[eb] for eb in range(first, last + 1))
-        mean = sum(fl.erase_counts) / len(fl.erase_counts)
-        return 1.0 + 0.1 * (mean - wear) / (mean + 1.0)
+        mean = sum(fl.erase_counts) / len(fl.erase_counts)  # once per ranking
+
+        def factor(seg_no: int) -> float:
+            start = fs.layout.segment_start(seg_no)
+            first = geom.erase_block_of(start)
+            last = geom.erase_block_of(start + fs.config.segment_blocks - 1)
+            wear = max(fl.erase_counts[eb] for eb in range(first, last + 1))
+            return 1.0 + 0.1 * (mean - wear) / (mean + 1.0)
+
+        return factor
 
     # ------------------------------------------------------------------
     # mechanism
@@ -285,7 +280,9 @@ class Cleaner:
             if not chosen and need > headroom:
                 # Not even one victim fits: try the emptiest candidate
                 # instead (maximum net gain per block of headroom).
-                fallback = min(self._candidates(), key=fs.usage.utilization)
+                [fallback] = choose(
+                    CleaningPolicy.GREEDY, self._candidates(), 1, fs.usage.utilization
+                )
                 fb_live = int(fs.usage.utilization(fallback) * seg_blocks)
                 return [fallback] if self._blocks_needed(fb_live) <= headroom else []
             chosen.append(seg_no)

@@ -7,17 +7,10 @@ the rest of the device. Everything else lives in the log.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 
 from repro.core.constants import INODE_MAP_ENTRY_SIZE, SEG_USAGE_ENTRY_SIZE
-
-
-class CleaningPolicy(enum.Enum):
-    """Which segments the cleaner selects (Section 3.4, policy 3)."""
-
-    GREEDY = "greedy"
-    COST_BENEFIT = "cost-benefit"
+from repro.core.policy import CleaningPolicy
 
 
 @dataclass
@@ -25,15 +18,15 @@ class LFSConfig:
     """Tunable parameters of a Sprite LFS instance.
 
     Defaults follow the paper: 4 KB blocks, 512 KB segments, cost-benefit
-    cleaning with age-sorted output, a 30-second checkpoint interval, and
-    cleaning triggered when clean segments drop to a few tens.
+    cleaning, a 30-second checkpoint interval, and cleaning triggered when
+    clean segments drop to a few tens. Cleaned blocks are always written
+    back age-sorted (Section 3.5).
 
     Attributes:
         block_size: bytes per block; must match the disk's.
         segment_bytes: bytes per segment (512 KB or 1 MB in the paper).
         max_inodes: capacity of the inode map.
         cleaning_policy: greedy or cost-benefit segment selection.
-        age_sort: sort live blocks by age before rewriting (Section 3.5).
         clean_low_water: start cleaning when clean segments fall below this.
         clean_high_water: stop cleaning once clean segments reach this.
         segments_per_pass: how many segments to read per cleaning pass
@@ -101,7 +94,6 @@ class LFSConfig:
     segment_bytes: int = 512 * 1024
     max_inodes: int = 32768
     cleaning_policy: CleaningPolicy = CleaningPolicy.COST_BENEFIT
-    age_sort: bool = True
     clean_low_water: int = 20
     clean_high_water: int = 40
     segments_per_pass: int = 10
@@ -118,6 +110,10 @@ class LFSConfig:
     sync_flush_barrier: bool = False
 
     def __post_init__(self) -> None:
+        if not isinstance(self.cleaning_policy, CleaningPolicy):
+            raise ValueError(
+                f"cleaning_policy must be a CleaningPolicy, got {self.cleaning_policy!r}"
+            )
         if self.block_size <= 0 or self.block_size % 512:
             raise ValueError("block_size must be a positive multiple of 512")
         if self.segment_bytes % self.block_size:

@@ -1067,7 +1067,7 @@ class LFS:
 
         # -- data blocks
         dirty = self.cache.dirty_blocks()
-        if cleaning and self.config.age_sort:
+        if cleaning:  # age-sort the survivors so cold data segregates (Section 3.5)
             dirty.sort(key=lambda t: (t[2].mtime, t[0], t[1]))
         place_data = self._place_data
         fmap_inum = None

@@ -36,6 +36,9 @@ from repro.disk.device import Disk
 from repro.ffs.allocator import BitmapAllocator, InodeAllocator
 from repro.ffs.layout import FFSLayout, compute_ffs_layout
 
+#: blocks fetched per streamed read when access is sequential
+READAHEAD_BLOCKS = 8
+
 
 @dataclass
 class FFSConfig:
@@ -47,13 +50,6 @@ class FFSConfig:
         num_groups: cylinder groups.
         write_buffer_blocks: dirty data blocks buffered before the
             asynchronous writer pushes them out one at a time.
-        sync_metadata: write metadata synchronously (the behavior the
-            paper blames for small-file slowness). Setting this False
-            models a delayed-metadata variant for ablations.
-        double_inode_writes: write each new file's inode twice "to ease
-            recovery from crashes" (Figure 1's caption).
-        readahead_blocks: blocks fetched per streamed read when access is
-            sequential.
         cache_blocks: file-cache capacity in blocks.
         write_clustering: stream contiguous dirty runs as single requests,
             like the extent-based SunOS the paper cites ("a newer version
@@ -67,9 +63,6 @@ class FFSConfig:
     max_inodes: int = 32768
     num_groups: int = 16
     write_buffer_blocks: int = 64
-    sync_metadata: bool = True
-    double_inode_writes: bool = True
-    readahead_blocks: int = 8
     cache_blocks: int = 3072
     write_clustering: bool = False
 
@@ -113,7 +106,6 @@ class FFS:
         self._inodes: dict[int, Inode] = {}
         self._filemaps: dict[int, FileMap] = {}
         self._dir_states: dict[int, dirfmt.Directory] = {}
-        self._dirty_data: set[tuple[int, int]] = set()
         self._last_read: dict[int, int] = {}  # inum -> last fbn (read-ahead)
 
     # ==================================================================
@@ -144,8 +136,7 @@ class FFS:
         """Synchronously write the table block holding ``inode``."""
         block_addr, _ = self.layout.inode_addr(inode.inum)
         payload = self._pack_inode_table_block(block_addr)
-        repeats = 2 if (twice and self.config.double_inode_writes) else 1
-        for _ in range(repeats):
+        for _ in range(2 if twice else 1):
             self.disk.write_block(block_addr, payload, force_latency=True)
             self.stats.sync_metadata_writes += 1
 
@@ -258,9 +249,8 @@ class FFS:
 
     def _dir_sync(self, parent: int, block: int) -> None:
         """The synchronous pattern: the directory block, then its inode."""
-        if self.config.sync_metadata:
-            self._write_dir_block_sync(parent, block)
-            self._write_inode_sync(self._get_inode(parent))
+        self._write_dir_block_sync(parent, block)
+        self._write_inode_sync(self._get_inode(parent))
 
     def exists(self, path: str) -> bool:
         """True if ``path`` names a file or directory."""
@@ -286,8 +276,7 @@ class FFS:
         if ftype == FileType.DIRECTORY:
             self._dir_states[inum] = dirfmt.Directory(self.config.block_size)
         target = self._dir_insert(parent, name, inum)
-        if self.config.sync_metadata:
-            self._write_inode_sync(inode, twice=True)  # new file's inode, twice
+        self._write_inode_sync(inode, twice=True)  # new file's inode, twice
         self._dir_sync(parent, target)
         self.stats.creates += 1
         self.stats.ops += 1
@@ -325,14 +314,13 @@ class FFS:
                 base[block_off : block_off + take] = data[pos - offset : pos - offset + take]
                 payload = bytes(base)
             self.cache.write(inum, fbn, payload, now)
-            self._dirty_data.add((inum, fbn))
             pos += take
         if end > inode.size:
             inode.size = end
         inode.mtime = now
         self.stats.writes += 1
         self.stats.ops += 1
-        if len(self._dirty_data) >= self.config.write_buffer_blocks:
+        if self.cache.dirty_count >= self.config.write_buffer_blocks:
             self._flush_data()
 
     def write_file(self, path: str, data: bytes) -> int:
@@ -349,7 +337,7 @@ class FFS:
         """Push dirty data blocks out, one disk operation per block."""
         by_addr: list[tuple[int, int, int]] = []
         # Allocate in file order so sequential files get contiguous blocks.
-        for inum, fbn in sorted(self._dirty_data):
+        for inum, fbn, _ in self.cache.dirty_blocks():
             fmap = self._filemap(inum)
             addr = fmap.get(fbn)
             if addr == NULL_ADDR:
@@ -387,7 +375,6 @@ class FFS:
                 self.stats.async_data_writes += 1
                 self.cache.mark_clean(inum, fbn)
                 touched.add(inum)
-        self._dirty_data.clear()
         # indirect blocks and inodes of the files just written follow
         for inum in sorted(touched):
             fmap = self._filemaps.get(inum)
@@ -454,13 +441,13 @@ class FFS:
         # Read-ahead: when access looks sequential, stream a cluster.
         sequential = self._last_read.get(inum) == fbn - 1
         self._last_read[inum] = fbn
-        if sequential and self.config.readahead_blocks > 1:
+        if sequential:
             inode = self._get_inode(inum)
             nblocks = inode.nblocks(self.config.block_size)
             run = [addr]
             next_fbn = fbn + 1
             while (
-                len(run) < self.config.readahead_blocks
+                len(run) < READAHEAD_BLOCKS
                 and next_fbn < nblocks
                 and fmap.get(next_fbn) == run[-1] + 1
                 and not self.cache.contains(inum, next_fbn)
@@ -517,11 +504,9 @@ class FFS:
         for _, addr in fmap.clear_from(first_dead, inode.nblocks(bs)):
             self.allocator.free(addr)
         self.cache.drop_from(inum, first_dead)
-        self._dirty_data = {(i, f) for (i, f) in self._dirty_data if i != inum or f < first_dead}
         inode.size = size
         inode.mtime = self.disk.clock.now
-        if self.config.sync_metadata:
-            self._write_inode_sync(inode)
+        self._write_inode_sync(inode)
         self.stats.ops += 1
 
     def _drop_inode(self, inum: int) -> None:
@@ -531,7 +516,6 @@ class FFS:
         for _, addr in fmap.all_block_addrs(inode.nblocks(self.config.block_size)):
             self.allocator.free(addr)
         self.cache.drop_file(inum)
-        self._dirty_data = {(i, f) for (i, f) in self._dirty_data if i != inum}
         self._inodes.pop(inum, None)
         self._filemaps.pop(inum, None)
         self._dir_states.pop(inum, None)
@@ -548,8 +532,7 @@ class FFS:
             raise DirectoryNotEmptyError(f"{path!r} is not empty")
         self._dir_remove(parent, name)
         inode.nlink -= 1
-        if self.config.sync_metadata:
-            self._write_inode_sync(inode)  # updated link count
+        self._write_inode_sync(inode)  # updated link count
         if inode.nlink <= 0:
             self._drop_inode(inum)
         self.stats.deletes += 1
@@ -569,8 +552,7 @@ class FFS:
             raise FileExistsLFSError(f"{newpath!r} already exists")
         self._dir_sync(parent, self._dir_insert(parent, name, inum))
         inode.nlink += 1
-        if self.config.sync_metadata:
-            self._write_inode_sync(inode)
+        self._write_inode_sync(inode)
         self.stats.ops += 1
 
     def rename(self, oldpath: str, newpath: str) -> None:
@@ -621,7 +603,7 @@ class FFS:
 
     def sync(self) -> None:
         """Flush all buffered data."""
-        if self._dirty_data:
+        if self.cache.dirty_count:
             self._flush_data()
 
     def fsck(self) -> float:

@@ -24,7 +24,7 @@ always.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.simulator.sweep import derive_point_seed
 
@@ -84,8 +84,6 @@ class WorkloadConfig:
     #: op mix weights over OPS = (write, read, append)
     mix: tuple[float, float, float] = (0.45, 0.40, 0.15)
     seed: int = 42
-    #: optional per-tenant weight overrides (tenant index -> weight)
-    tenant_weights: dict[int, float] = field(default_factory=dict)
     #: extra fraction of the client population assigned to tenant 0 on
     #: top of its round-robin share — the asymmetric load that separates
     #: FIFO from DRR (0.0 = symmetric tenants)
@@ -197,9 +195,6 @@ class LoadGenerator:
 
     def tenant_ids(self) -> list[str]:
         return [f"t{i}" for i in range(self.cfg.tenants)]
-
-    def tenant_weight(self, index: int) -> float:
-        return self.cfg.tenant_weights.get(index, 1.0)
 
     def install(self, loop, server) -> None:
         self._server = server

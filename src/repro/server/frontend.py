@@ -42,6 +42,11 @@ from repro.server.policies import DEFAULT_QUANTUM, make_policy
 from repro.server.tenants import TenantRegistry
 from repro.vfs import FileSystemView
 
+#: simulated seconds between background cleaner checks
+CLEANER_PERIOD = 0.5
+#: simulated CPU time charged to every request before its file system work
+CPU_OP_SECONDS = 0.002
+
 
 @dataclass
 class ServerConfig:
@@ -50,7 +55,7 @@ class ServerConfig:
     The cleaner knob selects between three regimes:
 
     - ``cleaner=True`` — the loop schedules a cleaner check every
-      ``cleaner_period`` simulated seconds (a pass runs when clean
+      ``CLEANER_PERIOD`` simulated seconds (a pass runs when clean
       segments fall below ``clean_low_water``, charged to the system
       tenant), and the FS keeps a lower inline emergency threshold
       whose passes are charged to the requesting tenant;
@@ -67,11 +72,9 @@ class ServerConfig:
     policy: str = "fifo"
     quantum: float = DEFAULT_QUANTUM
     cleaner: bool = True
-    cleaner_period: float = 0.5
     clean_low_water: int = 20
     clean_high_water: int = 40
     checkpoint_interval: float = 5.0
-    cpu_op_seconds: float = 0.002
     block_size: int = 1024
     segment_bytes: int = 256 * 1024
     #: device capacity as a multiple of the expected write volume; small
@@ -191,7 +194,6 @@ class FileServer:
         obs: Observation,
         generator: LoadGenerator,
         *,
-        cpu_op_seconds: float = 0.002,
         sync_writes: bool = False,
     ) -> None:
         self.vfs = vfs
@@ -201,7 +203,6 @@ class FileServer:
         self.queue = queue
         self.obs = obs
         self.generator = generator
-        self.cpu_op_seconds = cpu_op_seconds
         self.sync_writes = sync_writes
         self.completed = 0
         self.failed = 0
@@ -281,7 +282,7 @@ class FileServer:
     def _execute(self, request: Request, tenant) -> None:
         path = tenant.path(request.path)
         payload = b"x" * request.size if request.size else b""
-        self.fs.disk.clock.advance(self.cpu_op_seconds)
+        self.fs.disk.clock.advance(CPU_OP_SECONDS)
         # Per-handle commit inside the tenant's attribution scope, so
         # staging (or the forced partial flush without NVM) is charged
         # to the tenant whose request demanded the durability.
@@ -379,9 +380,8 @@ def run_server(
     generator = LoadGenerator(w)
     registry = TenantRegistry()
     exact_limit = 512 if w.clients <= 2048 else 128
-    for index, tid in enumerate(generator.tenant_ids()):
-        registry.add(tid, weight=generator.tenant_weight(index),
-                     exact_limit=exact_limit)
+    for tid in generator.tenant_ids():
+        registry.add(tid, exact_limit=exact_limit)
         fs.mkdir(f"/{tid}")
     obs.registry.register("tenants", registry.counters)
 
@@ -406,7 +406,6 @@ def run_server(
     queue = make_policy(config.policy, quantum=config.quantum, weights=weights)
     server = FileServer(
         vfs, loop, registry, queue, obs, generator,
-        cpu_op_seconds=config.cpu_op_seconds,
         sync_writes=w.sync_writes,
     )
 
@@ -426,7 +425,7 @@ def run_server(
             with obs.tenant(SYSTEM_TENANT):
                 fs.cleaner.clean(config.clean_high_water)
         pending["cleaner"] = lp.after(
-            config.cleaner_period, "cleaner.tick", cleaner_tick
+            CLEANER_PERIOD, "cleaner.tick", cleaner_tick
         )
 
     def checkpoint_tick(lp: EventLoop) -> None:
@@ -450,7 +449,7 @@ def run_server(
 
     if config.cleaner:
         pending["cleaner"] = loop.after(
-            config.cleaner_period, "cleaner.tick", cleaner_tick
+            CLEANER_PERIOD, "cleaner.tick", cleaner_tick
         )
     if config.checkpoint_interval > 0:
         pending["checkpoint"] = loop.after(

@@ -8,9 +8,9 @@ grouping (none vs. age sort) under uniform and hot-and-cold access —
 reproducing Figures 3 through 7.
 """
 
+from repro.core.policy import CleaningPolicy, GroupingPolicy
 from repro.simulator.model import SimConfig, SimResult, Simulator
 from repro.simulator.patterns import AccessPattern, HotColdPattern, UniformPattern
-from repro.simulator.policies import GroupingPolicy, SelectionPolicy
 from repro.simulator.sweep import (
     SweepPoint,
     make_pattern,
@@ -27,11 +27,11 @@ from repro.simulator.writecost import (
 
 __all__ = [
     "AccessPattern",
+    "CleaningPolicy",
     "FFS_IMPROVED_WRITE_COST",
     "FFS_TODAY_WRITE_COST",
     "GroupingPolicy",
     "HotColdPattern",
-    "SelectionPolicy",
     "SimConfig",
     "SimResult",
     "Simulator",

@@ -13,13 +13,12 @@ block counts, which is exactly the currency of the write-cost metric.
 
 from __future__ import annotations
 
-import heapq
 import random
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 
+from repro.core.policy import CleaningPolicy, GroupingPolicy, choose
 from repro.simulator.patterns import AccessPattern, UniformPattern
-from repro.simulator.policies import GroupingPolicy, SelectionPolicy, cost_benefit_key
 from repro.simulator.writecost import measured_write_cost
 
 
@@ -61,7 +60,7 @@ class SimConfig:
     num_segments: int = 100
     blocks_per_segment: int = 128
     utilization: float = 0.75
-    selection: SelectionPolicy = SelectionPolicy.GREEDY
+    selection: CleaningPolicy = CleaningPolicy.GREEDY
     grouping: GroupingPolicy = GroupingPolicy.NONE
     clean_threshold: int = 2
     segments_per_pass: int = 1
@@ -97,6 +96,10 @@ class SimConfig:
             raise ValueError("max_windows must be >= 1")
         if self.stable_windows < 1:
             raise ValueError("stable_windows must be >= 1")
+        if not isinstance(self.selection, CleaningPolicy):
+            raise ValueError(f"selection must be a CleaningPolicy, got {self.selection!r}")
+        if not isinstance(self.grouping, GroupingPolicy):
+            raise ValueError(f"grouping must be a GroupingPolicy, got {self.grouping!r}")
 
     @property
     def total_blocks(self) -> int:
@@ -284,28 +287,15 @@ class Simulator:
         (benefit is zero under both policies), so it is never picked.
         The result equals ``rank_greedy``/``rank_cost_benefit`` of the
         other candidates cut to ``count``, ties in ascending segment
-        order: ``min``/``max`` return the first extreme element, and
-        ``heapq.nsmallest``/``nlargest`` are documented to equal
-        ``sorted(...)[:count]`` (with ``reverse=True`` for the largest).
+        order (see :func:`~repro.core.policy.choose`).
         """
         B = self.config.blocks_per_segment
         seg_live = self.seg_live
         candidates = [s for s in self._candidates() if seg_live[s] < B]
-        if not candidates:
-            return []
-        if self.config.selection == SelectionPolicy.GREEDY:
-            key, best, top = seg_live.__getitem__, min, heapq.nsmallest
-        else:
-            key = cost_benefit_key(
-                seg_live.__getitem__,
-                self.seg_mtime.__getitem__,
-                float(self.step_no),
-                B,
-            )
-            best, top = max, heapq.nlargest
-        if count == 1:
-            return [best(candidates, key=key)]
-        return top(count, candidates, key=key)
+        return choose(
+            self.config.selection, candidates, count, seg_live.__getitem__,
+            self.seg_mtime.__getitem__, float(self.step_no), B,
+        )
 
     def _run_cleaner(self) -> None:
         """Clean until the threshold of clean segments is available."""

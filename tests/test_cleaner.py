@@ -2,11 +2,11 @@
 
 import pytest
 
-from repro.core.config import CleaningPolicy
 from repro.core.constants import INODE_SIZE, NULL_ADDR, BlockKind
 from repro.core.errors import CorruptionError
 from repro.core.filesystem import LFS
 from repro.core.inode import inode_slot_ids
+from repro.core.policy import CleaningPolicy
 from repro.core.summary import SegmentWrite, SummaryEntry, walk_segment
 from repro.disk.device import Disk
 from repro.disk.geometry import DiskGeometry

@@ -1,13 +1,21 @@
 """Tests for configuration and disk layout computation."""
 
 import dataclasses
+import enum
 
 import pytest
 
-from repro.core.config import CleaningPolicy, LFSConfig, compute_layout
+from repro.core.config import LFSConfig, compute_layout
 from repro.core.filesystem import LFS
+from repro.core.policy import CleaningPolicy
 
 from tests.conftest import small_config
+
+
+class LookAlike(enum.Enum):
+    """Same name and value as ``CleaningPolicy.GREEDY``, never equal to it."""
+
+    GREEDY = "greedy"
 
 
 class TestLFSConfig:
@@ -36,6 +44,12 @@ class TestLFSConfig:
     def test_rejects_tiny_segments(self):
         with pytest.raises(ValueError):
             LFSConfig(segment_bytes=4096 * 2)
+
+    @pytest.mark.parametrize("policy", ["greedy", LookAlike.GREEDY, None])
+    def test_rejects_unknown_cleaning_policy(self, policy):
+        """Not silently replaced by cost-benefit in ``select_segments``."""
+        with pytest.raises(ValueError, match="cleaning_policy"):
+            LFSConfig(cleaning_policy=policy)
 
     def test_imap_blocks(self):
         cfg = LFSConfig(max_inodes=1000)

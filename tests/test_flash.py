@@ -26,6 +26,7 @@ import pytest
 from repro.core.config import LFSConfig, compute_layout
 from repro.core.errors import TrimmedBlockError
 from repro.core.filesystem import LFS
+from repro.core.policy import CleaningPolicy
 from repro.disk.device import Disk
 from repro.disk.geometry import DiskGeometry, FlashGeometry
 from repro.obs import Observation, SegmentLedger, Watchdog
@@ -380,6 +381,83 @@ class TestFlashFilesystem:
         assert report["ledger"]["flash"]["trim_events"] > 0
         text = render_report(report)
         assert "flash wear and TRIM" in text
+
+
+class TestWearNudge:
+    """``wear_leveling`` scales the cost-benefit score by the segment's
+    wear factor and touches nothing else."""
+
+    BASE_WEAR = 10
+
+    def staged(self, policy, segments):
+        """A NAND file system whose only candidates are ``segments``, as
+        ``seg: (live_bytes, erase count)``, all written at one instant.
+
+        Each 32-block segment spans two 16-block erase blocks, which get
+        the count, or one each from a pair; every other erase block keeps
+        ``BASE_WEAR``, so the mean sits near it.
+        """
+        disk = nand_disk(num_blocks=2048, erase_block_blocks=16)
+        config = LFSConfig(cleaning_policy=policy, wear_leveling=True, **CHURN_CONFIG)
+        fs = LFS.format(disk, config)
+        assert fs.cleaner._candidates() == []
+        counts = disk.flash.erase_counts
+        counts[:] = [self.BASE_WEAR] * len(counts)
+        for seg, (live, wear) in segments.items():
+            assert fs.usage.get(seg).clean
+            fs.usage.add_live(seg, live, when=1.0)
+            pair = wear if isinstance(wear, tuple) else (wear, wear)
+            for eb, count in zip(self.erase_blocks(fs, seg), pair):
+                counts[eb] = count
+        disk.clock.advance(100.0)
+        return fs
+
+    @staticmethod
+    def erase_blocks(fs, seg):
+        start = fs.layout.segment_start(seg)
+        last = start + fs.config.segment_blocks - 1
+        erase_block_of = fs.disk.geometry.erase_block_of
+        return range(erase_block_of(start), erase_block_of(last) + 1)
+
+    def nudged_score(self, fs, seg):
+        """The oracle: today's ratio times today's factor, spelled out."""
+        u = fs.usage.utilization(seg)
+        age = max(0.0, fs.disk.clock.now - fs.usage.get(seg).last_write)
+        counts = fs.disk.flash.erase_counts
+        mean = sum(counts) / len(counts)
+        wear = max(counts[eb] for eb in self.erase_blocks(fs, seg))
+        return (1.0 - u) * age / (1.0 + u) * (1.0 + 0.1 * (mean - wear) / (mean + 1.0))
+
+    def test_cost_benefit_order_is_the_stable_sort_by_nudged_score(self):
+        # 5, 6 and 10 tie on score, 7 trails them by 0.4 %: the wear of
+        # each segment's most worn erase block decides; 8 and 9 tie on both.
+        fs = self.staged(
+            CleaningPolicy.COST_BENEFIT,
+            {5: (32768, 12), 6: (32768, 8), 7: (33000, 8), 8: (65536, 10), 9: (65536, 10),
+             10: (32768, (8, 12))},
+        )
+        candidates = fs.cleaner._candidates()
+        oracle = sorted(candidates, key=lambda s: self.nudged_score(fs, s), reverse=True)
+        assert oracle == [6, 7, 5, 10, 8, 9]
+        assert fs.cleaner.select_segments(100) == oracle
+        assert fs.cleaner.select_segments(1) == [6]
+        assert fs.cleaner.select_segments(3) == [6, 7, 5]
+        fs.config.wear_leveling = False
+        assert fs.cleaner.select_segments(100) == [5, 6, 10, 7, 8, 9]
+
+    def test_greedy_ignores_wear(self):
+        fs = self.staged(
+            CleaningPolicy.GREEDY,
+            {5: (32768, 12), 6: (32768, 8), 7: (33000, 0), 8: (16384, 40)},
+        )
+        assert fs.cleaner.select_segments(100) == [8, 5, 6, 7]
+        assert fs.cleaner.select_segments(1) == [8]
+
+    @pytest.mark.parametrize("policy", [CleaningPolicy.GREEDY, CleaningPolicy.COST_BENEFIT])
+    def test_empties_first_ignore_wear(self, policy):
+        fs = self.staged(policy, {5: (0, 40), 6: (8192, 0), 7: (0, 0), 9: (0, 20)})
+        assert fs.cleaner.select_segments(2) == [5, 7]
+        assert fs.cleaner.select_segments(100) == [5, 7, 9]
 
 
 class TestFlashTorture:

@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from repro.core.config import CleaningPolicy
 from repro.core.filesystem import LFS
+from repro.core.policy import CleaningPolicy
 from repro.disk.device import Disk
 from repro.disk.geometry import DiskGeometry
 

@@ -8,6 +8,7 @@ it was before those changes — one ``step()`` per write, one
 result must match it bit for bit.
 """
 
+import enum
 import random
 from bisect import bisect_left, insort
 
@@ -15,14 +16,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.simulator.model import SimConfig, SimResult, Simulator
-from repro.simulator.patterns import AccessPattern, HotColdPattern, UniformPattern
-from repro.simulator.policies import (
+from repro.core.policy import (
+    CleaningPolicy,
     GroupingPolicy,
-    SelectionPolicy,
     rank_cost_benefit,
     rank_greedy,
 )
+from repro.simulator.model import SimConfig, SimResult, Simulator
+from repro.simulator.patterns import AccessPattern, HotColdPattern, UniformPattern
 from repro.simulator.sweep import derive_point_seed
 from repro.simulator.writecost import (
     bandwidth_fraction,
@@ -30,8 +31,15 @@ from repro.simulator.writecost import (
     measured_write_cost,
 )
 
-SELECTIONS = (SelectionPolicy.GREEDY, SelectionPolicy.COST_BENEFIT)
+SELECTIONS = (CleaningPolicy.GREEDY, CleaningPolicy.COST_BENEFIT)
 GROUPINGS = (GroupingPolicy.NONE, GroupingPolicy.AGE_SORT)
+
+
+class LookAlike(enum.Enum):
+    """Same names and values as the policy enums, never equal to them."""
+
+    GREEDY = "greedy"
+    AGE_SORT = "age-sort"
 
 
 class _ReferenceSimulator:
@@ -131,7 +139,7 @@ class _ReferenceSimulator:
 
     def _select_victims(self, count):
         B = self.config.blocks_per_segment
-        if self.config.selection == SelectionPolicy.GREEDY:
+        if self.config.selection == CleaningPolicy.GREEDY:
             ranked = rank_greedy(self._candidates(), self)
         else:
             ranked = rank_cost_benefit(
@@ -366,7 +374,7 @@ class TestBehaviour:
         greedy = Simulator(
             tiny_config(
                 utilization=0.75,
-                selection=SelectionPolicy.GREEDY,
+                selection=CleaningPolicy.GREEDY,
                 grouping=GroupingPolicy.AGE_SORT,
                 num_segments=60,
                 blocks_per_segment=64,
@@ -378,7 +386,7 @@ class TestBehaviour:
         costben = Simulator(
             tiny_config(
                 utilization=0.75,
-                selection=SelectionPolicy.COST_BENEFIT,
+                selection=CleaningPolicy.COST_BENEFIT,
                 grouping=GroupingPolicy.AGE_SORT,
                 num_segments=60,
                 blocks_per_segment=64,
@@ -419,6 +427,21 @@ class TestBehaviour:
         ],
     )
     def test_config_rejects_runs_that_measure_nothing(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            tiny_config(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("selection", "greedy"),
+            ("selection", LookAlike.GREEDY),
+            ("grouping", "age-sort"),
+            ("grouping", LookAlike.AGE_SORT),
+        ],
+    )
+    def test_config_rejects_unknown_policies(self, field, value):
+        """A value the simulator does not know fails loudly instead of
+        silently running the other policy."""
         with pytest.raises(ValueError, match=field):
             tiny_config(**{field: value})
 
@@ -506,7 +529,7 @@ class TestMatchesReference:
 
     def test_stepwise_state_matches(self):
         """``step()`` leaves the same state the per-step loop does."""
-        cfg = small_config(0.8, SelectionPolicy.COST_BENEFIT, GroupingPolicy.AGE_SORT)
+        cfg = small_config(0.8, CleaningPolicy.COST_BENEFIT, GroupingPolicy.AGE_SORT)
         sim = Simulator(cfg, HotColdPattern())
         ref = _ReferenceSimulator(cfg, HotColdPattern())
         for _ in range(3000):
@@ -571,7 +594,7 @@ class TestSelectVictims:
 
     def _oracle(self, sim, count):
         B = sim.config.blocks_per_segment
-        if sim.config.selection == SelectionPolicy.GREEDY:
+        if sim.config.selection == CleaningPolicy.GREEDY:
             ranked = rank_greedy(sim._candidates(), sim)
         else:
             ranked = rank_cost_benefit(sim._candidates(), sim, float(sim.step_no), B)
@@ -600,7 +623,7 @@ class TestSelectVictims:
             assert got == sorted(got) and all(s % 3 for s in got)
 
     def test_all_fully_live_yields_nothing(self):
-        sim = Simulator(small_config(0.5, SelectionPolicy.GREEDY, GroupingPolicy.NONE))
+        sim = Simulator(small_config(0.5, CleaningPolicy.GREEDY, GroupingPolicy.NONE))
         for s in sim._candidates():
             sim.seg_live[s] = sim.config.blocks_per_segment
         assert sim._select_victims(1) == [] == self._oracle(sim, 1)

@@ -11,9 +11,9 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.core.policy import CleaningPolicy, GroupingPolicy
 from repro.simulator.model import SimConfig
 from repro.simulator.patterns import HotColdPattern, UniformPattern
-from repro.simulator.policies import GroupingPolicy, SelectionPolicy
 from repro.simulator.sweep import (
     SweepPoint,
     derive_point_seed,
@@ -30,7 +30,7 @@ from tests.test_simulator import reference_run
 def _tiny_points() -> list[SweepPoint]:
     points = []
     for util in (0.4, 0.8):
-        for selection in (SelectionPolicy.GREEDY, SelectionPolicy.COST_BENEFIT):
+        for selection in (CleaningPolicy.GREEDY, CleaningPolicy.COST_BENEFIT):
             cfg = SimConfig(
                 num_segments=24,
                 blocks_per_segment=16,
