@@ -62,6 +62,15 @@ def unpack_addr_list(payloads: Iterable[bytes], count: int, block_size: int) -> 
     return out
 
 
+def splice(block: bytes, at: int, piece) -> bytes:
+    """``block`` with ``piece`` written over it from byte ``at`` on.
+
+    The read-modify-write of a partial-block write: both file systems'
+    writes and NVM patch replay merge a piece into a block through it.
+    """
+    return block[:at] + piece + block[at + len(piece) :]
+
+
 def checksum(payloads: Iterable[bytes]) -> int:
     """CRC-32 over a sequence of block payloads.
 

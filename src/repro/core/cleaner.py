@@ -367,7 +367,7 @@ class Cleaner:
                 payload = block_at(addr)
                 # Selective reads skip the whole-write CRC, so verify
                 # each lazily fetched payload individually.
-                if blocks is None and entry.block_crc and zlib.crc32(payload) != entry.block_crc:
+                if blocks is None and zlib.crc32(payload) != entry.block_crc:
                     raise MediaError(
                         "block failed CRC during selective cleaning", addr=addr, op="read"
                     )
@@ -501,9 +501,7 @@ class Cleaner:
                 for i, entry in enumerate(summary.entries):
                     addr = start + offset + 1 + i
                     payload = safe_read(addr)
-                    ok = payload is not None and (
-                        not entry.block_crc or checksum([payload]) == entry.block_crc
-                    )
+                    ok = payload is not None and checksum([payload]) == entry.block_crc
                     if not ok and entry.kind == BlockKind.DATA:
                         cached = fs.cache.peek(entry.inum, entry.offset)
                         if cached is not None and cached.dirty:

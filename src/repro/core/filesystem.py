@@ -17,7 +17,7 @@ import zlib
 from contextlib import nullcontext
 from dataclasses import dataclass
 
-from repro.core.blocks import checksum
+from repro.core.blocks import checksum, splice
 from repro.core.cache import BlockCache
 from repro.core.checkpoint import Checkpoint, read_latest_checkpoint, write_checkpoint
 from repro.core.cleaner import Cleaner
@@ -49,7 +49,7 @@ from repro.core.errors import (
     NotMountedError,
     ReadOnlyError,
 )
-from repro.core.inode import Inode, inodes_per_block, pack_inode_block, unpack_inode_block
+from repro.core.inode import Inode, find_inode, inodes_per_block, pack_inode_block
 from repro.core.inode_map import InodeMap
 from repro.core.mapping import FileMap
 from repro.core.nvlog import NVLog
@@ -206,18 +206,7 @@ class LFS:
             obs.attach(fs)
         sb = Superblock.from_layout(config, layout)
         disk.write_block(0, sb.to_bytes(config.block_size))
-        root = Inode(
-            inum=ROOT_INUM,
-            ftype=FileType.DIRECTORY,
-            nlink=1,
-            mtime=disk.clock.now,
-            ctime=disk.clock.now,
-        )
-        fs._inodes[ROOT_INUM] = root
-        fs._dirty_inodes.add(ROOT_INUM)
-        fs._dir_states[ROOT_INUM] = dirfmt.Directory(config.block_size)
-        fs.imap.get(ROOT_INUM).addr = PENDING_ADDR
-        fs.imap._next_inum = ROOT_INUM + 1
+        fs._install_inode(ROOT_INUM, FileType.DIRECTORY, 1, disk.clock.now)
         fs._mounted = True
         fs.checkpoint()
         return fs
@@ -484,10 +473,8 @@ class LFS:
                     f"summary (its summary rotted away); refusing unverifiable "
                     f"read"
                 )
-        # CRC 0 doubles as "unknown" (images written before per-entry CRCs
-        # existed carry zeros in those bytes) — skip verification for it.
         # ``checksum([payload])`` for one block, without the list.
-        if expected and zlib.crc32(payload) != expected:
+        if expected is not None and zlib.crc32(payload) != expected:
             self._note_media_error()
             raise CorruptionError(
                 f"checksum mismatch reading block {addr}: stored payload does "
@@ -531,8 +518,7 @@ class LFS:
             # than anything parsed off the platter.
             sink.setdefault(addr, checksum([step.raw]))
             for i, entry in enumerate(step.summary.entries):
-                if entry.block_crc:
-                    sink.setdefault(addr + 1 + i, entry.block_crc)
+                sink.setdefault(addr + 1 + i, entry.block_crc)
 
     def get_inode(self, inum: int) -> Inode:
         """Fetch an inode, reading it from the log if necessary."""
@@ -542,15 +528,46 @@ class LFS:
         addr = self.imap.lookup(inum)
         if addr == PENDING_ADDR:
             raise CorruptionError(f"inode {inum} pending but not in memory")
-        payload = self._read_log_block(addr)
-        for candidate in unpack_inode_block(payload, self.config.block_size):
-            if candidate.inum == inum:
-                self._inodes[inum] = candidate
-                return candidate
-        raise CorruptionError(f"inode {inum} not found in its inode block")
+        inode = find_inode(self._read_log_block(addr), inum)
+        if inode is None:
+            raise CorruptionError(f"inode {inum} not found in its inode block")
+        self._inodes[inum] = inode
+        return inode
+
+    def _install_inode(self, inum: int, ftype: FileType, nlink: int, when: float) -> None:
+        """Bring a new inode to life in memory, dirty, at the slot's version.
+
+        The map slot points at ``PENDING_ADDR`` until the next flush
+        writes the inode; a directory starts with an empty entry table.
+        """
+        self.imap.set_addr(inum, PENDING_ADDR)
+        if inum >= self.imap._next_inum:
+            self.imap._next_inum = inum + 1
+        self._inodes[inum] = Inode(
+            inum=inum,
+            version=self.imap.version_of(inum),
+            ftype=ftype,
+            nlink=nlink,
+            mtime=when,
+            ctime=when,
+        )
+        self._dirty_inodes.add(inum)
+        if ftype == FileType.DIRECTORY:
+            self._dir_states[inum] = dirfmt.Directory(self.config.block_size)
 
     def _mark_inode_dirty(self, inum: int) -> None:
         self._dirty_inodes.add(inum)
+
+    def _set_nlink(self, inum: int, n: int) -> None:
+        """Set a link count, dirtying the inode only when it changes."""
+        inode = self.get_inode(inum)
+        if inode.nlink != n:
+            inode.nlink = n
+            self._mark_inode_dirty(inum)
+
+    def _live_dir(self, dinum: int) -> bool:
+        """True if ``dinum`` names an allocated directory."""
+        return self.imap.is_allocated(dinum) and self.get_inode(dinum).is_directory
 
     def filemap(self, inum: int) -> FileMap:
         """The (cached) block map for one file."""
@@ -688,21 +705,7 @@ class LFS:
         if self._dir_state(parent).lookup(name) is not None:
             raise FileExistsLFSError(f"{path!r} already exists")
         inum = self.imap.allocate()
-        now = self.disk.clock.now
-        inode = Inode(
-            inum=inum,
-            version=self.imap.version_of(inum),
-            ftype=ftype,
-            nlink=1,
-            mtime=now,
-            ctime=now,
-        )
-        self._inodes[inum] = inode
-        self._dirty_inodes.add(inum)
-        self.imap.get(inum).addr = PENDING_ADDR
-        self.imap._dirty_blocks.add(self.imap.block_of(inum))
-        if ftype == FileType.DIRECTORY:
-            self._dir_states[inum] = dirfmt.Directory(self.config.block_size)
+        self._install_inode(inum, ftype, 1, self.disk.clock.now)
         self._pending_dirops.append(
             DirOpRecord(op=DirOp.CREATE, file_inum=inum, refcount=1, dir1=parent, name1=name)
         )
@@ -743,9 +746,11 @@ class LFS:
             if take == bs:
                 payload = bytes(data[pos - offset : pos - offset + bs])
             else:
-                base = bytearray(self._read_data_block(inum, fbn))
-                base[block_off : block_off + take] = data[pos - offset : pos - offset + take]
-                payload = bytes(base)
+                payload = splice(
+                    self._read_data_block(inum, fbn),
+                    block_off,
+                    data[pos - offset : pos - offset + take],
+                )
             self.cache.write(inum, fbn, payload, now)
             if nvlog is not None:
                 nvlog.note_range(inum, fbn, block_off, block_off + take)
@@ -815,21 +820,30 @@ class LFS:
             raise InvalidOperationError(f"cannot truncate to {size}")
         if size == inode.size:
             return
+        self._shrink(inum, inode, size)
+        inode.mtime = self.disk.clock.now
+        self._mark_inode_dirty(inum)
+        self._after_op()
+
+    def _shrink(self, inum: int, inode: Inode, size: int) -> None:
+        """Cut a file down to ``size`` bytes.
+
+        The dead blocks' live bytes leave the usage table and their
+        cached and staged copies are dropped. Shrinking to zero bumps the
+        uid version, so the cleaner judges every old block dead without
+        reading the inode (Section 3.3). Callers set the mtime and mark
+        the inode dirty.
+        """
         bs = self.config.block_size
         first_dead_fbn = (size + bs - 1) // bs
-        fmap = self.filemap(inum)
-        freed = fmap.clear_from(first_dead_fbn, inode.nblocks(bs))
-        for _, addr in freed:
+        for _, addr in self.filemap(inum).clear_from(first_dead_fbn, inode.nblocks(bs)):
             self.usage.remove_live(self.layout.segment_of(addr), bs)
         self.cache.drop_from(inum, first_dead_fbn)
         if self.nvlog is not None:
             self.nvlog.trim_ranges(inum, first_dead_fbn)
         inode.size = size
-        inode.mtime = self.disk.clock.now
         if size == 0:
             inode.version = self.imap.bump_version(inum)
-        self._mark_inode_dirty(inum)
-        self._after_op()
 
     def unlink(self, path: str) -> None:
         """Remove a directory entry; frees the file when nlink hits zero."""
@@ -1037,13 +1051,14 @@ class LFS:
                 f"need {needed_segments} clean segments, have {self.usage.clean_count}"
             )
 
-    def _build_flush_items(self, *, include_meta: bool, cleaning: bool = False) -> list[LogItem]:
+    def _build_flush_items(self, *, cleaning: bool = False) -> list[LogItem]:
         """Assemble the ordered item list for one flush.
 
         Order: directory-op log records first (the paper's before-the-
         directory-block guarantee), then data blocks, then indirect
-        blocks (children before the double-indirect), then inode blocks,
-        then — for checkpoints — inode-map and segment-usage blocks.
+        blocks (children before the double-indirect), then inode blocks.
+        A checkpoint appends the inode-map and segment-usage blocks
+        itself (:meth:`_build_meta_items`).
         """
         items: list[LogItem] = []
         bs = self.config.block_size
@@ -1159,9 +1174,6 @@ class LFS:
                 )
             )
         self._dirty_inodes.clear()
-
-        if include_meta:
-            items.extend(self._build_meta_items())
         return items
 
     def _build_meta_items(self) -> list[LogItem]:
@@ -1263,7 +1275,6 @@ class LFS:
     def flush(
         self,
         *,
-        include_meta: bool = False,
         cleaning: bool = False,
         barrier: bool = False,
         cause: str | None = None,
@@ -1279,7 +1290,7 @@ class LFS:
         """
         self._require_mounted()
         dirty_before = self.cache.dirty_count
-        items = self._build_flush_items(include_meta=include_meta, cleaning=cleaning)
+        items = self._build_flush_items(cleaning=cleaning)
         writes = 0
         if items:
             if self.obs is not None:

@@ -157,6 +157,21 @@ def unpack_inode_block(payload: bytes, block_size: int) -> list[Inode]:
     return out
 
 
+def find_inode(payload: bytes, inum: int) -> Inode | None:
+    """Inode ``inum`` from an inode-block payload, or None if absent.
+
+    Walks the slot identities and parses only the matching slot; a zero
+    slot ends the block, as in :func:`unpack_inode_block`.
+    """
+    for slot, (found, _) in enumerate(inode_slot_ids(payload)):
+        if found == 0:
+            break
+        if found == inum:
+            start = slot * INODE_SIZE
+            return Inode.from_bytes(payload[start : start + INODE_SIZE])
+    return None
+
+
 def inode_slot_ids(payload: bytes) -> Iterator[tuple[int, int]]:
     """``(inum, version)`` of every slot of an inode-block payload, in
     slot order, without parsing the rest of any inode. Zero padding reads

@@ -41,11 +41,10 @@ import struct
 import weakref
 from dataclasses import dataclass
 
-from repro.core.constants import PENDING_ADDR, DirOp, FileType
-from repro.core.directory import Directory
+from repro.core.blocks import splice
+from repro.core.constants import DirOp, FileType
 from repro.core.dirlog import DirOpRecord
 from repro.core.errors import CorruptionError, MediaError, NVMDeviceFailedError, NVMError
-from repro.core.inode import Inode
 from repro.obs.events import NVM_FAIL
 
 # Entry tags. A body is a concatenation of tagged entries; parsing stops
@@ -374,7 +373,10 @@ class NVLog:
     # directory paths, which regenerate the directory blocks dirty in
     # cache. Replay leaves state dirty and the records in place; the next
     # flush (normally the post-recovery checkpoint) makes everything
-    # durable and truncates the staging log.
+    # durable and truncates the staging log. Every state change goes
+    # through the file system's own rules: ``_install_inode`` (as
+    # ``create``), ``_shrink`` (as ``truncate``), ``splice`` (as
+    # ``write_inum``), ``_set_nlink`` and ``_live_dir`` (as roll-forward).
     #
     # Re-execution must also stay conservative when the durable disk
     # state already reflects a *later, unacknowledged but flushed*
@@ -434,33 +436,6 @@ class NVLog:
             # a loss, so the log is simply reset.
             self.device.truncate_all(uncovered=0)
 
-    def _materialize(self, inum: int, ftype: FileType) -> Inode:
-        """Bring to life an inode that never reached the on-disk log.
-
-        Mirrors :meth:`LFS.create`'s allocation: the slot points at
-        ``PENDING_ADDR`` until the next flush writes the inode. The mtime
-        is zeroed so the staleness guard never mistakes a materialized
-        inode for newer durable state; the record's META supplies the
-        real values.
-        """
-        fs = self.fs
-        fs.imap.set_addr(inum, PENDING_ADDR)
-        if inum >= fs.imap._next_inum:
-            fs.imap._next_inum = inum + 1
-        inode = Inode(
-            inum=inum,
-            version=fs.imap.version_of(inum),
-            ftype=ftype,
-            nlink=0,
-            mtime=0.0,
-            ctime=0.0,
-        )
-        fs._inodes[inum] = inode
-        fs._mark_inode_dirty(inum)
-        if ftype == FileType.DIRECTORY:
-            fs._dir_states[inum] = Directory(fs.config.block_size)
-        return inode
-
     def _stale_files(self, metas: list[NVMeta]) -> set[int]:
         """Files whose durable inode is strictly newer than this record.
 
@@ -490,36 +465,31 @@ class NVLog:
         rec = op.record
         inum = rec.file_inum
 
-        def dir_alive(dinum: int) -> bool:
-            return fs.imap.is_allocated(dinum) and fs.get_inode(dinum).is_directory
-
         def lookup(dinum: int, name: str) -> int | None:
-            if not dir_alive(dinum):
+            if not fs._live_dir(dinum):
                 return None
             return fs._dir_state(dinum).lookup(name)
-
-        def set_nlink(n: int) -> None:
-            inode = fs.get_inode(inum)
-            if inode.nlink != n:
-                inode.nlink = n
-                fs._mark_inode_dirty(inum)
 
         applied = False
         if rec.op in (DirOp.CREATE, DirOp.LINK):
             target = lookup(rec.dir1, rec.name1)
             if target == inum:
-                set_nlink(rec.refcount)
+                fs._set_nlink(inum, rec.refcount)
                 applied = True
-            elif target is None and dir_alive(rec.dir1):
+            elif target is None and fs._live_dir(rec.dir1):
                 if fs.imap.is_allocated(inum):
                     if fs.get_inode(inum).nlink >= rec.refcount:
                         # The link count is satisfied without this entry:
                         # a later durable operation moved or removed it.
                         return
                 else:
-                    self._materialize(inum, op.ftype)
+                    # The inode never reached the on-disk log. Its mtime
+                    # is zeroed so the staleness guard never mistakes it
+                    # for newer durable state; the record's META supplies
+                    # the real values.
+                    fs._install_inode(inum, op.ftype, 0, 0.0)
                 fs._dir_insert(rec.dir1, rec.name1, inum)
-                set_nlink(rec.refcount)
+                fs._set_nlink(inum, rec.refcount)
                 applied = True
             # else: another inode owns the name — a later durable
             # operation claimed it; the staged op is superseded.
@@ -532,7 +502,7 @@ class NVLog:
                     if report is not None:
                         report.files_freed += 1
                 else:
-                    set_nlink(rec.refcount)
+                    fs._set_nlink(inum, rec.refcount)
             applied = True
         elif rec.op == DirOp.RENAME:
             src = lookup(rec.dir1, rec.name1)
@@ -541,24 +511,24 @@ class NVLog:
                 if src == inum:
                     fs._dir_remove(rec.dir1, rec.name1)  # half-applied move
                 applied = True
-            elif src == inum and dst is None and dir_alive(rec.dir2):
+            elif src == inum and dst is None and fs._live_dir(rec.dir2):
                 fs._dir_remove(rec.dir1, rec.name1)
                 fs._dir_insert(rec.dir2, rec.name2, inum)
-                set_nlink(rec.refcount)
+                fs._set_nlink(inum, rec.refcount)
                 applied = True
             elif (
                 not fs.imap.is_allocated(inum)
                 and src is None
                 and dst is None
-                and dir_alive(rec.dir2)
+                and fs._live_dir(rec.dir2)
             ):
                 # The renamed inode never reached any domain's durable
                 # state (both its CREATE and this RENAME were staged only,
                 # and an earlier record should have materialized it —
-                # defensive).
-                self._materialize(inum, op.ftype)
+                # defensive). Zero mtime as in the CREATE branch.
+                fs._install_inode(inum, op.ftype, 0, 0.0)
                 fs._dir_insert(rec.dir2, rec.name2, inum)
-                set_nlink(rec.refcount)
+                fs._set_nlink(inum, rec.refcount)
                 applied = True
         if applied and report is not None:
             report.nvm_dirops_applied += 1
@@ -573,10 +543,8 @@ class NVLog:
             return
         bs = fs.config.block_size
         fbn = patch.offset // bs
-        block_off = patch.offset % bs
-        base = bytearray(fs._read_data_block(patch.inum, fbn))
-        base[block_off : block_off + len(patch.data)] = patch.data
-        fs.cache.write(patch.inum, fbn, bytes(base), inode.mtime)
+        block = splice(fs._read_data_block(patch.inum, fbn), patch.offset % bs, patch.data)
+        fs.cache.write(patch.inum, fbn, block, inode.mtime)
         if patch.offset + len(patch.data) > inode.size:
             inode.size = patch.offset + len(patch.data)
         fs._mark_inode_dirty(patch.inum)
@@ -591,16 +559,8 @@ class NVLog:
         inode = fs.get_inode(meta.inum)
         if inode.is_directory:
             return
-        bs = fs.config.block_size
         if meta.size < inode.size:
-            first_dead_fbn = (meta.size + bs - 1) // bs
-            fmap = fs.filemap(meta.inum)
-            freed = fmap.clear_from(first_dead_fbn, inode.nblocks(bs))
-            for _, addr in freed:
-                fs.usage.remove_live(fs.layout.segment_of(addr), bs)
-            fs.cache.drop_from(meta.inum, first_dead_fbn)
-            if meta.size == 0:
-                inode.version = fs.imap.bump_version(meta.inum)
+            fs._shrink(meta.inum, inode, meta.size)
         inode.size = meta.size
         inode.mtime = meta.mtime
         fs._mark_inode_dirty(meta.inum)

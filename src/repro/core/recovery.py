@@ -33,7 +33,7 @@ from repro.core.constants import (
 )
 from repro.core.dirlog import DirOpRecord, unpack_block
 from repro.core.errors import CorruptionError, MediaError, TrimmedBlockError
-from repro.core.inode import Inode, unpack_inode_block
+from repro.core.inode import Inode, find_inode, unpack_inode_block
 from repro.core.mapping import FileMap
 from repro.core.summary import SegmentGap, SegmentSummary, try_parse_summary, walk_segment
 from repro.obs.events import RECOVER_SCAVENGE
@@ -156,18 +156,6 @@ def _inode_block_addrs(fs, inode: Inode) -> list[tuple[str, int]]:
     return fmap.all_block_addrs(inode.nblocks(fs.config.block_size))
 
 
-def _read_old_inode(fs, inum: int, addr: int) -> Inode | None:
-    """Read the pre-crash inode instance at ``addr``, if parseable."""
-    try:
-        payload = fs._read_log_block(addr)
-    except (CorruptionError, MediaError):
-        return None
-    for candidate in unpack_inode_block(payload, fs.config.block_size):
-        if candidate.inum == inum:
-            return candidate
-    return None
-
-
 def _replay_inode(fs, inode: Inode, addr: int, report: RecoveryReport) -> None:
     """Apply one recovered inode: update the map and segment usage."""
     slot = fs.imap.get(inode.inum)
@@ -183,7 +171,12 @@ def _replay_inode(fs, inode: Inode, addr: int, report: RecoveryReport) -> None:
     old_inode = fs._inodes.get(inode.inum)
     old_addr = slot.addr
     if old_inode is None and old_addr not in (NULL_ADDR, PENDING_ADDR):
-        old_inode = _read_old_inode(fs, inode.inum, old_addr)
+        try:
+            payload = fs._read_log_block(old_addr)
+        except (CorruptionError, MediaError):
+            pass  # an unreadable pre-crash instance releases no blocks
+        else:
+            old_inode = find_inode(payload, inode.inum)
     old_blocks = [] if old_inode is None else _inode_block_addrs(fs, old_inode)
 
     for _, block_addr in old_blocks:
@@ -212,14 +205,11 @@ def _replay_dirop(fs, record: DirOpRecord, report: RecoveryReport) -> None:
     inum = record.file_inum
     alive = fs.imap.is_allocated(inum)
 
-    def dir_alive(dinum: int) -> bool:
-        return fs.imap.is_allocated(dinum) and fs.get_inode(dinum).is_directory
-
     def entry_points_here(dinum: int, name: str) -> bool:
-        return dir_alive(dinum) and fs._dir_state(dinum).lookup(name) == inum
+        return fs._live_dir(dinum) and fs._dir_state(dinum).lookup(name) == inum
 
     def ensure_entry(dinum: int, name: str) -> None:
-        if dir_alive(dinum) and fs._dir_state(dinum).lookup(name) is None:
+        if fs._live_dir(dinum) and fs._dir_state(dinum).lookup(name) is None:
             fs._dir_insert(dinum, name, inum)
 
     def drop_entry(dinum: int, name: str) -> None:
@@ -230,10 +220,7 @@ def _replay_dirop(fs, record: DirOpRecord, report: RecoveryReport) -> None:
     if record.op in (DirOp.CREATE, DirOp.LINK):
         if alive:
             ensure_entry(record.dir1, record.name1)
-            inode = fs.get_inode(inum)
-            if inode.nlink != record.refcount:
-                inode.nlink = record.refcount
-                fs._mark_inode_dirty(inum)
+            fs._set_nlink(inum, record.refcount)
             applied = True
         else:
             # The inode was never written: remove the orphaned entry.
@@ -256,10 +243,7 @@ def _replay_dirop(fs, record: DirOpRecord, report: RecoveryReport) -> None:
         if alive:
             drop_entry(record.dir1, record.name1)
             ensure_entry(record.dir2, record.name2)
-            inode = fs.get_inode(inum)
-            if inode.nlink != record.refcount:
-                inode.nlink = record.refcount
-                fs._mark_inode_dirty(inum)
+            fs._set_nlink(inum, record.refcount)
         else:
             drop_entry(record.dir1, record.name1)
             drop_entry(record.dir2, record.name2)

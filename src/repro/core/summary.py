@@ -28,8 +28,7 @@ from repro.core.errors import CorruptionError, InvalidOperationError
 # field itself zeroed) and lives in former pad bytes, so the header keeps
 # its size. It makes rot *inside* the summary — entry identities, the
 # payload CRC, the threading pointer — detectable, which payload CRCs
-# alone cannot see. Zero means "unwritten" (pre-CRC images), and such
-# summaries are accepted unchecked for backward compatibility.
+# alone cannot see. Every summary is checked against it, whatever it reads.
 _HEADER = struct.Struct("<IIQdIIdQ")
 assert _HEADER.size == SUMMARY_HEADER_SIZE
 _SELF_CRC = struct.Struct("<I")
@@ -158,16 +157,15 @@ class SegmentSummary:
         ) = _HEADER.unpack_from(payload, 0)
         require(magic == SUMMARY_MAGIC, "bad summary magic")
         view = memoryview(payload)
-        if self_crc:
-            # the CRC of the block with its own field zeroed, chained so
-            # the block is never copied
-            zeroed = zlib.crc32(view[:_SELF_CRC_AT])
-            zeroed = zlib.crc32(_NO_CRC, zeroed)
-            zeroed = zlib.crc32(view[_SELF_CRC_AT + _SELF_CRC.size :], zeroed)
-            require(
-                zeroed == self_crc,
-                "summary block fails its self-CRC (bit-rot inside the summary)",
-            )
+        # the CRC of the block with its own field zeroed, chained so the
+        # block is never copied
+        zeroed = zlib.crc32(view[:_SELF_CRC_AT])
+        zeroed = zlib.crc32(_NO_CRC, zeroed)
+        zeroed = zlib.crc32(view[_SELF_CRC_AT + _SELF_CRC.size :], zeroed)
+        require(
+            zeroed == self_crc,
+            "summary block fails its self-CRC (bit-rot inside the summary)",
+        )
         require(0 <= nentries <= summary_capacity(block_size), "summary entry count out of range")
         end = SUMMARY_HEADER_SIZE + nentries * SUMMARY_ENTRY_SIZE
         require(len(payload) >= end, "summary entries truncated")

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core import directory as dirfmt
+from repro.core.blocks import splice
 from repro.core.cache import BlockCache
 from repro.core.constants import NULL_ADDR, ROOT_INUM, FileType
 from repro.core.errors import (
@@ -310,9 +311,11 @@ class FFS:
             if take == bs:
                 payload = bytes(data[pos - offset : pos - offset + bs])
             else:
-                base = bytearray(self._read_data_block(inum, fbn))
-                base[block_off : block_off + take] = data[pos - offset : pos - offset + take]
-                payload = bytes(base)
+                payload = splice(
+                    self._read_data_block(inum, fbn),
+                    block_off,
+                    data[pos - offset : pos - offset + take],
+                )
             self.cache.write(inum, fbn, payload, now)
             pos += take
         if end > inode.size:

@@ -382,7 +382,7 @@ def check_filesystem(disk: Disk) -> CheckReport:
                 bad = [
                     start + offset + 1 + i
                     for i, entry in enumerate(summary.entries)
-                    if entry.block_crc and checksum([payloads[i]]) != entry.block_crc
+                    if checksum([payloads[i]]) != entry.block_crc
                 ]
                 # All payloads individually intact -> the summary block
                 # itself carries the damage.

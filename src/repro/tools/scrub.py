@@ -127,7 +127,7 @@ def _scrub_segment(fs, seg_no: int, report: ScrubReport) -> bool:
             addr = start + off
             expected = fs.writer.block_crcs.get(addr)
             if (
-                expected
+                expected is not None
                 and checksum([fs.disk.peek(addr)]) != expected
                 and addr not in report.corrupt_blocks
                 and addr not in report.corrupt_summaries
@@ -147,7 +147,9 @@ def _scrub_segment(fs, seg_no: int, report: ScrubReport) -> bool:
             # write's summary (only this check can tell). Either way the
             # index can still vouch for the payloads no summary covers.
             expected = fs.writer.block_crcs.get(start + offset)
-            if resume is not None or (expected and checksum([peek(start + offset)]) != expected):
+            if resume is not None or (
+                expected is not None and checksum([peek(start + offset)]) != expected
+            ):
                 report.corrupt_summaries.append(start + offset)
                 damaged = True
             sink_sweep(offset + 1, resume if resume is not None else seg_blocks)
@@ -157,8 +159,8 @@ def _scrub_segment(fs, seg_no: int, report: ScrubReport) -> bool:
         blocks_here += 1 + len(summary.entries)
         raw = probe(start + offset)
         expected = fs.writer.block_crcs.get(start + offset)
-        summary_bad = bool(
-            raw is not None and expected and checksum([raw]) != expected
+        summary_bad = (
+            raw is not None and expected is not None and checksum([raw]) != expected
         )
         if summary_bad:
             # The summary still parses but is not the one the log wrote
@@ -173,7 +175,7 @@ def _scrub_segment(fs, seg_no: int, report: ScrubReport) -> bool:
             if payload is None:
                 payload = fs.disk.peek(addr)  # still needed for the walk
                 entry_damage = True
-            elif entry.block_crc and checksum([payload]) != entry.block_crc:
+            elif checksum([payload]) != entry.block_crc:
                 report.corrupt_blocks.append(addr)
                 damaged = entry_damage = True
             payloads.append(payload)

@@ -11,6 +11,7 @@ from repro.core.blocks import (
     pack_addr_list,
     pack_addrs,
     require,
+    splice,
     unpack_addr_list,
     unpack_addrs,
 )
@@ -110,6 +111,18 @@ class TestChecksum:
 
     def test_empty(self):
         assert checksum([]) == 0
+
+
+class TestSplice:
+    @given(st.binary(min_size=1, max_size=64), st.data())
+    def test_matches_slice_assignment(self, block, data):
+        at = data.draw(st.integers(0, len(block) - 1))
+        piece = data.draw(st.binary(max_size=len(block) - at))
+        expected = bytearray(block)
+        expected[at : at + len(piece)] = piece
+        for kind in (bytes, bytearray, memoryview):
+            got = splice(block, at, kind(piece))
+            assert type(got) is bytes and got == bytes(expected)
 
 
 class TestRequire:

@@ -7,6 +7,7 @@ from repro.core.errors import CorruptionError, InvalidOperationError
 from repro.core.inode import (
     Inode,
     addrs_per_indirect,
+    find_inode,
     inodes_per_block,
     max_file_blocks,
     pack_inode_block,
@@ -87,6 +88,28 @@ class TestInodeBlockPacking:
         payload = pack_inode_block([make_inode(inum=3)], 4096)
         got = unpack_inode_block(payload, 4096)
         assert len(got) == 1
+
+
+class TestFindInode:
+    def test_agrees_with_unpacking_the_block(self):
+        inodes = [make_inode(inum=i, size=100 * i) for i in (4, 9, 2)]
+        payload = pack_inode_block(inodes, 4096)
+        for inode in unpack_inode_block(payload, 4096):
+            assert find_inode(payload, inode.inum) == inode
+        assert find_inode(payload, 5) is None
+
+    def test_zero_slot_ends_the_block(self):
+        payload = bytearray(pack_inode_block([make_inode(inum=3)], 4096))
+        # an inode after the zero padding is not part of the block
+        payload[2 * INODE_SIZE : 3 * INODE_SIZE] = make_inode(inum=8).to_bytes()
+        assert find_inode(bytes(payload), 8) is None
+
+    def test_parses_only_the_matching_slot(self):
+        payload = bytearray(pack_inode_block([make_inode(inum=3), make_inode(inum=8)], 4096))
+        payload[16] = 99  # slot 0's file type byte: unparseable
+        assert find_inode(bytes(payload), 8).inum == 8
+        with pytest.raises(CorruptionError):
+            find_inode(bytes(payload), 3)
 
 
 class TestGeometryHelpers:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.config import LFSConfig
-from repro.core.constants import DirOp, FileType
+from repro.core.constants import BlockKind, DirOp, FileType
 from repro.core.dirlog import DirOpRecord
 from repro.core.errors import (
     CorruptionError,
@@ -30,6 +30,7 @@ from repro.core.nvlog import (
     pack_body,
     unpack_body,
 )
+from repro.core.summary import SummaryEntry
 from repro.disk.device import Disk
 from repro.disk.faults import DiskCrashed
 from repro.disk.geometry import DiskGeometry
@@ -352,6 +353,27 @@ class TestNVMStaging:
         fs.crash()
         fs2 = LFS.mount(disk, cfg, nvram=nvm)
         assert fs2.read("/big") == b"z" * 100_000
+
+    def test_staged_truncate_to_zero_keeps_the_uid_rule(self, disk):
+        """Replay of a staged shrink to zero bumps the version exactly as
+        the live truncate does, so the cleaner's uid check finds the old
+        data dead (Section 3.3)."""
+        cfg, nvm, fs = _nvm_fs(disk)
+        fs.write_file("/f", b"old data" * 100)
+        fs.checkpoint()
+        inum = fs.stat("/f").inum
+        version = fs.imap.version_of(inum)
+        old_addr = fs.block_addr(inum, 0)
+        fs.truncate("/f", 0)
+        fs.fsync("/f")
+        assert nvm.record_count == 1
+        fs.crash()
+        fs2 = LFS.mount(disk, cfg, nvram=nvm)
+        assert fs2.last_recovery.nvm_metas_applied == 1
+        assert fs2.stat("/f").size == 0
+        assert fs2.imap.version_of(inum) == fs2.stat("/f").version == version + 1
+        old = SummaryEntry(BlockKind.DATA, inum, 0, version)
+        assert not fs2.cleaner._entry_live(old, old_addr)
 
     def test_unlink_and_rename_replay_from_staging(self, disk):
         cfg, nvm, fs = _nvm_fs(disk)

@@ -22,6 +22,7 @@ from repro.core.errors import (
     ReadOnlyError,
 )
 from repro.core.filesystem import LFS
+from repro.core.summary import SegmentWrite, walk_segment
 from repro.disk.device import Disk
 from repro.disk.faults import inject_media_faults
 from repro.disk.geometry import DiskGeometry
@@ -198,6 +199,32 @@ class TestScrubAndRescue:
         report = scrub_filesystem(fs)
         assert report.clean
         assert report.segments_scanned > 0 and report.writes_checked > 0
+
+    def test_rot_in_a_segments_last_summary_is_caught(self):
+        """Nothing on disk follows a full segment's last summary, so the
+        walk cannot tell rot there from the end of the log; only the CRC
+        index the mount captured while the summaries were good can."""
+        disk, cfg = build_image()
+        disk.power_on()
+        fs = LFS.mount(disk, cfg)
+        seg = next(
+            s
+            for s in fs.usage.dirty_segments()
+            if s not in (fs.writer.current_segment, fs.writer.next_segment)
+        )
+        start = fs.layout.segment_start(seg)
+        steps = walk_segment(
+            disk.peek, disk.peek, start, cfg.segment_blocks, cfg.block_size,
+            seq_limit=fs.writer.seq,
+        )
+        last = [s for s in steps if isinstance(s, SegmentWrite)][-1]
+        addr = start + last.offset
+        raw = bytearray(disk.peek(addr))
+        raw[56] ^= 0x01  # the first entry's inum, after the 48-byte header
+        disk.corrupt_block(addr, bytes(raw))
+        report = scrub_filesystem(fs)
+        assert report.corrupt_summaries == [addr]
+        assert report.sick_segments == [seg]
 
     def test_rescue_quarantines_and_lfsck_comes_back_clean(self):
         disk, cfg = build_image()

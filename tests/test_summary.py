@@ -152,6 +152,16 @@ class TestPackUnpack:
         with pytest.raises(CorruptionError):
             SegmentSummary.unpack(bytes(raw), 4096)
 
+    def test_zeroed_self_crc_is_still_checked(self):
+        # rot that flips the last entry's inum (3 -> 2) and zeroes the
+        # self-CRC field must not parse as a summary with a zero checksum
+        raw = bytearray(make_summary(3).pack([b"a", b"b", b"c"], 4096))
+        raw[SUMMARY_HEADER_SIZE + 2 * 32 + 8] ^= 0x01
+        raw[4:8] = bytes(4)
+        with pytest.raises(CorruptionError, match="self-CRC"):
+            SegmentSummary.unpack(bytes(raw), 4096)
+        assert try_parse_summary(bytes(raw), 4096) is None
+
     def test_bad_kind_rejected(self):
         s = make_summary(1)
         raw = bytearray(s.pack([b""], 4096))
