@@ -29,7 +29,8 @@ from repro.core.errors import (
     ReadOnlyError,
     TrimmedBlockError,
 )
-from repro.core.filesystem import LFS, StatResult
+from repro.core.filesystem import LFS
+from repro.core.namespace import StatResult
 from repro.core.policy import CleaningPolicy
 from repro.core.recovery import RecoveryReport
 

@@ -38,20 +38,19 @@ from repro.core.dirlog import DirOpRecord, pack_records
 from repro.core.errors import (
     LFSError,
     CorruptionError,
-    DirectoryNotEmptyError,
     FileExistsLFSError,
     FileNotFoundLFSError,
     InvalidOperationError,
     IsADirectoryError_,
     MediaError,
     NoSpaceError,
-    NotADirectoryError_,
     NotMountedError,
     ReadOnlyError,
 )
 from repro.core.inode import Inode, find_inode, inodes_per_block, pack_inode_block
 from repro.core.inode_map import InodeMap
 from repro.core.mapping import FileMap
+from repro.core.namespace import Namespace
 from repro.core.nvlog import NVLog
 from repro.core.seg_usage import SegmentUsageTable
 from repro.core.segments import LogItem, LogWriter
@@ -73,22 +72,6 @@ _NULL_CAUSE = nullcontext()
 
 
 @dataclass
-class StatResult:
-    """Metadata returned by :meth:`LFS.stat`."""
-
-    inum: int
-    ftype: FileType
-    size: int
-    nlink: int
-    mtime: float
-    version: int
-
-    @property
-    def is_directory(self) -> bool:
-        return self.ftype == FileType.DIRECTORY
-
-
-@dataclass
 class LFSStats:
     """Operation counters and derived performance figures."""
 
@@ -103,7 +86,7 @@ class LFSStats:
     ops: int = 0
 
 
-class LFS:
+class LFS(Namespace):
     """A log-structured file system on a simulated disk.
 
     Use :meth:`format` to create a fresh file system or :meth:`mount` to
@@ -583,68 +566,7 @@ class LFS:
         return self.filemap(inum).get(fbn)
 
     # ==================================================================
-    # path resolution
-
-    def _resolve(self, path: str) -> int:
-        """Path -> inode number; raises if any component is missing."""
-        return self._walk(dirfmt.split_path(path))
-
-    def _walk(self, parts: list[str]) -> int:
-        """Inode number at path components ``parts`` below the root.
-
-        Only directories are ever in ``_dir_states``, so an inode is read
-        to check its type only when its directory is not in memory yet.
-        """
-        inum = ROOT_INUM
-        dirs = self._dir_states
-        for part in parts:
-            state = dirs.get(inum)
-            if state is None:
-                if not self.get_inode(inum).is_directory:
-                    raise NotADirectoryError_(f"{part!r} looked up under a non-directory")
-                state = self._dir_state(inum)
-            hit = state.index.get(part)
-            if hit is None:
-                path = "/" + "/".join(parts)
-                raise FileNotFoundLFSError(f"path {path!r}: component {part!r} not found")
-            inum = hit[0]
-        return inum
-
-    def _resolve_parent(self, path: str) -> tuple[int, str]:
-        """Path -> (parent directory inum, final component name)."""
-        parts = dirfmt.split_path(path)
-        if not parts:
-            raise InvalidOperationError("the root directory has no parent")
-        parent = self._walk(parts[:-1])
-        if not self.get_inode(parent).is_directory:
-            raise NotADirectoryError_(f"parent of {path!r} is not a directory")
-        return parent, parts[-1]
-
-    def exists(self, path: str) -> bool:
-        """True if ``path`` names a file or directory."""
-        self._require_mounted()
-        try:
-            self._resolve(path)
-            return True
-        except (FileNotFoundLFSError, NotADirectoryError_):
-            return False
-
-    # ==================================================================
     # directory state
-
-    def _dir_state(self, inum: int) -> dirfmt.Directory:
-        state = self._dir_states.get(inum)
-        if state is not None:
-            return state
-        inode = self.get_inode(inum)
-        if not inode.is_directory:
-            raise NotADirectoryError_(f"inode {inum} is not a directory")
-        bs = self.config.block_size
-        state = dirfmt.Directory.load(
-            (self._read_data_block(inum, fbn) for fbn in range(inode.nblocks(bs))), bs
-        )
-        self._dir_states[inum] = state
-        return state
 
     def _dir_write_block(self, dir_inum: int, block: int, state: dirfmt.Directory) -> None:
         now = self.disk.clock.now
@@ -697,13 +619,18 @@ class LFS:
     # ==================================================================
     # public operations
 
+    # benchmarks/layered/trace.py wraps only what vars(LFS) holds: bind here
+    # the shared operations it times.
+    mkdir = Namespace.mkdir
+    write_file = Namespace.write_file
+    read = Namespace.read
+    stat = Namespace.stat
+    exists = Namespace.exists
+
     def create(self, path: str, *, ftype: FileType = FileType.REGULAR) -> int:
         """Create an empty file (or directory); returns the inode number."""
         self._require_writable()
-        parent, name = self._resolve_parent(path)
-        dirfmt.validate_name(name)
-        if self._dir_state(parent).lookup(name) is not None:
-            raise FileExistsLFSError(f"{path!r} already exists")
+        parent, name = self._free_name(path)
         inum = self.imap.allocate()
         self._install_inode(inum, ftype, 1, self.disk.clock.now)
         self._pending_dirops.append(
@@ -713,16 +640,6 @@ class LFS:
         self.stats.creates += 1
         self._after_op()
         return inum
-
-    def mkdir(self, path: str) -> int:
-        """Create a directory."""
-        return self.create(path, ftype=FileType.DIRECTORY)
-
-    def write(self, path: str, data: bytes, offset: int = 0) -> None:
-        """Write ``data`` at ``offset``, extending the file as needed."""
-        self._require_mounted()
-        inum = self._resolve(path)
-        self.write_inum(inum, data, offset)
 
     def write_inum(self, inum: int, data: bytes, offset: int = 0) -> None:
         """Write by inode number (avoids path resolution in benchmarks)."""
@@ -762,64 +679,23 @@ class LFS:
         self.stats.writes += 1
         self._after_op()
 
-    def append(self, path: str, data: bytes) -> None:
-        """Append ``data`` to the end of the file."""
-        inum = self._resolve(path)
-        self.write_inum(inum, data, self.get_inode(inum).size)
-
-    def write_file(self, path: str, data: bytes) -> int:
-        """Create (if needed) and write a whole file; returns the inum."""
-        self._require_mounted()
-        if self.exists(path):
-            inum = self._resolve(path)
-            self.truncate(path, 0)
-        else:
-            inum = self.create(path)
-        self.write_inum(inum, data)
-        return inum
-
-    def read(self, path: str, offset: int = 0, length: int | None = None) -> bytes:
-        """Read ``length`` bytes (default: to EOF) starting at ``offset``."""
-        self._require_mounted()
-        return self.read_inum(self._resolve(path), offset, length)
-
     def read_inum(self, inum: int, offset: int = 0, length: int | None = None) -> bytes:
         """Read by inode number."""
         self._require_mounted()
-        if offset < 0:
-            raise InvalidOperationError("negative offset")
-        inode = self.get_inode(inum)
-        if length is None:
-            length = max(0, inode.size - offset)
-        end = min(offset + length, inode.size)
-        if end <= offset:
-            return b""
-        bs = self.config.block_size
-        chunks = []
-        pos = offset
-        while pos < end:
-            fbn = pos // bs
-            block_off = pos % bs
-            take = min(bs - block_off, end - pos)
-            payload = self._read_data_block(inum, fbn)
-            chunks.append(payload[block_off : block_off + take])
-            pos += take
-        self.imap.set_atime(inum, self.disk.clock.now)
-        self.stats.reads += 1
-        self._after_op()
-        return b"".join(chunks)
+        data = self._read_range(inum, offset, length)
+        if data:
+            self.imap.set_atime(inum, self.disk.clock.now)
+            self.stats.reads += 1
+            self._after_op()
+        return data
 
     def truncate(self, path: str, size: int = 0) -> None:
         """Shrink a file; truncating to zero bumps the uid version."""
         self._require_writable()
-        inum = self._resolve(path)
-        inode = self.get_inode(inum)
-        if inode.is_directory:
-            raise IsADirectoryError_(f"{path!r} is a directory")
-        if size < 0 or size > inode.size:
-            raise InvalidOperationError(f"cannot truncate to {size}")
-        if size == inode.size:
+        target = self._truncate_target(path, size)
+        if target is None:
             return
+        inum, inode = target
         self._shrink(inum, inode, size)
         inode.mtime = self.disk.clock.now
         self._mark_inode_dirty(inum)
@@ -848,14 +724,7 @@ class LFS:
     def unlink(self, path: str) -> None:
         """Remove a directory entry; frees the file when nlink hits zero."""
         self._require_writable()
-        parent, name = self._resolve_parent(path)
-        inum = self._dir_state(parent).lookup(name)
-        if inum is None:
-            raise FileNotFoundLFSError(f"{path!r} not found")
-        inode = self.get_inode(inum)
-        if inode.is_directory:
-            if len(self._dir_state(inum)) != 0:
-                raise DirectoryNotEmptyError(f"{path!r} is not empty")
+        parent, name, inum, inode = self._removable(path)
         self._pending_dirops.append(
             DirOpRecord(
                 op=DirOp.UNLINK,
@@ -874,28 +743,11 @@ class LFS:
         self.stats.deletes += 1
         self._after_op()
 
-    def rmdir(self, path: str) -> None:
-        """Remove an empty directory."""
-        inum = self._resolve(path)
-        if not self.get_inode(inum).is_directory:
-            raise NotADirectoryError_(f"{path!r} is not a directory")
-        self.unlink(path)
-
-    def remove(self, path: str) -> None:
-        """Remove a file or empty directory."""
-        self.unlink(path)
-
     def link(self, existing: str, newpath: str) -> None:
         """Create a hard link to an existing regular file."""
         self._require_writable()
-        inum = self._resolve(existing)
-        inode = self.get_inode(inum)
-        if inode.is_directory:
-            raise IsADirectoryError_("cannot hard-link a directory")
-        parent, name = self._resolve_parent(newpath)
-        dirfmt.validate_name(name)
-        if self._dir_state(parent).lookup(name) is not None:
-            raise FileExistsLFSError(f"{newpath!r} already exists")
+        inum, inode = self._link_source(existing)
+        parent, name = self._free_name(newpath)
         self._pending_dirops.append(
             DirOpRecord(
                 op=DirOp.LINK,
@@ -913,21 +765,13 @@ class LFS:
     def rename(self, oldpath: str, newpath: str) -> None:
         """Atomically move a file or directory (Section 4.2)."""
         self._require_writable()
-        old_parent, old_name = self._resolve_parent(oldpath)
-        new_parent, new_name = self._resolve_parent(newpath)
-        dirfmt.validate_name(new_name)
-        dirfmt.refuse_move_into_itself(oldpath, newpath)
-        inum = self._dir_state(old_parent).lookup(old_name)
-        if inum is None:
-            raise FileNotFoundLFSError(f"{oldpath!r} not found")
-        displaced = self._dir_state(new_parent).lookup(new_name)
-        if displaced == inum:
+        plan = self._rename_plan(oldpath, newpath)
+        if plan is None:
             return
+        old_parent, old_name, new_parent, new_name, inum, displaced = plan
         inode = self.get_inode(inum)
         if displaced is not None:
             victim = self.get_inode(displaced)
-            if victim.is_directory and len(self._dir_state(displaced)):
-                raise DirectoryNotEmptyError(f"{newpath!r} is not empty")
             self._pending_dirops.append(
                 DirOpRecord(
                     op=DirOp.UNLINK,
@@ -949,7 +793,6 @@ class LFS:
             )
         )
         if displaced is not None:
-            victim = self.get_inode(displaced)
             self._dir_remove(new_parent, new_name)
             victim.nlink -= 1
             if victim.nlink <= 0:
@@ -960,28 +803,6 @@ class LFS:
         self._dir_insert(new_parent, new_name, inum)
         self.stats.renames += 1
         self._after_op()
-
-    def readdir(self, path: str) -> list[str]:
-        """Names in a directory, sorted."""
-        self._require_mounted()
-        inum = self._resolve(path)
-        if not self.get_inode(inum).is_directory:
-            raise NotADirectoryError_(f"{path!r} is not a directory")
-        return self._dir_state(inum).names()
-
-    def stat(self, path: str) -> StatResult:
-        """Attributes of a file or directory."""
-        self._require_mounted()
-        inum = self._resolve(path)
-        inode = self.get_inode(inum)
-        return StatResult(
-            inum=inum,
-            ftype=inode.ftype,
-            size=inode.size,
-            nlink=inode.nlink,
-            mtime=inode.mtime,
-            version=inode.version,
-        )
 
     def _free_inode(self, inum: int) -> None:
         """Release an inode and every block it owns."""
@@ -1348,21 +1169,6 @@ class LFS:
         state.
         """
         return self.cache.dirty_count + len(self._pending_dirops)
-
-    def fsync(self, path: str) -> None:
-        """fsync(2): make ``path``'s acknowledged state durable.
-
-        The path is resolved first (fsync on a deleted file is an error,
-        mirroring the VFS's closed-handle check), then the call provides
-        the same durability as :meth:`sync`. The staging record — or the
-        fallback flush — absorbs the *whole* pending set rather than one
-        file's slice: the point of the staging log (and of the log
-        itself) is batching, and the crash oracle treats fsync as a full
-        barrier, so over-delivering keeps both domains simple and sound.
-        """
-        self._require_mounted()
-        self._resolve(path)
-        self.sync()
 
     def checkpoint(self) -> None:
         """Two-phase checkpoint (Section 4.1).

@@ -24,15 +24,13 @@ from repro.core.blocks import splice
 from repro.core.cache import BlockCache
 from repro.core.constants import NULL_ADDR, ROOT_INUM, FileType
 from repro.core.errors import (
-    DirectoryNotEmptyError,
-    FileExistsLFSError,
     FileNotFoundLFSError,
     InvalidOperationError,
     IsADirectoryError_,
-    NotADirectoryError_,
 )
 from repro.core.inode import Inode, pack_inode_block
 from repro.core.mapping import FileMap
+from repro.core.namespace import Namespace
 from repro.disk.device import Disk
 from repro.ffs.allocator import BitmapAllocator, InodeAllocator
 from repro.ffs.layout import FFSLayout, compute_ffs_layout
@@ -81,8 +79,13 @@ class FFSStats:
     ops: int = 0
 
 
-class FFS:
-    """A Unix FFS-style file system on a simulated disk."""
+class FFS(Namespace):
+    """A Unix FFS-style file system on a simulated disk.
+
+    Paths, entry rules and whole-path calls come from
+    :class:`~repro.core.namespace.Namespace`, shared with LFS; this class
+    decides only where blocks go and writes metadata synchronously.
+    """
 
     def __init__(self, disk: Disk, config: FFSConfig | None = None) -> None:
         self.disk = disk
@@ -178,7 +181,7 @@ class FFS:
     def _filemap(self, inum: int) -> FileMap:
         fmap = self._filemaps.get(inum)
         if fmap is None:
-            inode = self._get_inode(inum)
+            inode = self.get_inode(inum)
             fmap = FileMap(
                 inode,
                 self.config.block_size,
@@ -188,47 +191,15 @@ class FFS:
             self._filemaps[inum] = fmap
         return fmap
 
-    def _get_inode(self, inum: int) -> Inode:
+    def get_inode(self, inum: int) -> Inode:
+        """An allocated inode; every FFS inode lives in memory."""
         inode = self._inodes.get(inum)
         if inode is None:
             raise FileNotFoundLFSError(f"inode {inum} is not allocated")
         return inode
 
     # ==================================================================
-    # path resolution and directories (mirrors the LFS facade)
-
-    def _resolve(self, path: str) -> int:
-        inum = ROOT_INUM
-        for part in dirfmt.split_path(path):
-            inode = self._get_inode(inum)
-            if not inode.is_directory:
-                raise NotADirectoryError_(f"{part!r} looked up under a non-directory")
-            child = self._dir_state(inum).lookup(part)
-            if child is None:
-                raise FileNotFoundLFSError(f"path {path!r}: component {part!r} not found")
-            inum = child
-        return inum
-
-    def _resolve_parent(self, path: str) -> tuple[int, str]:
-        parts = dirfmt.split_path(path)
-        if not parts:
-            raise InvalidOperationError("the root directory has no parent")
-        parent = self._resolve("/" + "/".join(parts[:-1]))
-        if not self._get_inode(parent).is_directory:
-            raise NotADirectoryError_(f"parent of {path!r} is not a directory")
-        return parent, parts[-1]
-
-    def _dir_state(self, inum: int) -> dirfmt.Directory:
-        state = self._dir_states.get(inum)
-        if state is not None:
-            return state
-        bs = self.config.block_size
-        nblocks = self._get_inode(inum).nblocks(bs)
-        state = dirfmt.Directory.load(
-            (self._read_data_block(inum, fbn) for fbn in range(nblocks)), bs
-        )
-        self._dir_states[inum] = state
-        return state
+    # directories
 
     def _dir_insert(self, parent: int, name: str, inum: int) -> int:
         """Add an entry to the first block it fits in; returns that block."""
@@ -236,7 +207,7 @@ class FFS:
         room = self.config.block_size - dirfmt.entry_size(name)
         target = next((b for b, u in enumerate(state.used) if u <= room), len(state.used))
         state.insert(name, inum, target)
-        self._get_inode(parent).mtime = self.disk.clock.now
+        self.get_inode(parent).mtime = self.disk.clock.now
         return target
 
     def _dir_remove(self, parent: int, name: str) -> int:
@@ -251,25 +222,14 @@ class FFS:
     def _dir_sync(self, parent: int, block: int) -> None:
         """The synchronous pattern: the directory block, then its inode."""
         self._write_dir_block_sync(parent, block)
-        self._write_inode_sync(self._get_inode(parent))
-
-    def exists(self, path: str) -> bool:
-        """True if ``path`` names a file or directory."""
-        try:
-            self._resolve(path)
-            return True
-        except (FileNotFoundLFSError, NotADirectoryError_):
-            return False
+        self._write_inode_sync(self.get_inode(parent))
 
     # ==================================================================
     # operations
 
     def create(self, path: str, *, ftype: FileType = FileType.REGULAR) -> int:
         """Create a file: the paper's five-synchronous-I/O pattern."""
-        parent, name = self._resolve_parent(path)
-        dirfmt.validate_name(name)
-        if self._dir_state(parent).lookup(name) is not None:
-            raise FileExistsLFSError(f"{path!r} already exists")
+        parent, name = self._free_name(path)
         inum = self.inode_alloc.allocate(self.layout.group_for_inode(parent))
         now = self.disk.clock.now
         inode = Inode(inum=inum, ftype=ftype, mtime=now, ctime=now)
@@ -283,19 +243,11 @@ class FFS:
         self.stats.ops += 1
         return inum
 
-    def mkdir(self, path: str) -> int:
-        """Create a directory."""
-        return self.create(path, ftype=FileType.DIRECTORY)
-
-    def write(self, path: str, data: bytes, offset: int = 0) -> None:
-        """Write data at an offset (buffered, asynchronous per-block I/O)."""
-        self.write_inum(self._resolve(path), data, offset)
-
     def write_inum(self, inum: int, data: bytes, offset: int = 0) -> None:
-        """Write by inode number."""
+        """Write by inode number (buffered, asynchronous per-block I/O)."""
         if offset < 0:
             raise InvalidOperationError("negative offset")
-        inode = self._get_inode(inum)
+        inode = self.get_inode(inum)
         if inode.is_directory:
             raise IsADirectoryError_(f"inode {inum} is a directory")
         if not data:
@@ -325,16 +277,6 @@ class FFS:
         self.stats.ops += 1
         if self.cache.dirty_count >= self.config.write_buffer_blocks:
             self._flush_data()
-
-    def write_file(self, path: str, data: bytes) -> int:
-        """Create (or truncate) and write a whole file."""
-        if self.exists(path):
-            inum = self._resolve(path)
-            self.truncate(path, 0)
-        else:
-            inum = self.create(path)
-        self.write_inum(inum, data)
-        return inum
 
     def _flush_data(self) -> None:
         """Push dirty data blocks out, one disk operation per block."""
@@ -445,7 +387,7 @@ class FFS:
         sequential = self._last_read.get(inum) == fbn - 1
         self._last_read[inum] = fbn
         if sequential:
-            inode = self._get_inode(inum)
+            inode = self.get_inode(inum)
             nblocks = inode.nblocks(self.config.block_size)
             run = [addr]
             next_fbn = fbn + 1
@@ -465,42 +407,20 @@ class FFS:
         self.cache.insert_clean(inum, fbn, payload)
         return payload
 
-    def read(self, path: str, offset: int = 0, length: int | None = None) -> bytes:
-        """Read bytes from a file."""
-        return self.read_inum(self._resolve(path), offset, length)
-
     def read_inum(self, inum: int, offset: int = 0, length: int | None = None) -> bytes:
         """Read by inode number."""
-        inode = self._get_inode(inum)
-        if length is None:
-            length = max(0, inode.size - offset)
-        end = min(offset + length, inode.size)
-        if end <= offset:
-            return b""
-        bs = self.config.block_size
-        chunks = []
-        pos = offset
-        while pos < end:
-            fbn = pos // bs
-            block_off = pos % bs
-            take = min(bs - block_off, end - pos)
-            payload = self._read_data_block(inum, fbn)
-            chunks.append(payload[block_off : block_off + take])
-            pos += take
-        self.stats.reads += 1
-        self.stats.ops += 1
-        return b"".join(chunks)
+        data = self._read_range(inum, offset, length)
+        if data:
+            self.stats.reads += 1
+            self.stats.ops += 1
+        return data
 
     def truncate(self, path: str, size: int = 0) -> None:
         """Shrink a file, freeing its blocks back to the bitmap."""
-        inum = self._resolve(path)
-        inode = self._get_inode(inum)
-        if inode.is_directory:
-            raise IsADirectoryError_(f"{path!r} is a directory")
-        if size < 0 or size > inode.size:
-            raise InvalidOperationError(f"cannot truncate to {size}")
-        if size == inode.size:
+        target = self._truncate_target(path, size)
+        if target is None:
             return
+        inum, inode = target
         bs = self.config.block_size
         first_dead = (size + bs - 1) // bs
         fmap = self._filemap(inum)
@@ -514,7 +434,7 @@ class FFS:
 
     def _drop_inode(self, inum: int) -> None:
         """Free an inode and everything it owns (link count reached zero)."""
-        inode = self._get_inode(inum)
+        inode = self.get_inode(inum)
         fmap = self._filemap(inum)
         for _, addr in fmap.all_block_addrs(inode.nblocks(self.config.block_size)):
             self.allocator.free(addr)
@@ -526,13 +446,7 @@ class FFS:
 
     def unlink(self, path: str) -> None:
         """Remove a directory entry: synchronous metadata updates."""
-        parent, name = self._resolve_parent(path)
-        inum = self._dir_state(parent).lookup(name)
-        if inum is None:
-            raise FileNotFoundLFSError(f"{path!r} not found")
-        inode = self._get_inode(inum)
-        if inode.is_directory and len(self._dir_state(inum)):
-            raise DirectoryNotEmptyError(f"{path!r} is not empty")
+        parent, name, inum, inode = self._removable(path)
         self._dir_remove(parent, name)
         inode.nlink -= 1
         self._write_inode_sync(inode)  # updated link count
@@ -543,16 +457,8 @@ class FFS:
 
     def link(self, existing: str, newpath: str) -> None:
         """Create a hard link to a regular file."""
-        inum = self._resolve(existing)
-        inode = self._get_inode(inum)
-        if inode.is_directory:
-            from repro.core.errors import IsADirectoryError_ as _IsDir
-
-            raise _IsDir("cannot hard-link a directory")
-        parent, name = self._resolve_parent(newpath)
-        dirfmt.validate_name(name)
-        if self._dir_state(parent).lookup(name) is not None:
-            raise FileExistsLFSError(f"{newpath!r} already exists")
+        inum, inode = self._link_source(existing)
+        parent, name = self._free_name(newpath)
         self._dir_sync(parent, self._dir_insert(parent, name, inum))
         inode.nlink += 1
         self._write_inode_sync(inode)
@@ -560,20 +466,12 @@ class FFS:
 
     def rename(self, oldpath: str, newpath: str) -> None:
         """Move a file or directory (synchronous directory updates)."""
-        old_parent, old_name = self._resolve_parent(oldpath)
-        new_parent, new_name = self._resolve_parent(newpath)
-        dirfmt.validate_name(new_name)
-        dirfmt.refuse_move_into_itself(oldpath, newpath)
-        inum = self._dir_state(old_parent).lookup(old_name)
-        if inum is None:
-            raise FileNotFoundLFSError(f"{oldpath!r} not found")
-        displaced = self._dir_state(new_parent).lookup(new_name)
-        if displaced == inum:
+        plan = self._rename_plan(oldpath, newpath)
+        if plan is None:
             return
+        old_parent, old_name, new_parent, new_name, inum, displaced = plan
         if displaced is not None:
-            victim = self._get_inode(displaced)
-            if victim.is_directory and len(self._dir_state(displaced)):
-                raise DirectoryNotEmptyError(f"{newpath!r} is not empty")
+            victim = self.get_inode(displaced)
             self._dir_remove(new_parent, new_name)
             victim.nlink -= 1
             if victim.nlink <= 0:
@@ -581,28 +479,6 @@ class FFS:
         self._dir_remove(old_parent, old_name)
         self._dir_sync(new_parent, self._dir_insert(new_parent, new_name, inum))
         self.stats.ops += 1
-
-    def readdir(self, path: str) -> list[str]:
-        """Names in a directory, sorted."""
-        inum = self._resolve(path)
-        if not self._get_inode(inum).is_directory:
-            raise NotADirectoryError_(f"{path!r} is not a directory")
-        return self._dir_state(inum).names()
-
-    def stat(self, path: str):
-        """Attributes of a file or directory (LFS-compatible shape)."""
-        from repro.core.filesystem import StatResult
-
-        inum = self._resolve(path)
-        inode = self._get_inode(inum)
-        return StatResult(
-            inum=inum,
-            ftype=inode.ftype,
-            size=inode.size,
-            nlink=inode.nlink,
-            mtime=inode.mtime,
-            version=0,
-        )
 
     def sync(self) -> None:
         """Flush all buffered data."""

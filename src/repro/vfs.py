@@ -3,7 +3,8 @@
 The core `LFS`/`FFS` APIs are whole-call (read/write by path or inode).
 ``FileSystemView`` adds the open/read/write/seek/close discipline real
 applications use — what a fusepy front-end would sit on — and works over
-any object exposing the shared facade (LFS and FFS both do).
+either file system: both inherit the one
+:class:`~repro.core.namespace.Namespace`, ``sync`` and ``fsync`` included.
 
 Example::
 
@@ -116,8 +117,7 @@ class FileHandle:
     def flush(self) -> None:
         """Push buffered writes into the log (fsync-ish)."""
         self._check_open()
-        if hasattr(self._fs, "sync"):
-            self._fs.sync()
+        self._fs.sync()
 
     def fsync(self) -> None:
         """Make this file's writes durable before returning.
@@ -130,10 +130,7 @@ class FileHandle:
         other I/O — fsync-after-close is a lifetime bug, not a no-op.
         """
         self._check_open()
-        if hasattr(self._fs, "fsync"):
-            self._fs.fsync(self.path)
-        elif hasattr(self._fs, "sync"):
-            self._fs.sync()
+        self._fs.fsync(self.path)
 
     def close(self) -> None:
         """Invalidate the handle; closing twice is a usage bug."""

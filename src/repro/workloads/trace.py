@@ -16,6 +16,8 @@ import json
 import random
 from dataclasses import dataclass, field
 
+from repro.core.errors import LFSError
+
 
 @dataclass(frozen=True)
 class TraceOp:
@@ -99,7 +101,9 @@ def replay(fs, trace: Trace, *, verify_model: bool = True) -> ReplayResult:
     """Apply a trace to a file system; returns elapsed simulated time.
 
     With ``verify_model`` the replay maintains a dict model and returns
-    the expected final contents so callers can assert correctness.
+    the expected final contents so callers can assert correctness. An
+    operation the file system refuses (an :class:`LFSError`) or does not
+    know counts as skipped; any other exception is a bug and propagates.
     """
     result = ReplayResult()
     model: dict[str, bytes] = {}
@@ -138,7 +142,7 @@ def replay(fs, trace: Trace, *, verify_model: bool = True) -> ReplayResult:
                 result.skipped += 1
                 continue
             result.applied += 1
-        except Exception:
+        except LFSError:
             result.skipped += 1
     result.elapsed = fs.disk.clock.now - start
     result.final_files = model

@@ -1,4 +1,5 @@
-"""Namespace operations on both file systems: pinned images and rename rules."""
+"""Namespace operations on both file systems: pinned images, rename rules
+and one error contract."""
 
 import hashlib
 import random
@@ -6,7 +7,14 @@ import random
 import pytest
 
 from repro.core.config import LFSConfig
-from repro.core.errors import InvalidOperationError
+from repro.core.errors import (
+    DirectoryNotEmptyError,
+    FileExistsLFSError,
+    FileNotFoundLFSError,
+    InvalidOperationError,
+    IsADirectoryError_,
+    NotADirectoryError_,
+)
 from repro.core.filesystem import LFS
 from repro.disk.device import Disk
 from repro.disk.geometry import DiskGeometry
@@ -132,14 +140,23 @@ def _ffs():
     return FFS.format(disk, FFSConfig(max_inodes=1024))
 
 
+@pytest.fixture(params=["lfs", "ffs", "vfs"])
+def pair(request):
+    """(what the call goes through, the file system underneath)."""
+    fs = _ffs() if request.param == "ffs" else _lfs()
+    return (FileSystemView(fs) if request.param == "vfs" else fs), fs
+
+
+def assert_consistent(fs) -> None:
+    """On an LFS, unmount and run lfsck over the image."""
+    if isinstance(fs, LFS):
+        fs.unmount()
+        report = check_filesystem(fs.disk)
+        assert report.ok, report.errors
+
+
 class TestRenameIntoOwnSubtree:
     """POSIX EINVAL: a directory cannot become its own descendant."""
-
-    @pytest.fixture(params=["lfs", "ffs", "vfs"])
-    def pair(self, request):
-        """(what the rename goes through, the file system underneath)."""
-        fs = _ffs() if request.param == "ffs" else _lfs()
-        return (FileSystemView(fs) if request.param == "vfs" else fs), fs
 
     @pytest.mark.parametrize("new", ["/a/b/c", "/a/b", "/a/x"])
     def test_refused_and_tree_intact(self, pair, new):
@@ -152,10 +169,7 @@ class TestRenameIntoOwnSubtree:
         assert fs.readdir("/") == ["a"]
         assert fs.readdir("/a") == ["b"]
         assert fs.read("/a/b/f") == b"f"
-        if isinstance(fs, LFS):
-            fs.unmount()
-            report = check_filesystem(fs.disk)
-            assert report.ok, report.errors
+        assert_consistent(fs)
 
     def test_moves_beside_and_onto_itself_still_allowed(self, pair):
         front, fs = pair
@@ -166,3 +180,120 @@ class TestRenameIntoOwnSubtree:
         front.rename("/ab", "/a/b")
         assert fs.readdir("/") == ["a"]
         assert fs.readdir("/a") == ["b"]
+
+
+class TestRenameAcrossKinds:
+    """POSIX EISDIR/ENOTDIR: a rename never changes what kind a name is."""
+
+    @staticmethod
+    def populate(fs) -> None:
+        fs.mkdir("/d")
+        fs.mkdir("/e")
+        fs.write_file("/f", b"f")
+        fs.write_file("/g", b"g")
+
+    @pytest.mark.parametrize(
+        "old, new, error",
+        [("/f", "/d", IsADirectoryError_), ("/e", "/g", NotADirectoryError_)],
+        ids=["file-onto-dir", "dir-onto-file"],
+    )
+    def test_refused_and_tree_intact(self, pair, old, new, error):
+        front, fs = pair
+        self.populate(fs)
+        with pytest.raises(error):
+            front.rename(old, new)
+        assert fs.readdir("/") == ["d", "e", "f", "g"]
+        assert fs.stat("/d").is_directory and fs.stat("/e").is_directory
+        assert (fs.read("/f"), fs.read("/g")) == (b"f", b"g")
+        assert_consistent(fs)
+
+    def test_same_kind_still_displaced(self, pair):
+        front, fs = pair
+        self.populate(fs)
+        front.rename("/f", "/g")
+        front.rename("/e", "/d")
+        assert fs.readdir("/") == ["d", "g"]
+        assert fs.read("/g") == b"f"
+        assert_consistent(fs)
+
+
+def _truncate(front, path: str, size: int) -> None:
+    """Truncate through an ``r+`` handle on a view, else by path."""
+    if isinstance(front, FileSystemView):
+        with front.open(path, "r+") as fh:
+            fh.truncate(size)
+    else:
+        front.truncate(path, size)
+
+
+def _read_at(front, fs, path: str, offset: int) -> bytes:
+    """Read from ``offset`` through a handle on a view, else by inode."""
+    if isinstance(front, FileSystemView):
+        with front.open(path) as fh:
+            fh.seek(offset)
+            return fh.read()
+    return fs.read_inum(fs.stat(path).inum, offset)
+
+
+# misuse -> (the call, given (front, fs), and the error both file systems raise)
+MISUSES = {
+    "create-existing": (lambda v, fs: fs.create("/f"), FileExistsLFSError),
+    "mkdir-existing": (lambda v, fs: v.mkdir("/d"), FileExistsLFSError),
+    "mkdir-under-file": (lambda v, fs: v.mkdir("/f/x"), NotADirectoryError_),
+    "unlink-missing": (lambda v, fs: v.remove("/missing"), FileNotFoundLFSError),
+    "unlink-nonempty-dir": (lambda v, fs: v.remove("/d"), DirectoryNotEmptyError),
+    "link-directory": (lambda v, fs: fs.link("/d", "/d2"), IsADirectoryError_),
+    "truncate-past-end": (lambda v, fs: _truncate(v, "/f", 11), InvalidOperationError),
+    "truncate-negative": (lambda v, fs: _truncate(v, "/f", -1), InvalidOperationError),
+    "truncate-directory": (lambda v, fs: _truncate(v, "/d", 0), IsADirectoryError_),
+    "read-negative-offset": (lambda v, fs: _read_at(v, fs, "/f", -1), InvalidOperationError),
+    "rmdir-file": (lambda v, fs: fs.rmdir("/f"), NotADirectoryError_),
+    "rmdir-nonempty": (lambda v, fs: fs.rmdir("/d"), DirectoryNotEmptyError),
+    "remove-missing": (lambda v, fs: fs.remove("/missing"), FileNotFoundLFSError),
+    "append-directory": (lambda v, fs: fs.append("/d", b"x"), IsADirectoryError_),
+    "fsync-missing": (lambda v, fs: fs.fsync("/missing"), FileNotFoundLFSError),
+}
+
+
+class TestErrorContract:
+    """Both file systems refuse each misuse with the same typed error."""
+
+    @staticmethod
+    def populate(fs) -> None:
+        fs.mkdir("/d")
+        fs.write_file("/d/g", b"g")
+        fs.write_file("/f", b"0123456789")
+
+    @pytest.mark.parametrize("misuse", sorted(MISUSES))
+    def test_refused_and_tree_intact(self, pair, misuse):
+        front, fs = pair
+        self.populate(fs)
+        call, error = MISUSES[misuse]
+        with pytest.raises(error):
+            call(front, fs)
+        assert fs.readdir("/") == ["d", "f"]
+        assert fs.readdir("/d") == ["g"]
+        assert fs.read("/f") == b"0123456789"
+        assert_consistent(fs)
+
+    def test_whole_path_calls_succeed(self, pair):
+        """rmdir, remove, append and fsync work on both; so do a handle's
+        flush and fsync."""
+        front, fs = pair
+        self.populate(fs)
+        if isinstance(front, FileSystemView):
+            with front.open("/f", "a") as fh:
+                fh.write(b"ab")
+                fh.flush()
+                fh.fsync()
+        else:
+            fs.append("/f", b"ab")
+            fs.fsync("/f")
+        fs.mkdir("/d/empty")
+        fs.rmdir("/d/empty")
+        fs.remove("/d/g")
+        fs.rmdir("/d")
+        assert fs.readdir("/") == ["f"]
+        assert fs.read("/f") == b"0123456789ab"
+        assert fs.stat("/f").size == 12
+        assert_consistent(fs)
