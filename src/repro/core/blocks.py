@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import struct
 import zlib
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from repro.core.errors import CorruptionError
@@ -26,6 +27,18 @@ def pack_addrs(addrs: Sequence[int], block_size: int) -> bytes:
     if count > per_block:
         raise ValueError(f"{count} addresses exceed block capacity {per_block}")
     return struct.pack(f"<{count}Q{block_size - 8 * count}x", *addrs)
+
+
+@lru_cache(maxsize=None)
+def table_block(entry_format: str, count: int, block_size: int) -> struct.Struct:
+    """The ``struct`` of one table block: ``count`` little-endian entries
+    of ``entry_format``, then zero padding to ``block_size``.
+
+    The inode map and the usage table pack a whole block with one call
+    of it, as :func:`pack_addrs` does; an unused slot packs from zeros.
+    """
+    entries = struct.Struct("<" + entry_format * count)
+    return struct.Struct(entries.format + f"{max(0, block_size - entries.size)}x")
 
 
 def unpack_addrs(payload: bytes, count: int) -> list[int]:
@@ -77,10 +90,7 @@ def checksum(payloads: Iterable[bytes]) -> int:
     Used by segment summaries to make a torn partial-segment write
     self-invalidating during roll-forward.
     """
-    crc = 0
-    for payload in payloads:
-        crc = zlib.crc32(payload, crc)
-    return crc & 0xFFFFFFFF
+    return zlib.crc32(b"".join(payloads))  # a chain of per-payload calls, in one
 
 
 def require(condition: bool, message: str) -> None:

@@ -26,6 +26,11 @@ class CacheEntry:
     mtime: float
 
 
+def _age(block: tuple[int, int, CacheEntry]) -> tuple[float, int, int]:
+    """The cleaning flush's order: oldest ``mtime`` first, ties by key."""
+    return (block[2].mtime, block[0], block[1])
+
+
 class BlockCache:
     """An LRU write-back cache of file data blocks.
 
@@ -135,13 +140,12 @@ class BlockCache:
         for fbn in [f for f in self._by_file.get(inum, ()) if f >= first_fbn]:
             self.drop(inum, fbn)
 
-    def dirty_blocks(self) -> list[tuple[int, int, CacheEntry]]:
-        """Every dirty block as ``(inum, fbn, entry)``, sorted by key."""
-        out = []
-        for key in sorted(self._dirty):
-            entry = self._entries.get(key)
-            if entry is not None:
-                out.append((key[0], key[1], entry))
+    def dirty_blocks(self, *, by_age: bool = False) -> list[tuple[int, int, CacheEntry]]:
+        """Every dirty block as ``(inum, fbn, entry)``, sorted by key, or
+        with ``by_age`` oldest ``mtime`` first (ties by key)."""
+        get = self._entries.get
+        out = [(key[0], key[1], entry) for key in self._dirty if (entry := get(key)) is not None]
+        out.sort(key=_age if by_age else None)  # keys are unique: entries never compare
         return out
 
     def clear_all(self) -> None:

@@ -385,6 +385,13 @@ class Cleaner:
                     trimmed = True
                     return None
 
+            # DATA entries, most of any victim, take the requeue rule
+            # directly, with bound locals; other kinds go through ``_revive``.
+            stats = self.stats
+            write = fs.cache.write
+            data_survivor = self._data_survivor
+            revive = self._revive
+            data = BlockKind.DATA
             moved = 0
             bs = fs.config.block_size
             for step in walk_segment(
@@ -418,10 +425,16 @@ class Cleaner:
                 addr = start + offset
                 for entry in summary.entries:
                     addr += 1
-                    if self._revive(entry, addr, payload_at):
-                        self.stats.live_blocks_seen += 1
-                        self.stats.live_blocks_moved += 1
-                        moved += 1
+                    if entry.kind == data:
+                        survivor = data_survivor(entry, addr, payload_at)
+                        if survivor is None:
+                            continue
+                        write(*survivor)
+                    elif not revive(entry, addr, payload_at):
+                        continue
+                    stats.live_blocks_seen += 1
+                    stats.live_blocks_moved += 1
+                    moved += 1
             return moved
 
     # ------------------------------------------------------------------
@@ -532,14 +545,12 @@ class Cleaner:
         block ``entry`` describes? No side effects beyond loading maps."""
         fs = self.fs
         kind = entry.kind
-        if kind in (BlockKind.DATA, BlockKind.INDIRECT, BlockKind.DINDIRECT):
-            # the paper's fast uid check: one inode-map probe, no inode read
-            slot = fs.imap.peek(entry.inum)
-            if slot is None or slot.addr == NULL_ADDR or slot.version != entry.version:
+        if kind == BlockKind.DATA:
+            return self._data_live(entry, addr)
+        if kind in (BlockKind.INDIRECT, BlockKind.DINDIRECT):
+            fmap = self._current_map(entry)
+            if fmap is None:
                 return False
-            fmap = fs.filemap(entry.inum)
-            if kind == BlockKind.DATA:
-                return fmap.get(entry.offset) == addr
             if kind == BlockKind.DINDIRECT:
                 return fmap.inode.dindirect == addr
             if entry.offset == 0:
@@ -554,6 +565,42 @@ class Cleaner:
         # DIROP blocks are dead once the pass's opening checkpoint ran;
         # SUMMARY entries never appear inside summaries.
         return False
+
+    def _current_map(self, entry):
+        """The paper's fast uid check: the owning file's map when
+        ``entry``'s (inum, version) is still current, else None. One
+        inode-map probe; a stale version never reads the inode."""
+        fs = self.fs
+        slot = fs.imap.peek(entry.inum)
+        if slot is None or slot.addr == NULL_ADDR or slot.version != entry.version:
+            return None
+        return fs.filemap(entry.inum)
+
+    def _data_live(self, entry, addr: int) -> bool:
+        """The DATA liveness rule: the file map still points the block
+        at ``addr``."""
+        fmap = self._current_map(entry)
+        return fmap is not None and fmap.get(entry.offset) == addr
+
+    def _data_survivor(self, entry, addr: int, payload_at):
+        """The DATA requeue rule: ``(inum, fbn, payload, mtime)`` to write
+        back dirty when the block at ``addr`` is live and no newer copy is
+        queued, else None. A clean cached copy supplies the bytes;
+        otherwise ``payload_at(addr, entry)`` fetches them."""
+        if not self._data_live(entry, addr):
+            return None
+        fs = self.fs
+        inum, fbn = entry.inum, entry.offset
+        # peek, not lookup: the cleaner's liveness probe must not count
+        # as a cache hit/miss or refresh LRU order.
+        cached = fs.cache.peek(inum, fbn)
+        if cached is None:
+            payload = payload_at(addr, entry)
+        elif cached.dirty:
+            return None  # a newer copy is already queued
+        else:
+            payload = cached.payload
+        return inum, fbn, payload, fs.get_inode(inum).mtime
 
     def _revive(self, entry, addr: int, payload_at) -> bool:
         """If the block at ``addr`` is live, queue it for rewriting.
@@ -570,7 +617,7 @@ class Cleaner:
             # slot's (inum, version) is enough to judge it, so only the
             # slots the inode map still points at are parsed.
             payload = payload_at(addr, entry)
-            imap = fs.imap
+            imap, inodes, dirty = fs.imap, fs._inodes, fs._dirty_inodes
             revived = False
             for slot, (inum, version) in enumerate(inode_slot_ids(payload)):
                 if inum == 0:
@@ -579,23 +626,20 @@ class Cleaner:
                 if current is None or current.addr != addr or current.version != version:
                     continue  # ``addr`` is never NULL, so a match is allocated
                 inode = Inode.from_bytes(payload[slot * INODE_SIZE : (slot + 1) * INODE_SIZE])
-                if inum not in fs._inodes:
-                    fs._inodes[inum] = inode
-                fs._dirty_inodes.add(inum)
+                if inum not in inodes:
+                    inodes[inum] = inode
+                dirty.add(inum)
                 revived = True
             return revived
+        if kind == BlockKind.DATA:
+            survivor = self._data_survivor(entry, addr, payload_at)
+            if survivor is None:
+                return False
+            fs.cache.write(*survivor)
+            return True
         if not self._entry_live(entry, addr):
             return False
-        if kind == BlockKind.DATA:
-            # peek, not lookup: the cleaner's liveness probe must not
-            # count as a cache hit/miss or refresh LRU order.
-            cached = fs.cache.peek(entry.inum, entry.offset)
-            inode = fs.get_inode(entry.inum)
-            if cached is not None and cached.dirty:
-                return False  # a newer copy is already queued
-            payload = cached.payload if cached is not None else payload_at(addr, entry)
-            fs.cache.write(entry.inum, entry.offset, payload, inode.mtime)
-        elif kind == BlockKind.INODE_MAP:
+        if kind == BlockKind.INODE_MAP:
             fs.imap._dirty_blocks.add(entry.offset)
         elif kind == BlockKind.SEG_USAGE:
             fs.usage._dirty_blocks.add(entry.offset)

@@ -16,6 +16,7 @@ import weakref
 import zlib
 from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 
 from repro.core.blocks import checksum, splice
 from repro.core.cache import BlockCache
@@ -111,6 +112,7 @@ class LFS(Namespace):
         # Optional observability hook (repro.obs.Observation); None = off.
         self.obs = None
         self._inodes: dict[int, Inode] = {}
+        # Cleared in place, never rebound: each map holds its ``add``.
         self._dirty_inodes: set[int] = set()
         self._filemaps: dict[int, FileMap] = {}
         # Every inum whose FileMap has an indirect block to write (it may
@@ -124,7 +126,7 @@ class LFS(Namespace):
         weak = weakref.proxy(self)
         self._filemap_hooks = (
             lambda addr: weak._read_log_block(addr),
-            lambda inum: weak._mark_inode_dirty(inum),
+            self._dirty_inodes.add,
             self._dirty_maps.add,
         )
         self._dir_states: dict[int, dirfmt.Directory] = {}
@@ -902,27 +904,22 @@ class LFS(Namespace):
             self._pending_dirops = []
 
         # -- data blocks
-        dirty = self.cache.dirty_blocks()
-        if cleaning:  # age-sort the survivors so cold data segregates (Section 3.5)
-            dirty.sort(key=lambda t: (t[2].mtime, t[0], t[1]))
-        place_data = self._place_data
+        # A cleaning flush age-sorts the survivors so cold data
+        # segregates (Section 3.5).
+        dirty = self.cache.dirty_blocks(by_age=cleaning)
+        data = BlockKind.DATA
+        place = self._data_placer()
         fmap_inum = None
         for inum, fbn, entry in dirty:
             if inum != fmap_inum:  # runs of one file's blocks share these
                 fmap, fmap_inum = self.filemap(inum), inum
                 version = self.imap.version_of(inum)
+                place_data = partial(place, fmap.set)
             if fbn >= NUM_DIRECT:  # a direct pointer lives in the inode
                 fmap.ensure_structures(fbn)
+            # kind, inum, offset, version, mtime, payload, get_payload, on_placed
             items.append(
-                LogItem(
-                    kind=BlockKind.DATA,
-                    inum=inum,
-                    offset=fbn,
-                    version=version,
-                    mtime=entry.mtime,
-                    payload=entry.payload,
-                    on_placed=place_data,
-                )
+                LogItem(data, inum, fbn, version, entry.mtime, entry.payload, None, place_data)
             )
 
         # -- indirect blocks: children and single-indirects, then doubles.
@@ -987,7 +984,7 @@ class LFS(Namespace):
                     kind=BlockKind.INODE,
                     inum=group[0],
                     offset=0,
-                    mtime=max(self._inodes[i].mtime for i in group),
+                    mtime=max([self._inodes[i].mtime for i in group]),
                     get_payload=lambda g=group: pack_inode_block(
                         [self._inodes[i] for i in g], bs
                     ),
@@ -1044,16 +1041,30 @@ class LFS(Namespace):
             self.layout.segment_of(addr), self.config.block_size, self.disk.clock.now
         )
 
-    def _place_data(self, item: LogItem, addr: int) -> None:
-        inum, fbn = item.inum, item.offset
-        old = self.filemap(inum).set(fbn, addr)
+    def _data_placer(self):
+        """One flush's data placement, as ``place(set_addr, item, addr)``.
+
+        The builder binds each file run's ``FileMap.set`` in with
+        ``partial``, so the map is looked up once per run, not per block
+        (a map outlives the flush: only unlink and recovery drop one).
+        """
+        segment_of = self.layout.segment_of
+        add_live = self.usage.add_live
+        remove_live = self.usage.remove_live
+        mark_clean = self.cache.mark_clean
         bs = self.config.block_size
-        if old != NULL_ADDR:
-            self.usage.remove_live(self.layout.segment_of(old), bs)
-        # The item was built from this block's cache entry in this same
-        # flush, so it already carries the entry's mtime.
-        self.usage.add_live(self.layout.segment_of(addr), bs, item.mtime)
-        self.cache.mark_clean(inum, fbn)
+
+        def place(set_addr, item: LogItem, addr: int) -> None:
+            fbn = item.offset
+            old = set_addr(fbn, addr)
+            if old != NULL_ADDR:
+                remove_live(segment_of(old), bs)
+            # The item was built from this block's cache entry in this
+            # same flush, so it already carries the entry's mtime.
+            add_live(segment_of(addr), bs, item.mtime)
+            mark_clean(item.inum, fbn)
+
+        return place
 
     # Indirect items find their map from the item: ``offset`` 0 is the
     # single-indirect block, ``1 + k`` the k-th child under the double.
@@ -1074,14 +1085,16 @@ class LFS(Namespace):
         self.usage.add_live(self.layout.segment_of(addr), bs, self.disk.clock.now)
 
     def _place_inodes(self, inums: list[int], addr: int) -> None:
+        imap, usage, inodes = self.imap, self.usage, self._inodes
+        segment_of = self.layout.segment_of
+        seg = segment_of(addr)
+        now = self.disk.clock.now
         for inum in inums:
-            old = self.imap.get(inum).addr
+            old = imap.set_addr(inum, addr)
             if old not in (NULL_ADDR, PENDING_ADDR):
-                self.usage.remove_live(self.layout.segment_of(old), INODE_SIZE)
-            self.imap.set_addr(inum, addr)
-            inode = self._inodes.get(inum)
-            mtime = inode.mtime if inode else self.disk.clock.now
-            self.usage.add_live(self.layout.segment_of(addr), INODE_SIZE, mtime)
+                usage.remove_live(segment_of(old), INODE_SIZE)
+            inode = inodes.get(inum)
+            usage.add_live(seg, INODE_SIZE, inode.mtime if inode else now)
 
     def _place_map_block(self, addr_table: list[int], idx: int, addr: int) -> None:
         old = addr_table[idx]
@@ -1190,11 +1203,14 @@ class LFS(Namespace):
             )
             self.flush()
             # Now write the inode map and segment usage table. The usage table
-            # is self-referential — writing its blocks changes live counts — so
-            # iterate until no map block is re-dirtied (converges in 2-3 steps;
-            # the cap bounds staleness in pathological cases). The residual
-            # flush above charges as ordinary data/cleaning traffic; only the
-            # map stabilization and the region write are checkpoint overhead.
+            # is self-referential: placing a map block changes live counts,
+            # and the partial write's time stamp dirties its usage block, so
+            # every round re-dirties a usage block and the loop never settles.
+            # Whenever a map block is dirty it runs all 8 rounds (every
+            # checkpoint on ``churn``); writing each metadata block once is
+            # ROADMAP item 2. The residual flush above charges as ordinary
+            # data/cleaning traffic; only the map rounds and the region write
+            # are checkpoint overhead.
             with self._cause(CHECKPOINT):
                 for _ in range(8):
                     meta = self._build_meta_items()

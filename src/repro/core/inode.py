@@ -21,6 +21,10 @@ from repro.core.errors import CorruptionError, InvalidOperationError
 # indirect, double-indirect  (144 bytes packed, padded to INODE_SIZE)
 _INODE = struct.Struct("<QQB3xIQdd10QQQ")
 assert _INODE.size <= INODE_SIZE
+# the same fields zero-padded to a whole slot, so packing needs no ljust
+_INODE_SLOT = struct.Struct(f"{_INODE.format}{INODE_SIZE - _INODE.size}x")
+#: on-disk file type byte -> type; a byte missing here is corruption
+_FTYPES = {int(t): t for t in FileType}
 # one whole slot, keeping only its identity: inum, version, the rest skipped
 _SLOT_ID = struct.Struct(f"<QQ{INODE_SIZE - 16}x")
 
@@ -73,10 +77,10 @@ class Inode:
 
     def to_bytes(self) -> bytes:
         """Serialize to a fixed ``INODE_SIZE`` record."""
-        packed = _INODE.pack(
+        return _INODE_SLOT.pack(
             self.inum,
             self.version,
-            int(self.ftype),
+            self.ftype,
             self.nlink,
             self.size,
             self.mtime,
@@ -85,7 +89,6 @@ class Inode:
             self.indirect,
             self.dindirect,
         )
-        return packed.ljust(INODE_SIZE, b"\0")
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "Inode":
@@ -95,22 +98,12 @@ class Inode:
         inum, version, ftype_raw, nlink, size, mtime, ctime = fields[:7]
         direct = list(fields[7 : 7 + NUM_DIRECT])
         indirect, dindirect = fields[7 + NUM_DIRECT :]
-        try:
-            ftype = FileType(ftype_raw)
-        except ValueError as exc:
-            raise CorruptionError(f"bad file type {ftype_raw} in inode {inum}") from exc
-        return cls(
-            inum=inum,
-            version=version,
-            ftype=ftype,
-            nlink=nlink,
-            size=size,
-            mtime=mtime,
-            ctime=ctime,
-            direct=direct,
-            indirect=indirect,
-            dindirect=dindirect,
-        )
+        ftype = _FTYPES.get(ftype_raw)
+        if ftype is None:
+            raise CorruptionError(f"bad file type {ftype_raw} in inode {inum}")
+        # positional, in field order: inum, version, ftype, nlink, size,
+        # mtime, ctime, direct, indirect, dindirect
+        return cls(inum, version, ftype, nlink, size, mtime, ctime, direct, indirect, dindirect)
 
     def copy(self) -> "Inode":
         """Deep copy (direct pointer list included)."""
@@ -138,7 +131,7 @@ def pack_inode_block(inodes: list[Inode], block_size: int) -> bytes:
     cap = inodes_per_block(block_size)
     if len(inodes) > cap:
         raise InvalidOperationError(f"{len(inodes)} inodes exceed block capacity {cap}")
-    payload = b"".join(ino.to_bytes() for ino in inodes)
+    payload = b"".join([ino.to_bytes() for ino in inodes])
     return payload.ljust(block_size, b"\0")
 
 

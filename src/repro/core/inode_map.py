@@ -14,13 +14,15 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
-from repro.core.blocks import require
+from repro.core.blocks import require, table_block
 from repro.core.constants import INODE_MAP_ENTRY_SIZE, NULL_ADDR
 from repro.core.errors import FileNotFoundLFSError, InvalidOperationError
 
 # addr, version, atime, pad
-_ENTRY = struct.Struct("<QQd8x")
+_ENTRY_FORMAT = "QQd8x"
+_ENTRY = struct.Struct("<" + _ENTRY_FORMAT)
 assert _ENTRY.size == INODE_MAP_ENTRY_SIZE
+_UNUSED = (NULL_ADDR, 0, 0.0)  # an untouched slot: all zero bytes
 
 
 @dataclass
@@ -114,11 +116,14 @@ class InodeMap:
             return 0
         return entry.version
 
-    def set_addr(self, inum: int, addr: int) -> None:
-        """Record a new inode location (marks the map block dirty)."""
-        entry = self.get(inum)
+    def set_addr(self, inum: int, addr: int) -> int:
+        """Record a new inode location (marks the map block dirty);
+        returns the previous one."""
+        entry = self.get(inum)  # range-checks ``inum``
+        old = entry.addr
         entry.addr = addr
-        self._dirty_blocks.add(self.block_of(inum))
+        self._dirty_blocks.add(inum // self.entries_per_block)
+        return old
 
     def set_atime(self, inum: int, atime: float) -> None:
         """Record an access time (marks the map block dirty)."""
@@ -194,15 +199,14 @@ class InodeMap:
         """Serialize map block ``block_index`` to a block payload."""
         if block_index < 0 or block_index >= self.num_blocks:
             raise InvalidOperationError(f"map block {block_index} out of range")
-        first = block_index * self.entries_per_block
-        parts = []
-        for inum in range(first, first + self.entries_per_block):
-            entry = self._entries.get(inum)
-            if entry is None:
-                parts.append(bytes(INODE_MAP_ENTRY_SIZE))
-            else:
-                parts.append(_ENTRY.pack(entry.addr, entry.version, entry.atime))
-        return b"".join(parts).ljust(block_size, b"\0")
+        count = self.entries_per_block
+        first = block_index * count
+        get = self._entries.get
+        fields: list = []
+        for inum in range(first, first + count):
+            entry = get(inum)
+            fields += _UNUSED if entry is None else (entry.addr, entry.version, entry.atime)
+        return table_block(_ENTRY_FORMAT, count, block_size).pack(*fields)
 
     def load_block(self, block_index: int, payload: bytes) -> None:
         """Replace map block ``block_index`` from on-disk bytes."""

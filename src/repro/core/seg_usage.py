@@ -12,14 +12,16 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
-from repro.core.blocks import require
+from repro.core.blocks import require, table_block
 from repro.core.constants import NULL_ADDR, SEG_USAGE_ENTRY_SIZE
 from repro.core.errors import InvalidOperationError
 
 # live_bytes, last_write_time, flags, pad — the quarantine flag lives in a
 # former pad byte, so the entry keeps its on-disk size.
-_ENTRY = struct.Struct("<QdB7x")
+_ENTRY_FORMAT = "QdB7x"
+_ENTRY = struct.Struct("<" + _ENTRY_FORMAT)
 assert _ENTRY.size == SEG_USAGE_ENTRY_SIZE
+_UNUSED = (0, 0.0, 0)  # past the last segment: all zero bytes
 
 _FLAG_QUARANTINED = 0x01
 
@@ -221,16 +223,14 @@ class SegmentUsageTable:
         """Serialize usage-table block ``block_index``."""
         if block_index < 0 or block_index >= self.num_blocks:
             raise InvalidOperationError(f"usage block {block_index} out of range")
-        first = block_index * self.entries_per_block
-        parts = []
-        for seg_no in range(first, first + self.entries_per_block):
-            if seg_no < self.num_segments:
-                seg = self._segments[seg_no]
-                flags = _FLAG_QUARANTINED if seg.quarantined else 0
-                parts.append(_ENTRY.pack(seg.live_bytes, seg.last_write, flags))
-            else:
-                parts.append(bytes(SEG_USAGE_ENTRY_SIZE))
-        return b"".join(parts).ljust(block_size, b"\0")
+        count = self.entries_per_block
+        first = block_index * count
+        fields: list = []
+        for seg in self._segments[first : first + count]:
+            flags = _FLAG_QUARANTINED if seg.quarantined else 0
+            fields += (seg.live_bytes, seg.last_write, flags)
+        fields += _UNUSED * (count - len(fields) // 3)
+        return table_block(_ENTRY_FORMAT, count, block_size).pack(*fields)
 
     def load_block(self, block_index: int, payload: bytes) -> None:
         """Replace usage-table block ``block_index`` from on-disk bytes.

@@ -19,7 +19,7 @@ from repro.core.config import DiskLayout, LFSConfig
 from repro.core.constants import NO_SEGMENT, BlockKind
 from repro.core.errors import InvalidOperationError, NoSpaceError
 from repro.core.seg_usage import SegmentUsageTable
-from repro.core.summary import SegmentSummary, SummaryEntry, summary_capacity
+from repro.core.summary import SegmentSummary, summary_capacity
 from repro.disk.device import Disk
 from repro.obs.events import LOG_SEGMENT_OPEN, LOG_WRITE
 
@@ -47,7 +47,7 @@ class LogItem:
         on_placed: called as ``on_placed(item, addr)`` with the assigned
             disk address; updates in-memory pointers (inode/indirect/map)
             and segment usage accounting. The item says which block it
-            is, so every data item shares one bound method.
+            is, so a run of one file's data items shares one callback.
     """
 
     kind: BlockKind
@@ -298,7 +298,9 @@ class LogWriter:
                 if item.on_placed is not None:
                     item.on_placed(item, addr)
                 kind = item.kind
-                entries.append(SummaryEntry(kind, item.inum, item.offset, item.version))
+                # a bare (kind, inum, offset, version, block_crc) tuple:
+                # ``pack`` replaces it with the stamped ``SummaryEntry``
+                entries.append((kind, item.inum, item.offset, item.version, 0))
                 kinds[kind] = kinds.get(kind, 0) + 1
                 if item.mtime > youngest:
                     youngest = item.mtime

@@ -66,6 +66,10 @@ class SummaryEntry(NamedTuple):
     block_crc: int = 0
 
 
+# ``pack`` and ``unpack`` build their entries with
+# ``tuple.__new__(SummaryEntry, fields)``: the same tuple as the
+# constructor's, without its Python-level call (once per block moved).
+
 #: on-disk kind byte -> kind; a byte missing here is corruption
 _KINDS = {int(k): k for k in BlockKind}
 
@@ -102,7 +106,9 @@ class SegmentSummary:
         Fills ``crc`` and replaces ``entries`` with copies carrying each
         payload's ``block_crc``. One buffer, written in place: entries,
         then the header, then the self-CRC over the finished block with
-        its own field still zero.
+        its own field still zero. The whole-write CRC is one ``crc32``
+        over the joined payloads, the value a chain of per-payload calls
+        gives.
         """
         entries = self.entries
         n = len(entries)
@@ -114,16 +120,16 @@ class SegmentSummary:
             )
         crc32 = zlib.crc32
         pack_entry = _ENTRY.pack_into
+        new = tuple.__new__
         block = bytearray(block_size)
         stamped = []
-        total = 0
         pos = SUMMARY_HEADER_SIZE
         for (kind, inum, offset, version, _), payload in zip(entries, payloads):
             block_crc = crc32(payload)
-            total = crc32(payload, total)
             pack_entry(block, pos, kind, block_crc, inum, offset, version)
-            stamped.append(SummaryEntry(kind, inum, offset, version, block_crc))
+            stamped.append(new(SummaryEntry, (kind, inum, offset, version, block_crc)))
             pos += SUMMARY_ENTRY_SIZE
+        total = crc32(b"".join(payloads))
         self.crc = total
         self.entries = stamped
         _HEADER.pack_into(
@@ -170,9 +176,10 @@ class SegmentSummary:
         end = SUMMARY_HEADER_SIZE + nentries * SUMMARY_ENTRY_SIZE
         require(len(payload) >= end, "summary entries truncated")
         kinds = _KINDS
+        new = tuple.__new__
         try:
             entries = [
-                SummaryEntry(kinds[kind], inum, offset, version, block_crc)
+                new(SummaryEntry, (kinds[kind], inum, offset, version, block_crc))
                 for kind, block_crc, inum, offset, version in _ENTRY.iter_unpack(
                     view[SUMMARY_HEADER_SIZE:end]
                 )

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.constants import INODE_SIZE, NULL_ADDR, BlockKind
-from repro.core.errors import CorruptionError
+from repro.core.errors import CorruptionError, MediaError
 from repro.core.filesystem import LFS
 from repro.core.inode import inode_slot_ids
 from repro.core.policy import CleaningPolicy
@@ -186,6 +186,40 @@ class TestVersionFastPath:
         assert inum not in fs._inodes
 
 
+def mixed_log(fs) -> int:
+    """Fill ``fs``'s log with live and dead copies of every kind of
+    block; returns the offset of ``/big``'s double-indirect tail."""
+    bs = fs.config.block_size
+    sparse = (10 + bs // 8 + 3) * bs  # past direct + single indirect
+    for i in range(6):
+        fs.write_file(f"/f{i}", bytes([i + 1]) * 9000)
+    fs.create("/big")
+    fs.write("/big", b"tail", offset=sparse)  # indirect + double-indirect
+    fs.write("/big", b"head" * 4000)
+    fs.checkpoint()  # inode-map and usage blocks enter the log
+    fs.write_file("/f0", b"rewritten" * 1000)  # dead data + dead inode
+    fs.unlink("/f1")  # dead by version
+    fs.write("/big", b"TAIL", offset=sparse)  # dead indirect chain
+    fs.checkpoint()  # supersedes the first map and usage blocks
+    return sparse
+
+
+def data_entries(fs, seg):
+    """``(entry, addr)`` of every DATA summary entry of one segment, in
+    log order."""
+    start = fs.layout.segment_start(seg)
+    return [
+        (entry, start + step.offset + 1 + i)
+        for step in walk_segment(
+            fs.disk.peek, fs.disk.peek, start, fs.config.segment_blocks,
+            fs.config.block_size, seq_limit=fs.writer.seq,
+        )
+        if isinstance(step, SegmentWrite)
+        for i, entry in enumerate(step.summary.entries)
+        if entry.kind == BlockKind.DATA
+    ]
+
+
 class TestOneLivenessRule:
     @pytest.mark.parametrize("kind", list(BlockKind), ids=lambda k: k.name)
     def test_probe_and_revive_agree_for_every_entry_on_disk(self, fs, kind):
@@ -193,17 +227,7 @@ class TestOneLivenessRule:
         it live — checked against every summary entry of ``kind`` in a log
         holding live and dead copies of every kind of block."""
         bs = fs.config.block_size
-        sparse = (10 + bs // 8 + 3) * bs  # past direct + single indirect
-        for i in range(6):
-            fs.write_file(f"/f{i}", bytes([i + 1]) * 9000)
-        fs.create("/big")
-        fs.write("/big", b"tail", offset=sparse)  # indirect + double-indirect
-        fs.write("/big", b"head" * 4000)
-        fs.checkpoint()  # inode-map and usage blocks enter the log
-        fs.write_file("/f0", b"rewritten" * 1000)  # dead data + dead inode
-        fs.unlink("/f1")  # dead by version
-        fs.write("/big", b"TAIL", offset=sparse)  # dead indirect chain
-        fs.checkpoint()  # supersedes the first map and usage blocks
+        sparse = mixed_log(fs)
         payloads = {}
         entries = []
         for seg in fs.usage.dirty_segments():
@@ -231,6 +255,82 @@ class TestOneLivenessRule:
         assert fs.read("/f0") == b"rewritten" * 1000
         assert fs.read("/big", offset=sparse) == b"TAIL"
         assert fs.read("/big", length=16000) == b"head" * 4000
+
+    @pytest.mark.parametrize("selective", [False, True], ids=["whole-segment", "selective"])
+    def test_gather_queues_exactly_the_live_data_entries(self, fs, selective):
+        """``_gather_live``'s DATA loop queues a block exactly when
+        ``_entry_live`` calls it live, with the block's current bytes,
+        in both read modes (flash always reads selectively)."""
+        sparse = mixed_log(fs)
+        if selective:
+            fs.config.selective_read_utilization = 1.0  # every victim is below it
+        victims = [s for s in fs.usage.dirty_segments() if s not in fs.writer.open_segments()]
+        assert not fs.cache.dirty_count
+        seen = dead = 0
+        for seg in victims:
+            live = {}
+            for entry, addr in data_entries(fs, seg):
+                if fs.cleaner._entry_live(entry, addr):
+                    live[entry.inum, entry.offset] = fs.disk.peek(addr)
+                else:
+                    dead += 1
+            before = set(fs.cache._dirty)
+            selective_before = fs.cleaner.stats.selective_segments
+            fs.cleaner._gather_live(seg)
+            assert set(fs.cache._dirty) - before == set(live), seg
+            assert {k: fs.cache.peek(*k).payload for k in live} == live
+            assert fs.cleaner.stats.selective_segments - selective_before == selective
+            seen += len(live)
+        assert seen and dead, "the log holds no live+dead mix of DATA blocks"
+        fs.checkpoint()  # the queued survivors move: nothing is lost
+        assert fs.read("/f0") == b"rewritten" * 1000
+        assert fs.read("/f2") == bytes([3]) * 9000
+        assert fs.read("/big", offset=sparse) == b"TAIL"
+
+    @pytest.mark.parametrize("selective", [False, True], ids=["whole-segment", "selective"])
+    def test_a_media_error_on_the_second_victim_keeps_the_first_ones_survivors(
+        self, selective
+    ):
+        """The survivors a pass gathered before a ``MediaError`` stay
+        queued in the cache: all of the first victim's, and in a
+        selective walk every block of the second victim before the
+        rotted one (and none after it)."""
+        config = small_config(selective_read_utilization=1.0 if selective else 0.0)
+        fs = LFS.format(Disk(DiskGeometry.wren4(num_blocks=4096)), config)
+        for i in range(60):
+            fs.write_file(f"/f{i}", bytes([i]) * 30000)
+        for i in range(0, 60, 2):
+            fs.write_file(f"/f{i}", bytes([i + 1]) * 30000)
+        fs.sync()
+        fs.checkpoint()
+        first, second = [
+            s for s in fs.cleaner.select_segments(fs.config.segments_per_pass)
+            if fs.usage.get(s).live_bytes > 0
+        ][:2]
+
+        def live(seg):
+            return [
+                (addr, (e.inum, e.offset))
+                for e, addr in data_entries(fs, seg)
+                if fs.cleaner._entry_live(e, addr)
+            ]
+
+        first_live, second_live = live(first), live(second)
+        rot_addr, rot_key = second_live[len(second_live) // 2]
+        fs.cache.drop(*rot_key)  # no clean copy to fall back on
+        raw = bytearray(fs.disk.peek(rot_addr))
+        raw[7] ^= 0x10
+        fs.disk.corrupt_block(rot_addr, bytes(raw))
+        assert not fs.cache.dirty_count
+        fs._in_cleaner = fs.writer.exempt = True
+        with pytest.raises(MediaError):
+            fs.cleaner._clean_pass([first, second])
+        dirty = set(fs.cache._dirty)
+        assert {key for _, key in first_live} <= dirty
+        assert rot_key not in dirty
+        if selective:
+            assert {key for addr, key in second_live if addr < rot_addr} <= dirty
+            assert not {key for addr, key in second_live if addr > rot_addr} & dirty
 
 
 class TestReviveInodeBlock:

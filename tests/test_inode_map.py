@@ -1,8 +1,10 @@
 """Tests for the inode map."""
 
+import struct
+
 import pytest
 
-from repro.core.constants import NULL_ADDR
+from repro.core.constants import INODE_MAP_ENTRY_SIZE, NULL_ADDR
 from repro.core.errors import FileNotFoundLFSError, InvalidOperationError
 from repro.core.inode_map import InodeMap
 
@@ -141,3 +143,37 @@ class TestBlockSerialization:
 
     def test_num_blocks(self, imap):
         assert imap.num_blocks == 4
+
+
+def per_entry_pack(imap, block_index, block_size):
+    """The map block as one ``struct`` call per entry packed it."""
+    first = block_index * imap.entries_per_block
+    parts = []
+    for inum in range(first, first + imap.entries_per_block):
+        entry = imap._entries.get(inum)
+        if entry is None:
+            parts.append(bytes(INODE_MAP_ENTRY_SIZE))
+        else:
+            parts.append(struct.pack("<QQd8x", entry.addr, entry.version, entry.atime))
+    return b"".join(parts).ljust(block_size, b"\0")
+
+
+class TestOneCallPacking:
+    """``pack_block`` packs a whole block with one ``struct`` call; the
+    bytes must equal the per-entry packing they replaced."""
+
+    @pytest.mark.parametrize("block_size", [4096, 4096 + 96])  # exact, and a padded tail
+    def test_empty_partial_and_full_blocks(self, imap, block_size):
+        for inum in range(128, 256):  # block 1: every slot touched
+            imap.set_addr(inum, 10_000 + inum)
+            imap.set_atime(inum, inum / 3)
+        imap.free(200)  # a freed slot keeps its bumped version
+        for inum in (260, 261, 300):  # block 2: a few slots
+            imap.set_addr(inum, 2**63 + inum)
+        imap.bump_version(301)
+        imap.get(302)  # a touched but never-set slot packs as zeros
+        for index in range(imap.num_blocks):  # 0 and 3 are empty
+            packed = imap.pack_block(index, block_size)
+            assert packed == per_entry_pack(imap, index, block_size), index
+            assert len(packed) == block_size
+        assert imap.pack_block(0, block_size) == bytes(block_size)

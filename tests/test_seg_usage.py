@@ -1,9 +1,12 @@
 """Tests for the segment usage table."""
 
+import struct
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.constants import SEG_USAGE_ENTRY_SIZE
 from repro.core.errors import InvalidOperationError
 from repro.core.seg_usage import SegmentUsageTable
 
@@ -109,6 +112,42 @@ class TestSerialization:
         assert table.dirty_block_indexes() == [0]
         table.clear_dirty(0)
         assert table.dirty_block_indexes() == []
+
+
+def per_entry_pack(table, block_index, block_size):
+    """The usage block as one ``struct`` call per entry packed it."""
+    first = block_index * table.entries_per_block
+    parts = []
+    for seg_no in range(first, first + table.entries_per_block):
+        if seg_no < table.num_segments:
+            seg = table.get(seg_no)
+            flags = 1 if seg.quarantined else 0
+            parts.append(struct.pack("<QdB7x", seg.live_bytes, seg.last_write, flags))
+        else:
+            parts.append(bytes(SEG_USAGE_ENTRY_SIZE))
+    return b"".join(parts).ljust(block_size, b"\0")
+
+
+class TestOneCallPacking:
+    """``pack_block`` packs a whole block with one ``struct`` call; the
+    bytes must equal the per-entry packing they replaced."""
+
+    def test_full_partial_and_empty_blocks(self):
+        # 12 segments, 5 per block: blocks 0 and 1 full, block 2 holds
+        # two segments and three unused slots
+        table = SegmentUsageTable(num_segments=12, segment_bytes=4096, entries_per_block=5)
+        for seg_no in range(0, 12, 2):
+            table.add_live(seg_no, 100 * seg_no + 7, when=seg_no / 7)
+        table.quarantine(3)
+        table.mark_in_use(11)
+        for index in range(table.num_blocks):
+            for block_size in (120, 512):  # exact, and a padded tail
+                packed = table.pack_block(index, block_size)
+                assert packed == per_entry_pack(table, index, block_size), (index, block_size)
+                assert len(packed) == block_size
+
+    def test_an_untouched_table_packs_zeros(self, table):
+        assert table.pack_block(0, 4096) == bytes(4096)
 
 
 class TestCleanCount:
