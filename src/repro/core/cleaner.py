@@ -23,6 +23,7 @@ from repro.core.blocks import checksum
 from repro.core.constants import INODE_SIZE, NULL_ADDR, BlockKind
 from repro.core.errors import MediaError, TrimmedBlockError
 from repro.core.inode import Inode, inode_slot_ids
+from repro.core.mapping import node_of
 from repro.core.policy import CleaningPolicy, choose
 from repro.core.summary import SegmentGap, walk_segment
 from repro.obs.attribution import CLEANING_READ
@@ -549,13 +550,7 @@ class Cleaner:
             return self._data_live(entry, addr)
         if kind in (BlockKind.INDIRECT, BlockKind.DINDIRECT):
             fmap = self._current_map(entry)
-            if fmap is None:
-                return False
-            if kind == BlockKind.DINDIRECT:
-                return fmap.inode.dindirect == addr
-            if entry.offset == 0:
-                return fmap.inode.indirect == addr
-            return fmap._load_l2()[entry.offset - 1] == addr
+            return fmap is not None and fmap.node_addr(node_of(kind, entry.offset)) == addr
         if kind == BlockKind.INODE:
             return fs.imap.points_at(addr)
         if kind == BlockKind.INODE_MAP:
@@ -643,16 +638,6 @@ class Cleaner:
             fs.imap._dirty_blocks.add(entry.offset)
         elif kind == BlockKind.SEG_USAGE:
             fs.usage._dirty_blocks.add(entry.offset)
-        else:  # INDIRECT / DINDIRECT: load the map block and mark it dirty
-            fmap = fs.filemap(entry.inum)
-            if kind == BlockKind.DINDIRECT:
-                fmap._load_l2()
-                fmap.l2_dirty = True
-            elif entry.offset == 0:
-                fmap._load_l1()
-                fmap.l1_dirty = True
-            else:
-                fmap._load_child(entry.offset - 1)
-                fmap.dirty_children.add(entry.offset - 1)
-            fs._dirty_maps.add(entry.inum)
+        else:  # INDIRECT / DINDIRECT
+            fs.filemap(entry.inum).mark_dirty(node_of(kind, entry.offset))
         return True

@@ -50,7 +50,7 @@ from repro.core.errors import (
 )
 from repro.core.inode import Inode, find_inode, inodes_per_block, pack_inode_block
 from repro.core.inode_map import InodeMap
-from repro.core.mapping import FileMap
+from repro.core.mapping import L2, FileMap, node_of, summary_id
 from repro.core.namespace import Namespace
 from repro.core.nvlog import NVLog
 from repro.core.seg_usage import SegmentUsageTable
@@ -928,50 +928,21 @@ class LFS(Namespace):
         # it clean, so an append that raises strands nothing.
         double_items: list[LogItem] = []
         dirty_maps = self._dirty_maps
+        place_node = self._place_node
         for inum in sorted(dirty_maps):
             fmap = self._filemaps.get(inum)
-            if fmap is None or not (fmap.l1_dirty or fmap.l2_dirty or fmap.dirty_children):
+            if fmap is None or not fmap.dirty:
                 dirty_maps.discard(inum)
                 continue
             version = self.imap.version_of(inum)
             mtime = fmap.inode.mtime
-            for child_idx in sorted(fmap.dirty_children):
-                items.append(
-                    LogItem(
-                        kind=BlockKind.INDIRECT,
-                        inum=inum,
-                        offset=1 + child_idx,
-                        version=version,
-                        mtime=mtime,
-                        get_payload=lambda m=fmap, c=child_idx: m.pack_child(c),
-                        on_placed=self._place_child,
-                    )
+            for node in fmap.write_order():
+                kind, offset = summary_id(node)
+                # kind, inum, offset, version, mtime, payload, get_payload, on_placed
+                item = LogItem(
+                    kind, inum, offset, version, mtime, None, partial(fmap.pack, node), place_node
                 )
-            if fmap.l1_dirty:
-                items.append(
-                    LogItem(
-                        kind=BlockKind.INDIRECT,
-                        inum=inum,
-                        offset=0,
-                        version=version,
-                        mtime=mtime,
-                        get_payload=fmap.pack_l1,
-                        on_placed=self._place_l1,
-                    )
-                )
-            if fmap.l2_dirty or (fmap.dirty_children and fmap.inode.dindirect == NULL_ADDR):
-                fmap.l2_dirty = True
-                double_items.append(
-                    LogItem(
-                        kind=BlockKind.DINDIRECT,
-                        inum=inum,
-                        offset=0,
-                        version=version,
-                        mtime=mtime,
-                        get_payload=fmap.pack_l2,
-                        on_placed=self._place_l2,
-                    )
-                )
+                (double_items if node == L2 else items).append(item)
         items.extend(double_items)
 
         # -- inode blocks
@@ -1066,19 +1037,10 @@ class LFS(Namespace):
 
         return place
 
-    # Indirect items find their map from the item: ``offset`` 0 is the
-    # single-indirect block, ``1 + k`` the k-th child under the double.
-
-    def _place_child(self, item: LogItem, addr: int) -> None:
-        self._place_indirect(self._filemaps[item.inum].place_child(item.offset - 1, addr), addr)
-
-    def _place_l1(self, item: LogItem, addr: int) -> None:
-        self._place_indirect(self._filemaps[item.inum].place_l1(addr), addr)
-
-    def _place_l2(self, item: LogItem, addr: int) -> None:
-        self._place_indirect(self._filemaps[item.inum].place_l2(addr), addr)
-
-    def _place_indirect(self, old: int, addr: int) -> None:
+    def _place_node(self, item: LogItem, addr: int) -> None:
+        """Every indirect item's placement: the map records the node's new
+        home, the usage table moves its bytes there."""
+        old = self._filemaps[item.inum].place(node_of(item.kind, item.offset), addr)
         bs = self.config.block_size
         if old != NULL_ADDR:
             self.usage.remove_live(self.layout.segment_of(old), bs)

@@ -345,28 +345,13 @@ class FFS(Namespace):
         if inode is None:
             return
         goal = self.layout.group_data_start(self.layout.group_for_inode(inum))
-        if fmap.dirty_children:
-            l2 = fmap._load_l2()
-            for child_idx in sorted(fmap.dirty_children):
-                addr = l2[child_idx]
-                if addr == NULL_ADDR:
-                    addr = self.allocator.allocate_near(goal)
-                    fmap.place_child(child_idx, addr)
-                self.disk.write_block(addr, fmap.pack_child(child_idx), force_latency=True)
-                self.stats.async_data_writes += 1
-            fmap.dirty_children.clear()
-        if fmap.l1_dirty:
-            if inode.indirect == NULL_ADDR:
-                fmap.place_l1(self.allocator.allocate_near(goal))
-            self.disk.write_block(inode.indirect, fmap.pack_l1(), force_latency=True)
+        for node in fmap.write_order():
+            addr = fmap.node_addr(node)
+            if addr == NULL_ADDR:
+                addr = self.allocator.allocate_near(goal)
+            fmap.place(node, addr)
+            self.disk.write_block(addr, fmap.pack(node), force_latency=True)
             self.stats.async_data_writes += 1
-            fmap.l1_dirty = False
-        if fmap.l2_dirty:
-            if inode.dindirect == NULL_ADDR:
-                fmap.place_l2(self.allocator.allocate_near(goal))
-            self.disk.write_block(inode.dindirect, fmap.pack_l2(), force_latency=True)
-            self.stats.async_data_writes += 1
-            fmap.l2_dirty = False
         block_addr, _ = self.layout.inode_addr(inum)
         self.disk.write_block(
             block_addr, self._pack_inode_table_block(block_addr), force_latency=True

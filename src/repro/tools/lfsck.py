@@ -33,7 +33,7 @@ from repro.core.blocks import checksum, unpack_addrs
 from repro.core.checkpoint import read_checkpoint
 from repro.core.constants import INODE_SIZE, NO_SEGMENT, NULL_ADDR, ROOT_INUM
 from repro.core.errors import CorruptionError
-from repro.core.inode import Inode, addrs_per_indirect, unpack_inode_block
+from repro.core.inode import Inode, addrs_per_indirect, find_inode
 from repro.core.inode_map import InodeMap
 from repro.core.seg_usage import SegmentUsageTable
 from repro.core.summary import try_parse_summary
@@ -106,14 +106,11 @@ class _PeekDisk:
         return [self._disk.peek(addr + i) for i in range(count)]
 
 
-def _load_inode(view: _PeekDisk, block_size: int, addr: int, inum: int) -> Inode | None:
+def _load_inode(view: _PeekDisk, addr: int, inum: int) -> Inode | None:
     try:
-        for candidate in unpack_inode_block(view.read(addr), block_size):
-            if candidate.inum == inum:
-                return candidate
+        return find_inode(view.read(addr), inum)
     except CorruptionError:
         return None
-    return None
 
 
 def _file_blocks(view: _PeekDisk, block_size: int, inode: Inode) -> list[tuple[str, int]]:
@@ -226,7 +223,7 @@ def check_filesystem(disk: Disk) -> CheckReport:
         if not in_log(entry.addr):
             report.error(f"inode {inum}: map address {entry.addr} outside the log")
             continue
-        inode = _load_inode(view, bs, entry.addr, inum)
+        inode = _load_inode(view, entry.addr, inum)
         if inode is None:
             report.error(f"inode {inum}: not found in its inode block at {entry.addr}")
             continue

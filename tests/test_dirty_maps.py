@@ -1,19 +1,20 @@
 """The flush walks only the file maps that have indirect blocks to write.
 
 ``LFS._dirty_maps`` must hold the inum of every cached ``FileMap`` whose
-``l1_dirty``, ``l2_dirty`` or ``dirty_children`` is set, whatever set it:
-a flush's ``ensure_structures``, a truncate, a cleaner revive, or a
-placement. A map it misses keeps pointers that never reach the log.
+``dirty`` node set is not empty, whatever filled it: a flush's
+``ensure_structures``, a truncate, a cleaner revive, or a placement. A
+map it misses keeps pointers that never reach the log.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.constants import BlockKind, NUM_DIRECT
+from repro.core.constants import NULL_ADDR, NUM_DIRECT, BlockKind
 from repro.core.errors import MediaError
 from repro.core.filesystem import LFS
 from repro.core.inode import addrs_per_indirect
+from repro.core.mapping import L1, child
 from repro.core.summary import SummaryEntry
 from repro.disk.device import Disk
 from repro.disk.geometry import DiskGeometry
@@ -36,7 +37,7 @@ def make_fs(num_blocks: int = 4096, **overrides) -> tuple[Disk, LFS]:
 
 
 def is_dirty(fmap) -> bool:
-    return bool(fmap.l1_dirty or fmap.l2_dirty or fmap.dirty_children)
+    return bool(fmap.dirty)
 
 
 def assert_no_missed_map(fs: LFS) -> None:
@@ -147,7 +148,8 @@ class TestDirtySetNeverMissesAMap:
             lambda m: m.set(CHILD1_FBN, m.get(CHILD1_FBN)),
             lambda m: m.ensure_structures(L1_FBN),
             lambda m: m.ensure_structures(CHILD0_FBN),
-            lambda m: m.place_child(1, m._load_l2()[1]),
+            # a move and back: the child's home is unchanged, its parent dirty
+            lambda m: m.place(child(1), m.place(child(1), NULL_ADDR)),
         ],
         ids=["set-l1", "set-child", "ensure-l1", "ensure-child", "place-child"],
     )
@@ -184,11 +186,11 @@ class TestDirtySetNeverMissesAMap:
 
         def homes():
             inode = fs.get_inode(inum)
-            l2 = fs.filemap(inum)._load_l2()
+            fmap = fs.filemap(inum)
             return {
                 (BlockKind.INDIRECT, 0): inode.indirect,
-                (BlockKind.INDIRECT, 1): l2[0],
-                (BlockKind.INDIRECT, 2): l2[1],
+                (BlockKind.INDIRECT, 1): fmap.node_addr(child(0)),
+                (BlockKind.INDIRECT, 2): fmap.node_addr(child(1)),
                 (BlockKind.DINDIRECT, 0): inode.dindirect,
             }
 
@@ -299,7 +301,7 @@ class TestFailedFlushLosesNothing:
             (BlockKind.INDIRECT, d, 2),
             (BlockKind.DINDIRECT, d, 0),
         ]
-        assert fs.filemap(d).l1_dirty and fs.filemap(d).dirty_children  # never placed
+        assert {L1, child(1)} <= fs.filemap(d).dirty  # never placed
 
         # the failed partial write held only /v* data: write it again
         for i, path in enumerate(victims):

@@ -1,12 +1,15 @@
 """Tests for the file block map (direct/indirect/double-indirect)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.blocks import pack_addrs
 from repro.core.constants import NULL_ADDR, NUM_DIRECT
 from repro.core.errors import InvalidOperationError
 from repro.core.inode import Inode
-from repro.core.mapping import FileMap
+from repro.core.mapping import L1, L2, FileMap, child
+from repro.tools.lfsck import _file_blocks
 
 BS = 1024  # small blocks -> 128 addrs per indirect, small double range
 PER = BS // 8
@@ -61,7 +64,7 @@ class TestSingleIndirect:
         fmap.ensure_structures(fbn)
         fmap.set(fbn, 99)
         assert fmap.get(fbn) == 99
-        assert fmap.l1_dirty
+        assert L1 in fmap.dirty
 
     def test_loads_from_disk(self, store):
         addrs = [NULL_ADDR] * PER
@@ -79,15 +82,15 @@ class TestSingleIndirect:
     def test_place_l1_updates_inode(self, fmap):
         fmap.ensure_structures(NUM_DIRECT)
         fmap.set(NUM_DIRECT, 11)
-        old = fmap.place_l1(500)
+        old = fmap.place(L1, 500)
         assert old == NULL_ADDR
         assert fmap.inode.indirect == 500
-        assert not fmap.l1_dirty
+        assert L1 not in fmap.dirty
 
     def test_pack_l1_roundtrip(self, fmap):
         fmap.ensure_structures(NUM_DIRECT + 2)
         fmap.set(NUM_DIRECT + 2, 33)
-        payload = fmap.pack_l1()
+        payload = fmap.pack(L1)
         from repro.core.blocks import unpack_addrs
 
         assert unpack_addrs(payload, PER)[2] == 33
@@ -99,26 +102,36 @@ class TestDoubleIndirect:
         fmap.ensure_structures(fbn)
         fmap.set(fbn, 123)
         assert fmap.get(fbn) == 123
-        assert 1 in fmap.dirty_children
+        assert child(1) in fmap.dirty
 
     def test_place_child_updates_l2(self, fmap):
         fbn = NUM_DIRECT + PER + 3
         fmap.ensure_structures(fbn)
         fmap.set(fbn, 9)
-        old = fmap.place_child(0, 600)
+        old = fmap.place(child(0), 600)
         assert old == NULL_ADDR
-        assert fmap._load_l2()[0] == 600
-        assert fmap.l2_dirty
+        assert fmap.node_addr(child(0)) == 600
+        assert L2 in fmap.dirty
 
     def test_place_l2_updates_inode(self, fmap):
         fbn = NUM_DIRECT + PER
         fmap.ensure_structures(fbn)
-        fmap.place_l2(700)
+        fmap.place(L2, 700)
         assert fmap.inode.dindirect == 700
+
+    def test_a_never_written_double_goes_with_its_children(self, fmap):
+        fmap.set(NUM_DIRECT + PER + 1, 5)  # no ensure_structures: L2 unmarked
+        assert fmap.dirty == {child(0)}
+        assert list(fmap.write_order()) == [child(0), L2]
 
     def test_beyond_max_rejected(self, fmap):
         with pytest.raises(InvalidOperationError):
             fmap.get(NUM_DIRECT + PER + PER * PER)
+
+
+def children(fmap: FileMap) -> set[int]:
+    """The dirty nodes under the double-indirect block."""
+    return {node for node in fmap.dirty if node not in (L1, L2)}
 
 
 LAST_DOUBLE = NUM_DIRECT + PER + PER * PER - 1
@@ -147,14 +160,14 @@ class TestLevelBoundaries:
         for fbn in sorted(neighbours - {-1, LAST_DOUBLE + 1}):
             assert fmap.get(fbn) == NULL_ADDR, fbn
         # write the indirect blocks out and read the map back from them
-        for child_idx in sorted(fmap.dirty_children):
-            addr = 5000 + child_idx
-            store.blocks[addr] = fmap.pack_child(child_idx)
-            fmap.place_child(child_idx, addr)
-        store.blocks[6000] = fmap.pack_l1()
-        fmap.place_l1(6000)
-        store.blocks[6001] = fmap.pack_l2()
-        fmap.place_l2(6001)
+        for node in sorted(children(fmap)):
+            addr = 5000 + node
+            store.blocks[addr] = fmap.pack(node)
+            fmap.place(node, addr)
+        store.blocks[6000] = fmap.pack(L1)
+        fmap.place(L1, 6000)
+        store.blocks[6001] = fmap.pack(L2)
+        fmap.place(L2, 6001)
         reloaded = FileMap(fmap.inode, BS, store.read, lambda inum: None)
         assert {fbn: reloaded.get(fbn) for fbn in BOUNDARIES} == model
 
@@ -164,14 +177,14 @@ class TestLevelBoundaries:
         fmap.set(fbn, 55)
         if fbn < NUM_DIRECT:
             assert dirtied == [7]
-            assert not fmap.l1_dirty and not fmap.dirty_children
+            assert L1 not in fmap.dirty and not children(fmap)
         elif fbn < NUM_DIRECT + PER:
             assert dirtied == []
-            assert fmap.l1_dirty and not fmap.dirty_children
+            assert L1 in fmap.dirty and not children(fmap)
         else:
             assert dirtied == []
-            assert not fmap.l1_dirty
-            assert fmap.dirty_children == {(fbn - NUM_DIRECT - PER) // PER}
+            assert L1 not in fmap.dirty
+            assert children(fmap) == {child((fbn - NUM_DIRECT - PER) // PER)}
 
     @pytest.mark.parametrize("fbn", [-1, LAST_DOUBLE + 1])
     def test_out_of_range_is_refused_by_every_entry_point(self, store, fbn):
@@ -180,7 +193,7 @@ class TestLevelBoundaries:
             with pytest.raises(InvalidOperationError):
                 call(fbn)
         assert dirtied == [] and store.reads == 0
-        assert not (fmap.l1_dirty or fmap.l2_dirty or fmap.dirty_children)
+        assert not fmap.dirty
 
 
 class TestEnumeration:
@@ -214,7 +227,7 @@ class TestEnumeration:
         fbn = NUM_DIRECT + 1
         fmap.ensure_structures(fbn)
         fmap.set(fbn, 55)
-        fmap.place_l1(800)
+        fmap.place(L1, 800)
         freed = fmap.clear_from(0, fbn + 1)
         kinds = [k for k, _ in freed]
         assert "indirect" in kinds
@@ -230,3 +243,88 @@ class TestEnumeration:
         freed = fmap.clear_from(b, b + 1)
         assert freed == [("data", 74)]
         assert fmap.get(a) == 70
+
+
+FIRST_DOUBLE = NUM_DIRECT + PER
+
+# file block numbers in every range: direct, single-indirect, and the
+# first four children of the double-indirect block
+fbn_st = st.one_of(
+    st.integers(0, NUM_DIRECT - 1),
+    st.integers(NUM_DIRECT, FIRST_DOUBLE - 1),
+    st.integers(FIRST_DOUBLE, FIRST_DOUBLE + 4 * PER - 1),
+)
+op_st = st.one_of(
+    st.tuples(st.just("set"), fbn_st),
+    st.tuples(st.just("ensure"), fbn_st),
+    st.tuples(st.just("clear"), fbn_st),
+    st.tuples(st.just("flush"), st.just(0)),
+    st.tuples(st.just("reload"), st.just(0)),
+)
+
+
+class LogStore:
+    """An append-only block store: every write gets a fresh address and
+    reading an address never written is an error."""
+
+    def __init__(self):
+        self.blocks: dict[int, bytes] = {}
+
+    def read(self, addr: int) -> bytes:
+        return self.blocks[addr]
+
+    def append(self, payload: bytes) -> int:
+        addr = 10_000 + len(self.blocks)
+        self.blocks[addr] = payload
+        return addr
+
+
+def flush_map(fmap: FileMap, store: LogStore) -> None:
+    """Pack and place every dirty node, in the order a flush writes them."""
+    for node in fmap.write_order():
+        fmap.place(node, store.append(fmap.pack(node)))
+    assert not fmap.dirty
+
+
+class TestIndependentWalkAgrees:
+    """lfsck's ``_file_blocks`` reads the tree from the store alone; after
+    any mix of writes, truncates and flushes it must see exactly the
+    blocks ``all_block_addrs`` reports, with the data a dict model holds."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(ops=st.lists(op_st, max_size=40))
+    def test_walk_matches_all_block_addrs(self, ops):
+        store = LogStore()
+        inode = Inode(inum=3)
+        fmap = FileMap(inode, BS, store.read, lambda inum: None)
+        model: dict[int, int] = {}
+        next_data = 1
+        for op, fbn in ops:
+            nblocks = inode.nblocks(BS)
+            if op == "set":
+                assert fmap.set(fbn, next_data) == model.get(fbn, NULL_ADDR)
+                model[fbn] = next_data
+                next_data += 1
+                inode.size = max(inode.size, (fbn + 1) * BS)
+            elif op == "ensure":
+                fmap.ensure_structures(fbn)
+            elif op == "clear" and fbn < nblocks:
+                freed = fmap.clear_from(fbn, nblocks)
+                gone = {f for f in model if f >= fbn}
+                assert {a for k, a in freed if k == "data"} == {model.pop(f) for f in gone}
+                inode.size = fbn * BS
+            elif op == "flush":
+                flush_map(fmap, store)
+            elif op == "reload":
+                flush_map(fmap, store)
+                fmap = FileMap(inode, BS, store.read, lambda inum: None)
+        flush_map(fmap, store)
+
+        nblocks = inode.nblocks(BS)
+        walked = _file_blocks(store, BS, inode)
+        assert walked == fmap.all_block_addrs(nblocks)
+        assert sorted(a for k, a in walked if k == "data") == sorted(model.values())
+        reloaded = FileMap(inode, BS, store.read, lambda inum: None)
+        assert reloaded.all_block_addrs(nblocks) == walked
+        for fbn, addr in model.items():
+            assert reloaded.get(fbn) == addr
