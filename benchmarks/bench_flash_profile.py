@@ -118,7 +118,7 @@ def run_churn(seed: int, *, segregated: bool, rounds: int) -> dict:
     obs = Observation(ring_capacity=None)
     ledger = SegmentLedger()
     ledger.install(obs)
-    Watchdog(ledger=ledger).install(obs)
+    Watchdog().install(obs)
     # Wear leveling stays OFF in both runs: the nudge deliberately trades
     # some migration efficiency for wear spread, and this experiment
     # isolates what segregation alone buys.

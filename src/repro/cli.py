@@ -489,7 +489,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     obs = Observation(ring_capacity=args.ring if args.ring > 0 else None)
     ledger = SegmentLedger()
     ledger.install(obs)
-    Watchdog(ledger=ledger).install(obs)
+    Watchdog().install(obs)
     if args.timeline:
         from repro.obs import TimelineRecorder
 
@@ -916,7 +916,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=None, help="process-pool size (default: $REPRO_SWEEP_WORKERS or cpu count)")
     p.add_argument("--json", default=None, help="record a BENCH_<name>.json here (file or directory)")
     p.add_argument("--bench-name", default="torture", help="bench name used in the JSON record")
-    p.add_argument("--watchdog", action="store_true", help="run every point under the segment ledger + invariant watchdog (raises on any broken invariant; outcomes unchanged otherwise)")
+    p.add_argument("--watchdog", action="store_true", help="run every point under the invariant watchdog (raises on any broken invariant; outcomes unchanged otherwise)")
     p.add_argument("--flash", action="store_true", help="record the workload on the NAND flash profile (erase-aware device, hot/cold segregation, wear leveling) instead of the Wren IV")
     p.add_argument("--nvram", action="store_true", help="record with the NVM staging board attached: crash cuts enumerate interleaved disk/NVM durable prefixes, and the nvm-media / nvm-dead variants become available")
     p.set_defaults(func=cmd_torture)
@@ -943,7 +943,8 @@ def build_parser() -> argparse.ArgumentParser:
             "ledger, and invariant watchdog all attached, then print one "
             "consolidated report: write cost, busy-time by cause, "
             "cleaning distributions (Figure 6 / Table 2 from the "
-            "ledger), and segment-lifecycle statistics. --json-out also "
+            "cleaner's counters), and segment-lifecycle statistics from "
+            "the ledger. --json-out also "
             "writes the report as JSON for archiving or diffing."
         ),
     )
@@ -982,7 +983,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sync-writes", action="store_true", help="commit every mutating request with a per-handle fsync (mail-server pattern)")
     p.add_argument("--nvram", action="store_true", help="attach an NVM staging board so those fsyncs are absorbed as staging appends")
     p.add_argument("--seed", type=int, default=42, help="workload seed")
-    p.add_argument("--watchdog", action="store_true", help="attach the segment ledger + invariant watchdog")
+    p.add_argument("--watchdog", action="store_true", help="attach the invariant watchdog")
     p.add_argument("--timeline", action="store_true", help="attach the flight recorder and print its dashboard (its summary rides in --json-out)")
     p.add_argument("--timeline-cadence", type=float, default=0.25, help="flight-recorder cadence in simulated seconds")
     p.add_argument("--slo-latency", type=float, default=0.0, help="per-request latency SLO threshold in simulated seconds for burn-rate tracking (0 = off)")

@@ -1164,13 +1164,22 @@ class LFS(Namespace):
                 + 8
             )
             self.flush()
+            # The directory-op log records written since the last checkpoint
+            # die with this one, so the table it persists must not count
+            # them. Retiring them here is safe: remove_live never marks a
+            # segment clean and the metadata rounds below never clean, so
+            # no record is overwritten before the region lands.
+            retired = [self.layout.segment_of(addr) for addr in self._dirop_addrs]
+            self._dirop_addrs = []
+            for seg_no in retired:
+                self.usage.remove_live(seg_no, self.config.block_size)
             # Now write the inode map and segment usage table. The usage table
             # is self-referential: placing a map block changes live counts,
             # and the partial write's time stamp dirties its usage block, so
             # every round re-dirties a usage block and the loop never settles.
             # Whenever a map block is dirty it runs all 8 rounds (every
             # checkpoint on ``churn``); writing each metadata block once is
-            # ROADMAP item 2. The residual flush above charges as ordinary
+            # ROADMAP item 4. The residual flush above charges as ordinary
             # data/cleaning traffic; only the map rounds and the region write
             # are checkpoint overhead.
             with self._cause(CHECKPOINT):
@@ -1207,11 +1216,11 @@ class LFS(Namespace):
             self._last_checkpoint_time = now
             self._last_checkpoint_log_blocks = self.writer.stats.total_blocks
             self.stats.checkpoints += 1
-            # Directory-op log records before this checkpoint are now dead.
-            bs = self.config.block_size
-            for addr in self._dirop_addrs:
-                self.usage.remove_live(self.layout.segment_of(addr), bs)
-            self._dirop_addrs = []
+            # The next checkpoint writes the retired records' usage blocks
+            # again. The second write is redundant, but the pinned server
+            # digests count it; dropping it is ROADMAP item 4.
+            for seg_no in retired:
+                self.usage.mark_dirty(seg_no)
             # Segment deaths recorded before this region write are durable
             # now: the usage table just persisted them clean, so recovery
             # can never need their old bytes. Safe to TRIM.

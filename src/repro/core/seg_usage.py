@@ -65,14 +65,6 @@ class SegmentUsageTable:
         self.clean_count = num_segments
         self._dirty_blocks: set[int] = set()
         self.block_addrs: list[int] = [NULL_ADDR] * self.num_blocks
-        # Optional mutation observer: called as observer(seg_no, record)
-        # after every per-segment state change. The obs-layer segment
-        # ledger installs one to mirror liveness; None costs one check.
-        self.observer = None
-
-    def _notify(self, seg_no: int) -> None:
-        if self.observer is not None:
-            self.observer(seg_no, self._segments[seg_no])
 
     def _set_clean(self, seg: SegmentUsage, clean: bool) -> None:
         if seg.clean != clean:
@@ -100,8 +92,8 @@ class SegmentUsageTable:
         return min(1.0, self.get(seg_no).live_bytes / self.segment_bytes)
 
     # add_live and remove_live run for every block the log places or
-    # kills, so they spell out get/_check/block_of/_notify inline: one
-    # range check, then the same updates in the same order.
+    # kills, so they spell out get/_check/block_of inline: one range
+    # check, then the same updates in the same order.
 
     def add_live(self, seg_no: int, nbytes: int, when: float) -> None:
         """Account newly written live bytes in a segment."""
@@ -114,8 +106,6 @@ class SegmentUsageTable:
         if when > seg.last_write:
             seg.last_write = when
         self._dirty_blocks.add(seg_no // self.entries_per_block)
-        if self.observer is not None:
-            self.observer(seg_no, seg)
 
     def remove_live(self, seg_no: int, nbytes: int) -> None:
         """Account bytes that just died (overwrite, delete, truncate)."""
@@ -123,10 +113,14 @@ class SegmentUsageTable:
             raise InvalidOperationError(f"segment {seg_no} out of range")
         seg = self._segments[seg_no]
         live = seg.live_bytes - nbytes
+        # Clamped at zero for a quarantined segment: quarantine zeroes its
+        # count, but a live block the rescue lost (an inode block that
+        # failed verification) is still mapped there, and its death when
+        # the inode is next written arrives at that zero. Anywhere else a
+        # death below zero is an accounting bug, which lfsck's exact
+        # recount names.
         seg.live_bytes = live if live > 0 else 0
         self._dirty_blocks.add(seg_no // self.entries_per_block)
-        if self.observer is not None:
-            self.observer(seg_no, seg)
 
     def mark_clean(self, seg_no: int) -> None:
         """Return a segment to the clean pool (after cleaning)."""
@@ -138,7 +132,6 @@ class SegmentUsageTable:
         seg.live_bytes = 0
         self._set_clean(seg, True)
         self._dirty_blocks.add(self.block_of(seg_no))
-        self._notify(seg_no)
 
     def mark_in_use(self, seg_no: int) -> None:
         """Take a clean segment as the current log tail."""
@@ -149,7 +142,6 @@ class SegmentUsageTable:
             )
         self._set_clean(seg, False)
         self._dirty_blocks.add(self.block_of(seg_no))
-        self._notify(seg_no)
 
     def quarantine(self, seg_no: int) -> None:
         """Permanently retire a segment after an unrecoverable media error.
@@ -164,7 +156,6 @@ class SegmentUsageTable:
         self._set_clean(seg, False)
         seg.quarantined = True
         self._dirty_blocks.add(self.block_of(seg_no))
-        self._notify(seg_no)
 
     # ------------------------------------------------------------------
     # queries used by the allocator and cleaner
@@ -215,6 +206,10 @@ class SegmentUsageTable:
         """Mark one table block clean."""
         self._dirty_blocks.discard(block_index)
 
+    def mark_dirty(self, seg_no: int) -> None:
+        """Queue the table block covering ``seg_no`` for the next write."""
+        self._dirty_blocks.add(self.block_of(seg_no))
+
     def mark_all_dirty(self) -> None:
         """Force every table block dirty (used by recovery)."""
         self._dirty_blocks.update(range(self.num_blocks))
@@ -254,4 +249,3 @@ class SegmentUsageTable:
             seg.last_write = last
             seg.quarantined = bool(flags & _FLAG_QUARANTINED)
             self._set_clean(seg, live == 0 and not seg.quarantined)
-            self._notify(first + i)

@@ -21,7 +21,7 @@ records the same occurrences event by event.
 The segment-lifecycle observatory builds on the tracer's subscriber
 hook: :mod:`repro.obs.spans` adds nested scopes with simulated-time
 durations, :mod:`repro.obs.ledger` reconstructs every segment's life
-(birth, writes, decay, death) and mirrors its live bytes,
+(birth, writes, death),
 :mod:`repro.obs.watchdog` continuously asserts cross-layer invariants
 and raises a typed :class:`InvariantViolation` on the offending event,
 and :mod:`repro.obs.report` emits run reports and bench-to-bench

@@ -7,15 +7,12 @@ age-vs-utilization bimodality that motivates the policy. The flat
 counters give totals; the ledger reconstructs lives.
 
 It subscribes to the tracer (``log.segment_open`` / ``log.write`` /
-``clean.segment`` / ``clean.quarantine``) for lifecycle edges and
-installs a :class:`~repro.core.seg_usage.SegmentUsageTable` observer for
-byte-level liveness, maintaining per segment: writes, live bytes, age at
-cleaning, and death cause. Table 2 and Figure 6 are not computed here:
-``CleanerStats`` is their one accounting.
-
-The byte mirror tracks **every** segment (not just ones with an open
-life), so ``total_live_bytes()`` must equal the usage table's own answer
-exactly, at any instant — the watchdog holds it to that.
+``clean.segment`` / ``clean.quarantine``) for lifecycle edges,
+maintaining per segment: writes, age at cleaning, and death cause. Table
+2 and Figure 6 are not computed here: ``CleanerStats`` is their one
+accounting. Live bytes, write times and quarantine verdicts are read from
+the attached file system's :class:`~repro.core.seg_usage.SegmentUsageTable`,
+the one account of them (lfsck recounts it exactly).
 """
 
 from __future__ import annotations
@@ -42,8 +39,6 @@ class SegmentLife:
     segment: int
     opened_at: float
     writes: int = 0
-    live_bytes: int = 0
-    last_write: float = 0.0
     death_cause: str | None = None  # "cleaned" | "cleaned-empty" | "quarantined"
     death_time: float | None = None
     death_utilization: float | None = None
@@ -59,28 +54,24 @@ class SegmentLife:
 
 
 class SegmentLedger:
-    """Live per-segment history, fed by trace events + seg-usage updates."""
+    """Live per-segment history, fed by trace events."""
 
     def __init__(self) -> None:
-        self.segment_bytes: int | None = None
         #: open lives by segment number
         self.lives: dict[int, SegmentLife] = {}
         #: closed lives, in death order
         self.history: list[SegmentLife] = []
         #: ``clean.segment`` events seen
         self.segments_cleaned = 0
-        #: segments retired by media errors (never to be reopened)
-        self.quarantined: set[int] = set()
-        #: byte-level mirror of the usage table: seg -> (live, clean, quar)
-        self._mirror: dict[int, tuple[int, bool, bool]] = {}
-        self._fs = None
+        #: the attached file system's usage table (None before an LFS attaches)
+        self._usage = None
         # Flash lifecycle totals (all zero off flash).
         self.erase_events = 0
         self.erases_by_reason: dict[str, int] = {}
         self.trim_events = 0
         self.trim_blocks = 0
         # NVM staging lifecycle totals (all zero without the board).
-        # Conservation view for the watchdog/report: every record that
+        # Conservation view for the report: every record that
         # enters the staging log (append) must leave it via exactly one
         # truncate after a covering disk flush — destaged can never
         # exceed staged, and at quiesce the two agree.
@@ -101,27 +92,9 @@ class SegmentLedger:
     # wiring
 
     def on_attach(self, fs) -> None:
-        """Mirror the usage table of a newly attached LFS instance."""
-        if not hasattr(fs, "usage"):  # FFS baseline has no segments
-            return
-        self._fs = fs
-        self.segment_bytes = fs.usage.segment_bytes
-        fs.usage.observer = self.on_usage
-        for seg_no in range(fs.usage.num_segments):
-            rec = fs.usage.get(seg_no)
-            self._mirror[seg_no] = (rec.live_bytes, rec.clean, rec.quarantined)
-            if rec.quarantined:
-                self.quarantined.add(seg_no)
-
-    def on_usage(self, seg_no: int, rec) -> None:
-        """SegmentUsageTable observer: keep the byte mirror exact."""
-        self._mirror[seg_no] = (rec.live_bytes, rec.clean, rec.quarantined)
-        if rec.quarantined:
-            self.quarantined.add(seg_no)
-        life = self.lives.get(seg_no)
-        if life is not None and not life.closed:
-            life.live_bytes = rec.live_bytes
-            life.last_write = rec.last_write
+        """Read the usage table of a newly attached LFS instance."""
+        if hasattr(fs, "usage"):  # FFS baseline has no segments
+            self._usage = fs.usage
 
     # ------------------------------------------------------------------
     # event stream
@@ -140,7 +113,6 @@ class SegmentLedger:
             )
         elif kind == CLEAN_QUARANTINE:
             self._close_life(event, cause="quarantined", utilization=None)
-            self.quarantined.add(event.fields["segment"])
         elif kind == FLASH_ERASE:
             self.erase_events += 1
             reason = event.fields.get("reason", "?")
@@ -166,11 +138,8 @@ class SegmentLedger:
             stale.death_cause = "reopened"
             stale.death_time = event.time
             self.history.append(stale)
-        mirror = self._mirror.get(seg_no)
         life = SegmentLife(segment=seg_no, opened_at=event.time)
         life.cold = bool(event.fields.get("cold"))
-        if mirror is not None:
-            life.live_bytes = mirror[0]
         self.lives[seg_no] = life
 
     def _record_write(self, event: Event) -> None:
@@ -184,32 +153,23 @@ class SegmentLedger:
         if utilization is not None:
             self.segments_cleaned += 1
         life = self.lives.pop(seg_no, None)
+        last_write = 0.0
         if life is None:
             # A segment written before this ledger attached (e.g. cleaned
             # right after a remount): synthesize a stub so death
-            # statistics still count it.
+            # statistics still count it; its age runs from time zero.
             life = SegmentLife(segment=seg_no, opened_at=event.time)
-            mirror = self._mirror.get(seg_no)
-            if mirror is not None:
-                life.live_bytes = mirror[0]
+        elif self._usage is not None:
+            last_write = self._usage.get(seg_no).last_write
         life.death_cause = cause
         life.death_time = event.time
         life.death_utilization = utilization
-        life.age_at_death = max(0.0, event.time - life.last_write)
+        life.age_at_death = max(0.0, event.time - last_write)
         self.history.append(life)
         self._last_closed[seg_no] = life
 
     # ------------------------------------------------------------------
     # derived views
-
-    def total_live_bytes(self) -> int:
-        """Live bytes across the mirror; must equal the usage table's."""
-        return sum(live for live, _clean, _quar in self._mirror.values())
-
-    def live_bytes_of(self, seg_no: int) -> int:
-        """Mirrored live bytes of one segment (0 if never seen)."""
-        entry = self._mirror.get(seg_no)
-        return entry[0] if entry is not None else 0
 
     def death_causes(self) -> dict[str, int]:
         causes: dict[str, int] = {}
@@ -221,14 +181,15 @@ class SegmentLedger:
         """Summary dict for run reports."""
         ages = [l.age_at_death for l in self.history if l.age_at_death is not None]
         writes = [l.writes for l in self.history]
+        usage = self._usage
         out = {
             "lives_open": len(self.lives),
             "lives_closed": len(self.history),
             "death_causes": self.death_causes(),
-            "quarantined": sorted(self.quarantined),
+            "quarantined": usage.quarantined_segments() if usage is not None else [],
             "mean_age_at_death": (sum(ages) / len(ages)) if ages else 0.0,
             "mean_writes_per_life": (sum(writes) / len(writes)) if writes else 0.0,
-            "total_live_bytes": self.total_live_bytes(),
+            "total_live_bytes": usage.total_live_bytes() if usage is not None else 0,
             "segments_cleaned": self.segments_cleaned,
         }
         if self.erase_events or self.trim_events:

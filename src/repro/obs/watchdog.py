@@ -15,9 +15,6 @@ the invariant and carrying the offending event):
   charges the wall clock, never busy time);
 - **busy-le-elapsed** — disk busy time never exceeds elapsed simulated
   time (a violation means some path double-charged the clock);
-- **ledger-mirrors-usage** — on segment-lifecycle events, the ledger's
-  live-byte mirror equals ``SegmentUsageTable.total_live_bytes()``
-  exactly, and per-segment on every ``log.write``;
 - **clean-count-matches-scan** — on segment-lifecycle events, the usage
   table's running ``clean_count`` (what the cleaning threshold reads on
   every operation) equals a fresh count of its ``clean`` flags;
@@ -27,17 +24,17 @@ the invariant and carrying the offending event):
   lifecycle event;
 - **no-reopen-quarantined** — a quarantined segment never takes log
   traffic again;
-- **cleaned-u-matches-mirror** — the utilization a ``clean.segment``
-  event reports for a non-empty victim equals the mirror's view of that
-  segment at that instant;
+- **cleaned-u-matches-table** — the utilization a ``clean.segment``
+  event reports for a non-empty victim equals the usage table's
+  utilization of that segment at that instant;
 - **tenant-within-total** — seconds charged inside tenant scopes never
   exceed the total attributed seconds (the tenant matrix is a
   decomposition of a *subset* of busy time, never an over-count);
 - **erase-before-reuse** — on a flash disk, every page a ``disk.write``
   just landed on is tracked as programmed and not trimmed (a page can
   only be programmed after its erase block was erased when needed);
-- **trim-covers-no-live** — a ``flash.trim`` only ever covers a segment
-  the usage table (and the ledger mirror) holds at zero live bytes;
+- **trim-covers-no-live** — a ``flash.trim`` only ever covers a clean
+  segment the usage table holds at zero live bytes;
 - **erase-conservation** — the per-erase-block wear ledger's total
   grows in lockstep with the device's ``erases`` counter;
 - **acked-sync-durable** — every acknowledged ``fs.sync`` left zero
@@ -49,6 +46,11 @@ the invariant and carrying the offending event):
 - **destage-conservation** — every record appended to the NVM log since
   the last truncate is accounted for by the next truncate (records
   never vanish from the staging log without a destage).
+
+The live bytes themselves are checked offline, not here: lfsck recounts
+every segment's live bytes from the on-disk image and requires the usage
+table to equal the recount (the torture judge runs it after every
+recovered mount).
 """
 
 from __future__ import annotations
@@ -91,8 +93,7 @@ class InvariantViolation(AssertionError):
 class Watchdog:
     """Opt-in continuous invariant checker over the live event stream."""
 
-    def __init__(self, *, ledger=None, tolerance: float = 1e-6) -> None:
-        self.ledger = ledger
+    def __init__(self, *, tolerance: float = 1e-6) -> None:
         self.tolerance = tolerance
         self.events_seen = 0
         self.checks_run = 0
@@ -156,8 +157,6 @@ class Watchdog:
             return
         if kind in (LOG_SEGMENT_OPEN, LOG_WRITE):
             self._check_no_reopen(event)
-        if kind == LOG_WRITE:
-            self._check_segment_mirror(event)
         if kind == CLEAN_SEGMENT:
             self._check_cleaned_utilization(event)
         if kind == CLEAN_QUARANTINE:
@@ -173,7 +172,6 @@ class Watchdog:
             self._check_staging_truncate(event)
         if kind in _LIFECYCLE_KINDS:
             self._check_clean_count(event)
-            self._check_ledger_totals(event)
             self._check_cleaner_conservation(event)
             self._check_erase_conservation(event)
 
@@ -223,37 +221,20 @@ class Watchdog:
                 event,
             )
 
-    def _check_segment_mirror(self, event: Event) -> None:
-        if self.ledger is None or self._fs is None or not hasattr(self._fs, "usage"):
-            return
-        self.checks_run += 1
-        seg_no = event.fields["segment"]
-        mirrored = self.ledger.live_bytes_of(seg_no)
-        actual = self._fs.usage.get(seg_no).live_bytes
-        if mirrored != actual:
-            raise InvariantViolation(
-                "ledger-mirrors-usage",
-                f"segment {seg_no}: ledger mirrors {mirrored} live bytes, "
-                f"usage table has {actual}",
-                event,
-            )
-
     def _check_cleaned_utilization(self, event: Event) -> None:
-        if self.ledger is None or self.ledger.segment_bytes is None:
+        if self._fs is None or not hasattr(self._fs, "usage"):
             return
         if event.fields.get("empty"):
             return  # the empties path reports 0.0 after mark_clean
         self.checks_run += 1
         seg_no = event.fields["segment"]
         reported = event.fields["utilization"]
-        mirrored = min(
-            1.0, self.ledger.live_bytes_of(seg_no) / self.ledger.segment_bytes
-        )
-        if reported != mirrored:
+        actual = self._fs.usage.utilization(seg_no)
+        if reported != actual:
             raise InvariantViolation(
-                "cleaned-u-matches-mirror",
+                "cleaned-u-matches-table",
                 f"segment {seg_no}: clean.segment reports u={reported!r} but "
-                f"the ledger mirror computes u={mirrored!r}",
+                f"the usage table computes u={actual!r}",
                 event,
             )
 
@@ -268,20 +249,6 @@ class Watchdog:
                 "clean-count-matches-scan",
                 f"usage table counts {usage.clean_count} clean segments, a "
                 f"scan of its flags finds {scanned}",
-                event,
-            )
-
-    def _check_ledger_totals(self, event: Event) -> None:
-        if self.ledger is None or self._fs is None or not hasattr(self._fs, "usage"):
-            return
-        self.checks_run += 1
-        mirrored = self.ledger.total_live_bytes()
-        actual = self._fs.usage.total_live_bytes()
-        if mirrored != actual:
-            raise InvariantViolation(
-                "ledger-mirrors-usage",
-                f"ledger mirrors {mirrored} total live bytes, usage table "
-                f"has {actual}",
                 event,
             )
 
@@ -326,13 +293,6 @@ class Watchdog:
                     f"(clean={rec.clean})",
                     event,
                 )
-        if self.ledger is not None and self.ledger.live_bytes_of(seg_no) != 0:
-            raise InvariantViolation(
-                "trim-covers-no-live",
-                f"segment {seg_no} was trimmed while the ledger mirrors "
-                f"{self.ledger.live_bytes_of(seg_no)} live bytes",
-                event,
-            )
 
     def _check_sync_durable(self, event: Event) -> None:
         self.checks_run += 1

@@ -361,13 +361,10 @@ def run_server(
     disk = Disk(config.geometry())
     if obs is None:
         obs = Observation(ring_capacity=4096)
-    ledger = None
     if watchdog:
-        from repro.obs import SegmentLedger, Watchdog
+        from repro.obs import Watchdog
 
-        ledger = SegmentLedger()
-        ledger.install(obs)
-        Watchdog(ledger=ledger).install(obs)
+        Watchdog().install(obs)
     nvm = None
     if config.nvram:
         from repro.disk.nvram import NVMDevice

@@ -11,9 +11,10 @@ Reads only on-disk bytes (no file-system state) and verifies:
 5. directory trees are connected: every directory entry names a live
    inode, link counts match entry counts, and every non-root live inode
    is reachable from the root;
-6. the segment usage table's live-byte counts are consistent with the
-   actual live data (within the block-rounding granularity), no live file
-   block sits in a quarantined segment, and
+6. the segment usage table's live bytes equal, segment for segment, a
+   recount of what the checkpoint references (inode slots, file data and
+   indirect blocks, and the checkpoint's inode-map and usage-table
+   blocks), no live file block sits in a quarantined segment, and
 7. every current-epoch partial write in a live segment matches its
    summary CRCs. A failing write that sits at the very end of the
    post-checkpoint log is a *torn tail* — the expected residue of a crash,
@@ -218,6 +219,10 @@ def check_filesystem(disk: Disk) -> CheckReport:
     def in_log(addr: int) -> bool:
         return seg_lo <= addr < seg_hi
 
+    for addr in live_addrs:
+        if in_log(addr):
+            expected_live[layout.segment_of(addr)] += bs
+
     for inum in imap.allocated_inums():
         entry = imap.get(inum)
         if not in_log(entry.addr):
@@ -307,10 +312,9 @@ def check_filesystem(disk: Disk) -> CheckReport:
                 f"inode {inum}: link count {inode.nlink} but {refs} directory entries"
             )
 
-    # 5. usage-table consistency (the map/table/log blocks themselves are
-    # live too, so the on-disk count may exceed the file-data estimate;
-    # it must never be lower). Quarantined segments must hold nothing live:
-    # the rescue moved every surviving block out before retiring them.
+    # 5. usage-table exactness: every segment's recorded live bytes equal
+    # the recount above. Quarantined segments must hold nothing live: the
+    # rescue moved every surviving block out before retiring them.
     for seg_no in range(layout.num_segments):
         rec = usage.get(seg_no)
         if rec.quarantined:
@@ -320,10 +324,10 @@ def check_filesystem(disk: Disk) -> CheckReport:
                     f"{expected_live[seg_no]} bytes in it"
                 )
             continue
-        if rec.live_bytes + bs < expected_live[seg_no]:
+        if rec.live_bytes != expected_live[seg_no]:
             report.error(
                 f"segment {seg_no}: usage table records {rec.live_bytes} live "
-                f"bytes but files own at least {expected_live[seg_no]}"
+                f"bytes but a recount finds {expected_live[seg_no]}"
             )
 
     # 6. log checksums: walk the current-epoch partial writes of every

@@ -181,7 +181,7 @@ class TortureRecorder:
         return self.disk.blocks_logged + len(self.nvm_appends)
 
     # -- mirrored operations -------------------------------------------
-    def _mirror(self, op: OpRecord, call, *args) -> None:
+    def _run(self, op: OpRecord, call, *args) -> None:
         """Run one FS call and mirror it into the op log and the model.
 
         ``sync``/``fsync``/``checkpoint`` then snapshot the model as a
@@ -201,40 +201,40 @@ class TortureRecorder:
             )
 
     def mkdir(self, path: str) -> None:
-        self._mirror(OpRecord("mkdir", path=path), self.fs.mkdir, path)
+        self._run(OpRecord("mkdir", path=path), self.fs.mkdir, path)
 
     def write(self, path: str, data: bytes) -> None:
-        self._mirror(OpRecord("write", path=path, data=data), self.fs.write_file, path, data)
+        self._run(OpRecord("write", path=path, data=data), self.fs.write_file, path, data)
 
     def append(self, path: str, data: bytes) -> None:
-        self._mirror(OpRecord("append", path=path, data=data), self.fs.append, path, data)
+        self._run(OpRecord("append", path=path, data=data), self.fs.append, path, data)
 
     def update(self, path: str, data: bytes, offset: int) -> None:
-        self._mirror(
+        self._run(
             OpRecord("update", path=path, data=data, offset=offset),
             self.fs.write, path, data, offset,
         )
 
     def unlink(self, path: str) -> None:
-        self._mirror(OpRecord("unlink", path=path), self.fs.unlink, path)
+        self._run(OpRecord("unlink", path=path), self.fs.unlink, path)
 
     def rename(self, old: str, new: str) -> None:
-        self._mirror(OpRecord("rename", path=old, path2=new), self.fs.rename, old, new)
+        self._run(OpRecord("rename", path=old, path2=new), self.fs.rename, old, new)
 
     def link(self, existing: str, new: str) -> None:
-        self._mirror(OpRecord("link", path=existing, path2=new), self.fs.link, existing, new)
+        self._run(OpRecord("link", path=existing, path2=new), self.fs.link, existing, new)
 
     def sync(self) -> None:
-        self._mirror(OpRecord("sync"), self.fs.sync)
+        self._run(OpRecord("sync"), self.fs.sync)
 
     def fsync(self, path: str) -> None:
-        self._mirror(OpRecord("fsync", path=path), self.fs.fsync, path)
+        self._run(OpRecord("fsync", path=path), self.fs.fsync, path)
 
     def checkpoint(self) -> None:
-        self._mirror(OpRecord("checkpoint"), self.fs.checkpoint)
+        self._run(OpRecord("checkpoint"), self.fs.checkpoint)
 
     def clean(self) -> None:
-        self._mirror(OpRecord("clean"), self.fs.clean_now)
+        self._run(OpRecord("clean"), self.fs.clean_now)
 
     # -- finishing ------------------------------------------------------
     def finish(self) -> Recording:

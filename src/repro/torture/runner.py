@@ -31,7 +31,7 @@ from repro.core.filesystem import LFS
 from repro.core.superblock import Superblock
 from repro.disk.faults import FAULT_MODES, DiskCrashed, inject_media_faults
 from repro.disk.nvram import NVMDevice, NVMState
-from repro.obs import Observation, SegmentLedger, Watchdog
+from repro.obs import Observation, Watchdog
 from repro.simulator.sweep import derive_point_seed, resolve_workers
 from repro.tools.lfsck import check_filesystem
 from repro.tools.scrub import scrub_filesystem
@@ -114,7 +114,7 @@ class PointResult:
 def _observe(watchdog: bool, timeline: bool = False) -> Observation | None:
     """Build the opt-in per-point observatory (None when off).
 
-    The ledger, watchdog, and timeline recorder are pure bookkeeping —
+    The watchdog and the timeline recorder are pure bookkeeping —
     they never touch the simulated clock — so a watchdog- or
     timeline-enabled run must produce the exact same outcome digest as a
     bare run; an invariant violation surfaces as a raised
@@ -124,9 +124,7 @@ def _observe(watchdog: bool, timeline: bool = False) -> Observation | None:
         return None
     obs = Observation(ring_capacity=4096)
     if watchdog:
-        ledger = SegmentLedger()
-        ledger.install(obs)
-        Watchdog(ledger=ledger).install(obs)
+        Watchdog().install(obs)
     if timeline:
         from repro.obs.timeline import TimelineRecorder
 
@@ -298,8 +296,8 @@ def explore_point(
     plus NVM appends, merged in issue order): the disk injector arms at
     the cut's disk share, the reconstructed NVM board holds the cut's
     append share, and the fault mode lands on whichever domain owns the
-    unit in flight. ``watchdog`` attaches the segment ledger + invariant
-    watchdog to the point's replay and recovery; ``timeline`` attaches a
+    unit in flight. ``watchdog`` attaches the invariant watchdog to the
+    point's replay and recovery; ``timeline`` attaches a
     flight recorder sampling the replay and recovery I/O (purely
     observational — the outcome digest is unchanged).
     """
@@ -495,8 +493,8 @@ def run_torture(
 ) -> TortureResult:
     """Record one workload, then explore crash points across a pool.
 
-    ``watchdog`` runs every point under the segment ledger + invariant
-    watchdog (see :func:`_observe`); outcomes and the digest are
+    ``watchdog`` runs every point under the invariant watchdog (see
+    :func:`_observe`); outcomes and the digest are
     unchanged unless an invariant actually breaks, which raises.
     ``flash`` records the workload on the NAND profile (erase-aware
     device, hot/cold segregation, wear leveling) so crash points land

@@ -267,7 +267,7 @@ class TestFlashFilesystem:
         obs = Observation(ring_capacity=None)
         ledger = SegmentLedger()
         ledger.install(obs)
-        Watchdog(ledger=ledger).install(obs)
+        Watchdog().install(obs)
         config = LFSConfig(
             hot_cold_segregation=segregated, wear_leveling=wear, **CHURN_CONFIG
         )

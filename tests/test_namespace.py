@@ -115,7 +115,7 @@ class TestPinnedNamespaceImages:
         [
             (
                 _lfs_image,
-                "4284850469894d8d18e821987e37f9b5551a87fbc504a3266ff76314ffba0e6d",
+                "e761755a0f313af9a9a716e39687070d100f3d477014442d1b059201bcfef3e8",
                 0.343348505186195,
             ),
             (

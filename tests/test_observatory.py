@@ -1,7 +1,8 @@
 """Tests for the segment-lifecycle observatory: spans, the per-segment
-ledger (bit-identical against the legacy counters), the invariant
-watchdog (clean runs + seeded violations), trace JSONL framing, and the
-report / bench-diff machinery."""
+ledger (bit-identical against the legacy counters), the usage table
+against lfsck's exact recount, the invariant watchdog (clean runs +
+seeded violations), trace JSONL framing, and the report / bench-diff
+machinery."""
 
 import json
 
@@ -39,6 +40,7 @@ from repro.obs.events import (
     SPAN_END,
 )
 from repro.obs.report import BenchFormatError
+from repro.tools.lfsck import check_filesystem
 
 from tests.conftest import small_config
 from tests.test_obs import assert_trace_matches_counters
@@ -49,7 +51,7 @@ def observed_fs(num_blocks=4096, **overrides):
     obs = Observation(ring_capacity=None)
     ledger = SegmentLedger()
     ledger.install(obs)
-    watchdog = Watchdog(ledger=ledger).install(obs)
+    watchdog = Watchdog().install(obs)
     disk = Disk(DiskGeometry.wren4(num_blocks=num_blocks))
     fs = LFS.format(disk, small_config(**overrides), obs=obs)
     return obs, ledger, watchdog, disk, fs
@@ -188,16 +190,6 @@ class TestSegmentLedger:
         }
         assert report["ledger"]["segments_cleaned"] == stats.segments_cleaned
 
-    def test_mirror_matches_usage_table_exactly(self):
-        obs, ledger, _, _, fs = observed_fs()
-        churn(fs, rounds=4)
-        overwrite_churn(fs)
-        fs.clean_now(fs.usage.clean_count + 4)
-        fs.checkpoint()
-        assert ledger.total_live_bytes() == fs.usage.total_live_bytes()
-        for seg_no in range(fs.usage.num_segments):
-            assert ledger.live_bytes_of(seg_no) == fs.usage.get(seg_no).live_bytes
-
     def test_lifecycles_recorded(self):
         obs, ledger, _, _, fs = observed_fs()
         overwrite_churn(fs)
@@ -247,15 +239,61 @@ class TestSegmentLedger:
         churn(fs, rounds=4)
         fs.checkpoint()
         fs.unmount()
+        assert check_filesystem(disk).ok
         obs2 = Observation(ring_capacity=None)
         ledger2 = SegmentLedger()
         ledger2.install(obs2)
-        Watchdog(ledger=ledger2).install(obs2)
+        Watchdog().install(obs2)
         fs2 = LFS.mount(disk, small_config(), obs=obs2)
-        assert ledger2.total_live_bytes() == fs2.usage.total_live_bytes()
         churn(fs2, rounds=2, nfiles=20)
         fs2.checkpoint()
-        assert ledger2.total_live_bytes() == fs2.usage.total_live_bytes()
+        assert ledger2.stats()["total_live_bytes"] == fs2.usage.total_live_bytes()
+        fs2.unmount()
+        report = check_filesystem(disk)
+        assert report.ok, report.errors
+
+
+# ----------------------------------------------------------------------
+# the usage table against lfsck's exact recount
+
+
+class TestUsageRecount:
+    def test_matches_recount_after_cleaning(self):
+        obs, _, _, disk, fs = observed_fs()
+        churn(fs, rounds=4)
+        overwrite_churn(fs)
+        fs.clean_now(fs.usage.clean_count + 4)
+        fs.checkpoint()
+        assert fs.cleaner.stats.segments_cleaned > 0
+        fs.unmount()
+        report = check_filesystem(disk)
+        assert report.ok, report.errors
+
+    @pytest.mark.parametrize("delta", [512, -512])
+    def test_lfsck_names_tampered_segment(self, delta):
+        obs, _, _, disk, fs = observed_fs()
+        for i in range(8):
+            fs.write_file(f"/f{i}", b"x" * 60000)
+        fs.checkpoint()
+        # Seed a byte-accounting bug in a *sealed* data segment (the
+        # checkpoint below will not write there, so nothing hides it).
+        active = (fs.writer.current_segment, fs.writer.next_segment)
+        seg = next(
+            s
+            for s in fs.usage.dirty_segments()
+            if fs.usage.get(s).live_bytes > 0 and s not in active
+        )
+        live = fs.usage.get(seg).live_bytes
+        if delta > 0:
+            fs.usage.add_live(seg, delta, 0.0)
+        else:
+            fs.usage.remove_live(seg, -delta)
+        fs.checkpoint()
+        fs.unmount()
+        assert check_filesystem(disk).errors == [
+            f"segment {seg}: usage table records {live + delta} live bytes "
+            f"but a recount finds {live}"
+        ]
 
 
 # ----------------------------------------------------------------------
@@ -268,9 +306,7 @@ class TestWatchdog:
         from repro.workloads.smallfile import run_smallfile
 
         obs = Observation(ring_capacity=None)
-        ledger = SegmentLedger()
-        ledger.install(obs)
-        watchdog = Watchdog(ledger=ledger).install(obs)
+        watchdog = Watchdog().install(obs)
         run_smallfile(
             "lfs",
             num_files=300,
@@ -285,9 +321,7 @@ class TestWatchdog:
         from repro.workloads.largefile import run_largefile
 
         obs = Observation(ring_capacity=None)
-        ledger = SegmentLedger()
-        ledger.install(obs)
-        watchdog = Watchdog(ledger=ledger).install(obs)
+        watchdog = Watchdog().install(obs)
         run_largefile("lfs", file_size=2 * 1024 * 1024, io_unit=8192, obs=obs)
         assert watchdog.checks_run > 0
 
@@ -324,25 +358,6 @@ class TestWatchdog:
         with pytest.raises(InvariantViolation) as exc_info:
             fs.checkpoint()
         assert exc_info.value.invariant == "clean-count-matches-scan"
-
-    def test_fires_on_tampered_mirror(self):
-        obs, ledger, _, _, fs = observed_fs()
-        for i in range(8):
-            fs.write_file(f"/f{i}", b"x" * 60000)
-        fs.checkpoint()  # quiesce: nothing left dirty to resync the mirror
-        # Seed a byte-accounting bug in a *sealed* data segment (the next
-        # checkpoint will not write there, so nothing re-syncs the lie).
-        active = (fs.writer.current_segment, fs.writer.next_segment)
-        seg = next(
-            s
-            for s, (live, _, _) in ledger._mirror.items()
-            if live > 0 and s not in active
-        )
-        live, clean, quar = ledger._mirror[seg]
-        ledger._mirror[seg] = (live + 512, clean, quar)
-        with pytest.raises(InvariantViolation) as exc_info:
-            fs.checkpoint()
-        assert exc_info.value.invariant == "ledger-mirrors-usage"
 
     def test_fires_on_cleaner_counter_drift(self):
         obs, _, _, _, fs = observed_fs()

@@ -259,6 +259,28 @@ class TestScrubAndRescue:
         fs2 = LFS.mount(disk, cfg)
         assert fs2.usage.get(seg).quarantined
 
+    def test_rescue_leaves_the_usage_table_exact(self):
+        # Age the platter as the media torture does (two rotted blocks, a
+        # latent sector, a transient error), scrub with rescue, unmount:
+        # the table must equal lfsck's recount on every segment. Blocks a
+        # rescue lost are a separate finding ("quarantined but files still
+        # own ...") and are not judged here.
+        quarantined = 0
+        for seed in range(6):
+            disk, cfg = build_image()
+            layout = compute_layout(cfg, SICK_BLOCKS)
+            disk.power_on()
+            inject_media_faults(
+                disk, seed=seed, rot=2, latent=1, transient=1,
+                candidates=log_candidates(disk, layout),
+            )
+            fs = LFS.mount(disk, cfg)
+            quarantined += len(scrub_filesystem(fs, rescue=True).segments_quarantined)
+            fs.unmount()
+            errors = check_filesystem(disk).errors
+            assert not [e for e in errors if "usage table records" in e], (seed, errors)
+        assert quarantined, "no seed drove a segment into quarantine"
+
     def test_quarantined_segment_refused_by_allocator_and_cleaner(self):
         disk, cfg = build_image()
         disk.power_on()
