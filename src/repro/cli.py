@@ -40,9 +40,9 @@ from repro.disk.geometry import DiskGeometry, FlashGeometry
 from repro.disk.image import load_disk, save_disk
 from repro.obs.framing import FormatError
 from repro.simulator.model import SimConfig
+from repro.seeds import derive_point_seed
 from repro.simulator.sweep import (
     SweepPoint,
-    derive_point_seed,
     make_pattern,
     record_bench,
     resolve_workers,

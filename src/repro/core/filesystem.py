@@ -52,7 +52,6 @@ from repro.core.inode import Inode, find_inode, inodes_per_block, pack_inode_blo
 from repro.core.inode_map import InodeMap
 from repro.core.mapping import L2, FileMap, node_of, summary_id
 from repro.core.namespace import Namespace
-from repro.core.nvlog import NVLog
 from repro.core.seg_usage import SegmentUsageTable
 from repro.core.segments import LogItem, LogWriter
 from repro.core.summary import SegmentGap, walk_segment
@@ -152,7 +151,11 @@ class LFS(Namespace):
         # only when format/mount were handed a staging device (passing one
         # is the opt-in — it may hold acknowledged records from before a
         # crash, and ignoring it would silently lose them).
-        self.nvlog = NVLog(self, nvram) if nvram is not None else None
+        self.nvlog = None
+        if nvram is not None:
+            from repro.core.nvlog import NVLog  # loaded only with a board
+
+            self.nvlog = NVLog(self, nvram)
         # Segments whose on-disk summaries have been folded into the
         # writer's CRC index (lazy back-fill for pre-mount writes).
         self._crc_indexed_segments: set[int] = set()

@@ -29,6 +29,8 @@ regression verdicts. Trace and timeline files share one framed JSONL
 format, :mod:`repro.obs.framing`.
 """
 
+import importlib
+
 from repro.obs.attribution import (
     APPLICATION_READ,
     CAUSES,
@@ -43,36 +45,50 @@ from repro.obs.attribution import (
     TimeAttribution,
 )
 from repro.obs.events import EVENT_KINDS, TRACE_SCHEMA, Event
-from repro.obs.framing import FormatError
 from repro.obs.histogram import LatencyHistogram
-from repro.obs.ledger import SegmentLedger, SegmentLife
 from repro.obs.observation import Observation
 from repro.obs.registry import MetricsRegistry, scrape
-from repro.obs.report import (
-    bench_diff,
-    build_report,
-    load_bench,
-    render_bench_diff,
-    render_report,
-)
 from repro.obs.spans import SpanTracker, build_span_tree, render_span_tree
-from repro.obs.timeline import (
-    TIMELINE_SCHEMA,
-    SLOObjective,
-    SLOTracker,
-    TimelineAnnotation,
-    TimelineFormatError,
-    TimelineRecorder,
-    TimelineStore,
-    load_timeline_jsonl,
-    render_dashboard,
-)
 from repro.obs.tracer import (
     TraceFormatError,
     Tracer,
     load_trace_jsonl,
 )
-from repro.obs.watchdog import InvariantViolation, Watchdog
+
+# Loaded on first access (PEP 562): most runs never touch the report,
+# timeline, watchdog, ledger or framing code, so importing any
+# ``repro.obs`` module does not pay for them.
+_LAZY = {
+    "FormatError": "framing",
+    "SegmentLedger": "ledger",
+    "SegmentLife": "ledger",
+    "bench_diff": "report",
+    "build_report": "report",
+    "load_bench": "report",
+    "render_bench_diff": "report",
+    "render_report": "report",
+    "TIMELINE_SCHEMA": "timeline",
+    "SLOObjective": "timeline",
+    "SLOTracker": "timeline",
+    "TimelineAnnotation": "timeline",
+    "TimelineFormatError": "timeline",
+    "TimelineRecorder": "timeline",
+    "TimelineStore": "timeline",
+    "load_timeline_jsonl": "timeline",
+    "render_dashboard": "timeline",
+    "InvariantViolation": "watchdog",
+    "Watchdog": "watchdog",
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "APPLICATION_READ",

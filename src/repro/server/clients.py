@@ -15,7 +15,7 @@ open/read/write mix. Two arrival disciplines:
   measuring tail collapse.
 
 Determinism: every client gets its own ``random.Random`` seeded by
-:func:`~repro.simulator.sweep.derive_point_seed` (CRC-based, stable
+:func:`~repro.seeds.derive_point_seed` (CRC-based, stable
 across processes and Python versions), and all think times, mix draws,
 and file choices come from that stream. Same seed, same schedule —
 always.
@@ -26,7 +26,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from repro.simulator.sweep import derive_point_seed
+from repro.seeds import derive_point_seed
 
 #: Request operations, in mix-weight order.
 OPS = ("write", "read", "append")

@@ -21,12 +21,12 @@ import json
 import os
 import subprocess
 import time
-import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
+from repro.seeds import derive_point_seed  # noqa: F401 - re-exported for callers
 from repro.simulator.model import SimConfig, SimResult, Simulator
 from repro.simulator.patterns import AccessPattern, HotColdPattern, UniformPattern
 
@@ -97,17 +97,6 @@ def result_digest(results: Iterable[SimResult]) -> str:
             ).encode("utf-8")
         )
     return h.hexdigest()[:16]
-
-
-def derive_point_seed(base_seed: int, *parts: object) -> int:
-    """A deterministic per-point seed from the sweep's base seed.
-
-    Stable across processes and Python versions (CRC32, not ``hash()``),
-    so a sweep is reproducible from ``SimConfig.seed`` alone while every
-    point still gets decorrelated randomness.
-    """
-    text = "|".join(str(p) for p in parts)
-    return (base_seed * 1_000_003 + zlib.crc32(text.encode("utf-8"))) % (2**31)
 
 
 def resolve_workers(workers: int | None, njobs: int) -> int:

@@ -12,7 +12,7 @@ oracle plus a full ``lfsck`` of the resulting image.
 
 Everything is deterministic: the sample of points is drawn in the parent
 from the base seed, each point derives its own fault seed with
-:func:`~repro.simulator.sweep.derive_point_seed`, and results come back in
+:func:`~repro.seeds.derive_point_seed`, and results come back in
 spec order — so the outcome digest is bit-identical at any worker count.
 """
 
@@ -32,7 +32,8 @@ from repro.core.superblock import Superblock
 from repro.disk.faults import FAULT_MODES, DiskCrashed, inject_media_faults
 from repro.disk.nvram import NVMDevice, NVMState
 from repro.obs import Observation, Watchdog
-from repro.simulator.sweep import derive_point_seed, resolve_workers
+from repro.seeds import derive_point_seed
+from repro.simulator.sweep import resolve_workers
 from repro.tools.lfsck import check_filesystem
 from repro.tools.scrub import scrub_filesystem
 from repro.torture.oracle import (
