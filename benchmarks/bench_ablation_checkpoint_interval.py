@@ -36,7 +36,14 @@ def measure(interval: float) -> tuple[float, float]:
     meta = kinds.get(BlockKind.INODE_MAP, 0) + kinds.get(BlockKind.SEG_USAGE, 0)
     meta_share = meta / total if total else 0.0
 
-    # crash now and measure the roll-forward price of the interval
+    # Crash every interval at the same phase, 90 % of the way to its next
+    # checkpoint, and measure the roll-forward price of the interval: a
+    # crash at one fixed time would land at an arbitrary phase of each.
+    fs.checkpoint()
+    for i in range(int(0.9 * interval / THINK_TIME)):
+        fs.write_file(f"/f{i % 200}", bytes([i % 256]) * 12288)
+        disk.clock.advance(THINK_TIME)
+    fs.sync()
     fs.crash()
     disk.power_on()
     recovered = LFS.mount(disk)

@@ -912,10 +912,15 @@ class LFS(Namespace):
         dirty = self.cache.dirty_blocks(by_age=cleaning)
         data = BlockKind.DATA
         place = self._data_placer()
+        # Placing a file's data or indirect blocks moves a pointer in its
+        # inode (or in a node that then moves one), so every such inode
+        # goes out in this flush, packed after those placements.
+        dirty_inodes = self._dirty_inodes
         fmap_inum = None
         for inum, fbn, entry in dirty:
             if inum != fmap_inum:  # runs of one file's blocks share these
                 fmap, fmap_inum = self.filemap(inum), inum
+                dirty_inodes.add(inum)
                 version = self.imap.version_of(inum)
                 place_data = partial(place, fmap.set)
             if fbn >= NUM_DIRECT:  # a direct pointer lives in the inode
@@ -937,6 +942,9 @@ class LFS(Namespace):
             if fmap is None or not fmap.dirty:
                 dirty_maps.discard(inum)
                 continue
+            dirty_inodes.add(inum)
+            if L2 not in fmap.dirty and any(node > 0 for node in fmap.dirty):
+                fmap.mark_dirty(L2)  # a moved child moves L2's pointer to it
             version = self.imap.version_of(inum)
             mtime = fmap.inode.mtime
             for node in fmap.write_order():
@@ -948,8 +956,9 @@ class LFS(Namespace):
                 (double_items if node == L2 else items).append(item)
         items.extend(double_items)
 
-        # -- inode blocks
-        dirty_inums = sorted(self._dirty_inodes)
+        # -- inode blocks, last: no later placement in the flush touches
+        # an inode, so each group's flags clear when it is packed.
+        dirty_inums = sorted(dirty_inodes)
         per_block = inodes_per_block(bs)
         for start in range(0, len(dirty_inums), per_block):
             group = dirty_inums[start : start + per_block]
@@ -959,53 +968,47 @@ class LFS(Namespace):
                     inum=group[0],
                     offset=0,
                     mtime=max([self._inodes[i].mtime for i in group]),
-                    get_payload=lambda g=group: pack_inode_block(
-                        [self._inodes[i] for i in g], bs
-                    ),
+                    get_payload=partial(self._pack_inodes, group),
                     on_placed=lambda item, addr, g=group: self._place_inodes(g, addr),
                 )
             )
-        self._dirty_inodes.clear()
         return items
 
-    def _build_meta_items(self) -> list[LogItem]:
-        """Inode-map and segment-usage blocks (checkpoint flushes only).
+    def _pack_inodes(self, inums: list[int]) -> bytes:
+        """One inode block's payload; its inodes are clean from here on."""
+        self._dirty_inodes.difference_update(inums)
+        return pack_inode_block([self._inodes[i] for i in inums], self.config.block_size)
 
-        Dirty flags are cleared as blocks are queued: payloads are packed
-        after every placement in the flush, so the written image is
-        accurate, and anything a placement re-dirties afterwards is picked
-        up by the checkpoint's stabilization loop.
+    def _build_meta_items(self, queued: set[tuple[BlockKind, int]]) -> list[LogItem]:
+        """Inode-map and segment-usage blocks that are dirty and not in
+        ``queued`` yet (checkpoint flushes only); adds them to it.
+
+        Placing one of these blocks changes the usage table again (the
+        old copy dies, the new one is live, the write is stamped), so the
+        checkpoint's append asks for them once more after its placements,
+        until none is left. A block's dirty flag clears when its payload
+        is packed, which is after every placement of that append.
         """
         items: list[LogItem] = []
-        bs = self.config.block_size
         now = self.disk.clock.now
-        for idx in self.imap.dirty_block_indexes():
-            self.imap.clear_dirty(idx)
-            items.append(
-                LogItem(
-                    kind=BlockKind.INODE_MAP,
-                    offset=idx,
-                    mtime=now,
-                    get_payload=lambda i=idx: self.imap.pack_block(i, bs),
-                    on_placed=lambda item, addr: self._place_map_block(
-                        self.imap.block_addrs, item.offset, addr
-                    ),
+        for kind, table in ((BlockKind.INODE_MAP, self.imap), (BlockKind.SEG_USAGE, self.usage)):
+            place = partial(self._place_map_block, table.block_addrs)
+            for idx in table.dirty_block_indexes():
+                if (kind, idx) in queued:
+                    continue
+                queued.add((kind, idx))
+                # kind, inum, offset, version, mtime, payload, get_payload, on_placed
+                items.append(
+                    LogItem(
+                        kind, 0, idx, 0, now, None, partial(self._pack_table_block, table, idx), place
+                    )
                 )
-            )
-        for idx in self.usage.dirty_block_indexes():
-            self.usage.clear_dirty(idx)
-            items.append(
-                LogItem(
-                    kind=BlockKind.SEG_USAGE,
-                    offset=idx,
-                    mtime=now,
-                    get_payload=lambda i=idx: self.usage.pack_block(i, bs),
-                    on_placed=lambda item, addr: self._place_map_block(
-                        self.usage.block_addrs, item.offset, addr
-                    ),
-                )
-            )
         return items
+
+    def _pack_table_block(self, table, idx: int) -> bytes:
+        """One inode-map or usage block's payload; clean from here on."""
+        table.clear_dirty(idx)
+        return table.pack_block(idx, self.config.block_size)
 
     # ---- placement callbacks ----------------------------------------
 
@@ -1061,7 +1064,8 @@ class LFS(Namespace):
             inode = inodes.get(inum)
             usage.add_live(seg, INODE_SIZE, inode.mtime if inode else now)
 
-    def _place_map_block(self, addr_table: list[int], idx: int, addr: int) -> None:
+    def _place_map_block(self, addr_table: list[int], item: LogItem, addr: int) -> None:
+        idx = item.offset
         old = addr_table[idx]
         bs = self.config.block_size
         if old != NULL_ADDR:
@@ -1137,25 +1141,19 @@ class LFS(Namespace):
 
     def _unflushed(self) -> int:
         """Acked-sync state the on-disk log does not hold yet: dirty
-        blocks plus unlogged directory operations.
-
-        ``_dirty_inodes`` is deliberately excluded: data placements
-        re-mark inodes dirty while a flush runs, but inode payloads pack
-        lazily *after* every data placement in the same flush, so the
-        durable inode already carries the new addresses — the lingering
-        dirty flags are conservative bookkeeping, not unacknowledged
-        state.
-        """
-        return self.cache.dirty_count + len(self._pending_dirops)
+        blocks, dirty inodes and unlogged directory operations."""
+        return self.cache.dirty_count + len(self._dirty_inodes) + len(self._pending_dirops)
 
     def checkpoint(self) -> None:
         """Two-phase checkpoint (Section 4.1).
 
         Phase one flushes all modified information — data, indirect
-        blocks, inodes, inode-map and usage-table blocks — to the log
-        (iterating until the usage table's self-referential updates
-        settle). Phase two writes a checkpoint region at the alternating
-        fixed location, timestamp last.
+        blocks, inodes, inode-map and usage-table blocks — to the log,
+        each block once. The map and usage blocks go out in one append
+        that also takes every usage block its own placements change, and
+        each is packed after all of them; anything still dirty after that
+        is a bug and raises. Phase two writes a checkpoint region at the
+        alternating fixed location, timestamp last.
         """
         self._require_mounted()
         with self._span("checkpoint", seq=self._checkpoint_seq):
@@ -1172,29 +1170,25 @@ class LFS(Namespace):
             # them. Retiring them here is safe: remove_live never marks a
             # segment clean and the metadata rounds below never clean, so
             # no record is overwritten before the region lands.
-            retired = [self.layout.segment_of(addr) for addr in self._dirop_addrs]
+            for addr in self._dirop_addrs:
+                self.usage.remove_live(self.layout.segment_of(addr), self.config.block_size)
             self._dirop_addrs = []
-            for seg_no in retired:
-                self.usage.remove_live(seg_no, self.config.block_size)
-            # Now write the inode map and segment usage table. The usage table
-            # is self-referential: placing a map block changes live counts,
-            # and the partial write's time stamp dirties its usage block, so
-            # every round re-dirties a usage block and the loop never settles.
-            # Whenever a map block is dirty it runs all 8 rounds (every
-            # checkpoint on ``churn``); writing each metadata block once is
-            # ROADMAP item 4. The residual flush above charges as ordinary
-            # data/cleaning traffic; only the map rounds and the region write
-            # are checkpoint overhead.
+            # Now write the inode map and segment usage table. The residual
+            # flush above charges as ordinary data/cleaning traffic; only the
+            # map rounds and the region write are checkpoint overhead.
             with self._cause(CHECKPOINT):
-                for _ in range(8):
-                    meta = self._build_meta_items()
-                    if not meta:
-                        break
-                    self.writer.append(meta)
-                for idx in range(self.imap.num_blocks):
-                    self.imap.clear_dirty(idx)
-                for idx in range(self.usage.num_blocks):
-                    self.usage.clear_dirty(idx)
+                more = partial(self._build_meta_items, set())
+                self.writer.append(more(), more=more)
+                left = (
+                    sorted(self._dirty_inodes),
+                    self.imap.dirty_block_indexes(),
+                    self.usage.dirty_block_indexes(),
+                )
+                if any(left):
+                    raise RuntimeError(
+                        "checkpoint left metadata dirty "
+                        f"(inodes, inode-map blocks, usage blocks): {left}"
+                    )
 
                 now = self.disk.clock.now
                 cp = Checkpoint(
@@ -1219,11 +1213,6 @@ class LFS(Namespace):
             self._last_checkpoint_time = now
             self._last_checkpoint_log_blocks = self.writer.stats.total_blocks
             self.stats.checkpoints += 1
-            # The next checkpoint writes the retired records' usage blocks
-            # again. The second write is redundant, but the pinned server
-            # digests count it; dropping it is ROADMAP item 4.
-            for seg_no in retired:
-                self.usage.mark_dirty(seg_no)
             # Segment deaths recorded before this region write are durable
             # now: the usage table just persisted them clean, so recovery
             # can never need their old bytes. Safe to TRIM.

@@ -42,7 +42,8 @@ class LogItem:
         get_payload: produces the payload of a block whose contents
             depend on where other blocks land (indirect, inode and map
             blocks); called only after every item in the same partial
-            write has been placed, and only when ``payload`` is None.
+            write has been placed and the write's time stamped, and only
+            when ``payload`` is None.
             ``append`` refuses an item with neither.
         on_placed: called as ``on_placed(item, addr)`` with the assigned
             disk address; updates in-memory pointers (inode/indirect/map)
@@ -236,6 +237,7 @@ class LogWriter:
         *,
         cleaning: bool = False,
         barrier: bool = False,
+        more: Callable[[], list[LogItem]] | None = None,
     ) -> int:
         """Write ``items`` to the log in order; returns partial writes issued.
 
@@ -248,9 +250,16 @@ class LogWriter:
 
         Items are chunked into partial writes bounded by the space left in
         the current segment and by summary capacity. For each partial
-        write: place every item (assign addresses, run callbacks), then
-        serialize payloads, then issue one streamed disk write of
-        summary + payloads.
+        write: place every item (assign addresses, run callbacks), stamp
+        the write time, then serialize payloads, then issue one streamed
+        disk write of summary + payloads.
+
+        ``more`` is for blocks that describe placements, and whose dirty
+        flags clear only when packed (the checkpoint's inode-map and
+        usage blocks). Once the items are placed, ``more()`` is asked for
+        the blocks those placements changed that are not queued yet, until
+        it returns none; every item is placed before any is packed, so
+        each payload holds every placement of the call.
 
         With ``hot_cold_segregation`` enabled, cleaning writes go through
         the *cold* cursor instead of the hot one: cleaner survivors and
@@ -259,104 +268,128 @@ class LogWriter:
         """
         if not items:
             return 0
+        self._check_items(items)
+        cold = cleaning and self.config.hot_cold_segregation
+        now = self.disk.clock.now
+        planned: list[tuple] = []
+        writes = 0
+        pos = 0
+        while True:
+            if pos == len(items):
+                extra = more() if more is not None else None
+                if not extra:
+                    break
+                self._check_items(extra)
+                items = items + extra
+            plan = self._place(items, pos, cold, now)
+            pos += len(plan[3])
+            if more is None:
+                writes += self._write(plan, cleaning, barrier and writes == 0)
+            else:
+                planned.append(plan)
+        for plan in planned:
+            writes += self._write(plan, cleaning, barrier and writes == 0)
+        return writes
+
+    @staticmethod
+    def _check_items(items: list[LogItem]) -> None:
         for item in items:
             if item.payload is None and item.get_payload is None:
                 raise InvalidOperationError(
                     f"{item.kind.name} item (inum {item.inum}, offset {item.offset}) "
                     "has neither a payload nor a way to produce one"
                 )
-        cold = cleaning and self.config.hot_cold_segregation
-        writes = 0
-        pos = 0
-        now = self.disk.clock.now
-        stats = self.stats
+
+    def _place(self, items: list[LogItem], pos: int, cold: bool, now: float) -> tuple:
+        """Place the next partial write's items from ``items[pos:]``,
+        stamp its segment's write time and move the cursor past it;
+        returns the plan :meth:`_write` issues."""
+        if cold:
+            if self.cold_segment is None or self._remaining_in_cold_segment() < 2:
+                self._advance_cold_segment()
+            segment, offset = self.cold_segment, self.cold_offset
+            chain = NO_SEGMENT
+        else:
+            if self.current_segment is None or self._remaining_in_segment() < 2:
+                self._advance_segment()
+            if self.next_segment is None:
+                self._reserve_next()
+            segment, offset = self.current_segment, self.offset
+            chain = self.next_segment if self.next_segment is not None else NO_SEGMENT
+        room = self.config.segment_blocks - offset - 1  # minus the summary block
+        batch = items[pos : pos + min(room, self._capacity)]
+
+        start_addr = self.layout.segment_start(segment) + offset
+        entries = []
+        kinds: dict[BlockKind, int] = {}
+        youngest = 0.0
+        for addr, item in enumerate(batch, start_addr + 1):
+            if item.on_placed is not None:
+                item.on_placed(item, addr)
+            kind = item.kind
+            # a bare (kind, inum, offset, version, block_crc) tuple:
+            # ``pack`` replaces it with the stamped ``SummaryEntry``
+            entries.append((kind, item.inum, item.offset, item.version, 0))
+            kinds[kind] = kinds.get(kind, 0) + 1
+            if item.mtime > youngest:
+                youngest = item.mtime
+        # Stamped before any payload is packed, so a usage block packed
+        # in this call already holds the stamp and stays clean.
+        self.usage.add_live(segment, 0, now)
+        summary = SegmentSummary(
+            seq=self.seq,
+            write_time=now,
+            youngest_mtime=youngest,
+            entries=entries,
+            next_segment=chain,
+        )
+        if cold:
+            self.cold_offset += 1 + len(batch)
+        else:
+            self.offset += 1 + len(batch)
+        self.seq += 1
+        return segment, offset, start_addr, batch, kinds, summary, cold
+
+    def _write(self, plan: tuple, cleaning: bool, barrier: bool) -> int:
+        """Serialize one placed partial write and issue it; returns 1."""
+        segment, offset, start_addr, batch, kinds, summary, cold = plan
+        payloads = []
+        for item in batch:
+            payload = item.payload
+            payloads.append(payload if payload is not None else item.get_payload())
+        summary_block = summary.pack(payloads, self.config.block_size)
         block_crcs = self.block_crcs
-        while pos < len(items):
-            if cold:
-                if self.cold_segment is None or self._remaining_in_cold_segment() < 2:
-                    self._advance_cold_segment()
-                segment, offset = self.cold_segment, self.cold_offset
-                chain = NO_SEGMENT
-            else:
-                if self.current_segment is None or self._remaining_in_segment() < 2:
-                    self._advance_segment()
-                if self.next_segment is None:
-                    self._reserve_next()
-                segment, offset = self.current_segment, self.offset
-                chain = (
-                    self.next_segment if self.next_segment is not None else NO_SEGMENT
-                )
-            room = self.config.segment_blocks - offset - 1  # minus the summary block
-            batch = items[pos : pos + min(room, self._capacity)]
-            pos += len(batch)
+        block_crcs[start_addr] = zlib.crc32(summary_block)
+        for addr, entry in enumerate(summary.entries, start_addr + 1):
+            block_crcs[addr] = entry.block_crc
 
-            start_addr = self.layout.segment_start(segment) + offset
-            entries = []
-            kinds: dict[BlockKind, int] = {}
-            youngest = 0.0
-            for addr, item in enumerate(batch, start_addr + 1):
-                if item.on_placed is not None:
-                    item.on_placed(item, addr)
-                kind = item.kind
-                # a bare (kind, inum, offset, version, block_crc) tuple:
-                # ``pack`` replaces it with the stamped ``SummaryEntry``
-                entries.append((kind, item.inum, item.offset, item.version, 0))
-                kinds[kind] = kinds.get(kind, 0) + 1
-                if item.mtime > youngest:
-                    youngest = item.mtime
-
-            payloads = []
-            for item in batch:
-                payload = item.payload
-                payloads.append(payload if payload is not None else item.get_payload())
-            summary = SegmentSummary(
-                seq=self.seq,
-                write_time=now,
-                youngest_mtime=youngest,
-                entries=entries,
-                next_segment=chain,
+        payloads.insert(0, summary_block)
+        self.disk.write_blocks(start_addr, payloads, force_latency=barrier)
+        obs = self.disk.obs
+        if obs is not None:
+            # Mirrors the stats.count() calls below exactly, so the
+            # summed trace kinds equal blocks_by_kind bit-for-bit.
+            evt = dict(
+                segment=segment,
+                seq=summary.seq,
+                offset=offset,
+                blocks=1 + len(batch),
+                cleaning=cleaning,
+                kinds={BlockKind.SUMMARY.name: 1, **{k.name: n for k, n in kinds.items()}},
             )
-            summary_block = summary.pack(payloads, self.config.block_size)
-            block_crcs[start_addr] = zlib.crc32(summary_block)
-            for addr, entry in enumerate(summary.entries, start_addr + 1):
-                block_crcs[addr] = entry.block_crc
-
-            payloads.insert(0, summary_block)
-            self.disk.write_blocks(
-                start_addr,
-                payloads,
-                force_latency=barrier and writes == 0,
-            )
-            self.usage.add_live(segment, 0, now)  # stamp write time
-            obs = self.disk.obs
-            if obs is not None:
-                # Mirrors the stats.count() calls below exactly, so the
-                # summed trace kinds equal blocks_by_kind bit-for-bit.
-                evt = dict(
-                    segment=segment,
-                    seq=self.seq,
-                    offset=offset,
-                    blocks=1 + len(batch),
-                    cleaning=cleaning,
-                    kinds={BlockKind.SUMMARY.name: 1, **{k.name: n for k, n in kinds.items()}},
-                )
-                if cold:
-                    evt["cold"] = True
-                obs.emit(LOG_WRITE, **evt)
             if cold:
-                self.cold_offset += 1 + len(batch)
-                stats.cold_blocks += 1 + len(batch)
-            else:
-                self.offset += 1 + len(batch)
-            self.seq += 1
-            writes += 1
-            stats.partial_writes += 1
-            stats.count(BlockKind.SUMMARY)
-            for kind, n in kinds.items():
-                stats.count(kind, n)
-            if cleaning:
-                stats.cleaner_blocks += 1 + len(batch)
-        return writes
+                evt["cold"] = True
+            obs.emit(LOG_WRITE, **evt)
+        stats = self.stats
+        if cold:
+            stats.cold_blocks += 1 + len(batch)
+        stats.partial_writes += 1
+        stats.count(BlockKind.SUMMARY)
+        for kind, n in kinds.items():
+            stats.count(kind, n)
+        if cleaning:
+            stats.cleaner_blocks += 1 + len(batch)
+        return 1
 
     def blocks_needed(self, item_count: int) -> int:
         """Upper bound on log blocks (items + summaries) for a flush."""

@@ -433,14 +433,14 @@ class TestSalvageInodeBlocks:
                 fs.imap.get(i).addr == addr for i in fs.imap.allocated_inums()
             )
         live_inodes = [a for a in inode_addrs if live[a]]
-        assert len(live_inodes) == 2 and len(inode_addrs) == 4
+        assert len(live_inodes) == 3 and len(inode_addrs) == 5
         for addr in inode_addrs:  # rot every inode block, live or dead
             raw = bytearray(fs.disk.peek(addr))
             raw[5] ^= 0xFF
             fs.disk.corrupt_block(addr, bytes(raw))
         live_others = sum(live[a] for e, a in entries if e.kind != BlockKind.INODE)
         rescued, lost = fs.cleaner.rescue_segment(seg)
-        assert (rescued, lost) == (3, 2)
+        assert (rescued, lost) == (5, 3)
         assert (rescued, lost) == (live_others, len(live_inodes))
         assert fs.usage.get(seg).quarantined
         # the verified live blocks moved: every file still reads back

@@ -73,7 +73,7 @@ class TestSelectiveCleaningReads:
             fs = LFS.format(disk, small_config(selective_read_utilization=threshold))
             self._build_sparse_segments(fs)
             base = fs.cleaner.stats.blocks_read
-            fs.clean_now(fs.usage.clean_count + 10)
+            fs.clean_now(fs.usage.clean_count + 20)
             reads[threshold] = fs.cleaner.stats.blocks_read - base
         assert reads[0.3] < reads[0.0]
 
@@ -86,7 +86,7 @@ class TestSelectiveCleaningReads:
             for cohort in range(20)
             for i in range(18, 20)
         }
-        fs.clean_now(fs.usage.clean_count + 10)
+        fs.clean_now(fs.usage.clean_count + 20)
         assert fs.cleaner.stats.selective_segments > 0
         for path, payload in survivors.items():
             assert fs.read(path) == payload
@@ -96,7 +96,7 @@ class TestSelectiveCleaningReads:
         cfg = small_config(selective_read_utilization=0.5)
         fs = LFS.format(disk, cfg)
         self._build_sparse_segments(fs)
-        fs.clean_now(fs.usage.clean_count + 10)
+        fs.clean_now(fs.usage.clean_count + 20)
         fs.crash()
         disk.power_on()
         fs2 = LFS.mount(disk, cfg)

@@ -301,7 +301,9 @@ class TestFlashFilesystem:
         # Segregation + wear leveling + TRIM, all on, under real cleaning
         # pressure: the watchdog raises on any erase-before-reuse,
         # trim-covers-live, or erase-conservation break.
-        disk, obs, ledger, fs, config, paths = self.churn(segregated=True, wear=True)
+        # 30 rounds: with each metadata block written once, 20 rounds
+        # leave no erase block wholly trimmed
+        disk, obs, ledger, fs, config, paths = self.churn(segregated=True, wear=True, rounds=30)
         assert disk.stats.erases > 0
         assert disk.flash_metrics().trimmed_pages > 0
         assert obs.tracer.events(FLASH_TRIM)

@@ -125,10 +125,9 @@ class TestLFSFlushOrder:
 
         entry = SummaryEntry(kind=INDIRECT, inum=inum, offset=2, version=version)
         assert fs.cleaner._revive(entry, home, lambda addr, e: fs.disk.read_block(addr))
-        # the child moves now; the double that points at it, one flush later
-        assert spy.flush() == [(INDIRECT, inum, 2)]
+        # the child and the double that points at it move in one flush
+        assert spy.flush() == [(INDIRECT, inum, 2), (DINDIRECT, inum, 0)]
         assert spy.homes[(INDIRECT, inum, 2)] != home
-        assert spy.flush() == [(DINDIRECT, inum, 0)]
         assert spy.flush() == []
 
         fs.unmount()

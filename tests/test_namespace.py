@@ -115,8 +115,8 @@ class TestPinnedNamespaceImages:
         [
             (
                 _lfs_image,
-                "e761755a0f313af9a9a716e39687070d100f3d477014442d1b059201bcfef3e8",
-                0.343348505186195,
+                "2106a0daca8cb6b710803e4afd905254e86776c7694e024da4f1f0e3ceb07ef1",
+                0.31005849653131734,
             ),
             (
                 _ffs_image,

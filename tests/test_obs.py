@@ -395,6 +395,9 @@ class TestCleanerDoesNotPerturbCache:
     def test_data_survives_metered_only_by_reads(self, fs):
         fs.write_file("/keep", b"k" * 20000)
         fs.checkpoint()
+        # a segment of padding closes /keep's segment, so it can be a victim
+        fs.write_file("/pad", b"p" * fs.config.segment_bytes)
+        fs.checkpoint()
         seg = self._dirty_victim(fs)
         fs._in_cleaner = True
         fs.writer.exempt = True

@@ -70,20 +70,23 @@ class TestTrimDrainCrashPoints:
         the checkpoint must neither lose durable data (oracle) nor
         leave an image lfsck rejects (explore_point runs both).
         """
-        recording = record_workload("cleaning", 4, flash=True)
-        windows = _checkpoint_windows(recording)
-        assert len(windows) >= 3, "workload must checkpoint repeatedly"
         explored = 0
-        for start, end in windows:
-            for cut in range(start, end + 1):
-                point = explore_point(
-                    recording,
-                    cut,
-                    variant,
-                    derive_point_seed(4, "cleaning-trim", cut, variant),
-                )
-                assert point.ok, (cut, variant, point.violations)
-                explored += 1
+        # two recordings: one seed's checkpoints span ~64 cuts since each
+        # metadata block is written once per checkpoint
+        for seed in (4, 5):
+            recording = record_workload("cleaning", seed, flash=True)
+            windows = _checkpoint_windows(recording)
+            assert len(windows) >= 3, "workload must checkpoint repeatedly"
+            for start, end in windows:
+                for cut in range(start, end + 1):
+                    point = explore_point(
+                        recording,
+                        cut,
+                        variant,
+                        derive_point_seed(seed, "cleaning-trim", cut, variant),
+                    )
+                    assert point.ok, (seed, cut, variant, point.violations)
+                    explored += 1
         assert explored > 100  # the windows are real, not degenerate
 
 
