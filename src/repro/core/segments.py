@@ -283,12 +283,13 @@ class LogWriter:
                 items = items + extra
             plan = self._place(items, pos, cold, now)
             pos += len(plan[3])
-            if more is None:
-                writes += self._write(plan, cleaning, barrier and writes == 0)
-            else:
-                planned.append(plan)
+            planned.append(plan)
+            if more is None:  # one partial write at a time
+                self._write(planned.pop(), cleaning, barrier and writes == 0)
+                writes += 1
         for plan in planned:
-            writes += self._write(plan, cleaning, barrier and writes == 0)
+            self._write(plan, cleaning, barrier and writes == 0)
+            writes += 1
         return writes
 
     @staticmethod
@@ -350,8 +351,8 @@ class LogWriter:
         self.seq += 1
         return segment, offset, start_addr, batch, kinds, summary, cold
 
-    def _write(self, plan: tuple, cleaning: bool, barrier: bool) -> int:
-        """Serialize one placed partial write and issue it; returns 1."""
+    def _write(self, plan: tuple, cleaning: bool, barrier: bool) -> None:
+        """Serialize one placed partial write and issue it."""
         segment, offset, start_addr, batch, kinds, summary, cold = plan
         payloads = []
         for item in batch:
@@ -389,7 +390,6 @@ class LogWriter:
             stats.count(kind, n)
         if cleaning:
             stats.cleaner_blocks += 1 + len(batch)
-        return 1
 
     def blocks_needed(self, item_count: int) -> int:
         """Upper bound on log blocks (items + summaries) for a flush."""
