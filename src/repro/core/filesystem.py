@@ -1175,10 +1175,19 @@ class LFS(Namespace):
             self._dirop_addrs = []
             # Now write the inode map and segment usage table. The residual
             # flush above charges as ordinary data/cleaning traffic; only the
-            # map rounds and the region write are checkpoint overhead.
+            # map and usage blocks and the region write are checkpoint overhead.
             with self._cause(CHECKPOINT):
-                more = partial(self._build_meta_items, set())
-                self.writer.append(more(), more=more)
+                queued: set[tuple[BlockKind, int]] = set()
+                more = partial(self._build_meta_items, queued)
+                try:
+                    self.writer.append(more(), more=more)
+                except BaseException:
+                    # A block packed for the partial write that failed is
+                    # clean but not on disk: the next checkpoint writes
+                    # every block this one queued.
+                    for kind, idx in queued:
+                        (self.imap if kind is BlockKind.INODE_MAP else self.usage).mark_dirty(idx)
+                    raise
                 left = (
                     sorted(self._dirty_inodes),
                     self.imap.dirty_block_indexes(),

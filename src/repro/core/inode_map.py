@@ -187,8 +187,12 @@ class InodeMap:
         return sorted(self._dirty_blocks)
 
     def clear_dirty(self, block_index: int) -> None:
-        """Mark one map block clean (it has been queued for the log)."""
+        """Mark one map block clean (its payload has been packed)."""
         self._dirty_blocks.discard(block_index)
+
+    def mark_dirty(self, block_index: int) -> None:
+        """Queue one block for the next checkpoint again."""
+        self._dirty_blocks.add(block_index)
 
     def mark_all_dirty(self) -> None:
         """Force every touched map block dirty (used by recovery)."""

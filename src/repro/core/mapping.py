@@ -140,9 +140,10 @@ class FileMap:
 
         L2 is judged once the children are consumed. A caller that places
         each node as it goes (FFS) so also writes the L2 a child's move
-        dirtied; one that queues every node before placing any (the LFS
-        flush) writes that L2 with its next flush. An L2 never written
-        goes out with its dirty children either way: they need a home.
+        dirtied. The LFS flush queues every node before placing any, so
+        it marks L2 dirty first whenever a child is dirty and writes it
+        in the same flush. An L2 never written goes out with its dirty
+        children either way: they need a home.
         """
         dirty = self.dirty
         children = sorted(node for node in dirty if node > 0)

@@ -206,9 +206,9 @@ class SegmentUsageTable:
         """Mark one table block clean."""
         self._dirty_blocks.discard(block_index)
 
-    def mark_dirty(self, seg_no: int) -> None:
-        """Queue the table block covering ``seg_no`` for the next write."""
-        self._dirty_blocks.add(self.block_of(seg_no))
+    def mark_dirty(self, block_index: int) -> None:
+        """Queue one block for the next checkpoint again."""
+        self._dirty_blocks.add(block_index)
 
     def mark_all_dirty(self) -> None:
         """Force every table block dirty (used by recovery)."""

@@ -304,7 +304,7 @@ class LogWriter:
     def _place(self, items: list[LogItem], pos: int, cold: bool, now: float) -> tuple:
         """Place the next partial write's items from ``items[pos:]``,
         stamp its segment's write time and move the cursor past it;
-        returns the plan :meth:`_write` issues."""
+        returns the plan :meth:`_write` issues and :meth:`_rewind` undoes."""
         if cold:
             if self.cold_segment is None or self._remaining_in_cold_segment() < 2:
                 self._advance_cold_segment()
@@ -317,6 +317,7 @@ class LogWriter:
                 self._reserve_next()
             segment, offset = self.current_segment, self.offset
             chain = self.next_segment if self.next_segment is not None else NO_SEGMENT
+        held = self.next_segment
         room = self.config.segment_blocks - offset - 1  # minus the summary block
         batch = items[pos : pos + min(room, self._capacity)]
 
@@ -349,23 +350,47 @@ class LogWriter:
         else:
             self.offset += 1 + len(batch)
         self.seq += 1
-        return segment, offset, start_addr, batch, kinds, summary, cold
+        return segment, offset, start_addr, batch, kinds, summary, cold, held
+
+    def _rewind(self, plan: tuple) -> None:
+        """Put the cursor back where a partial write that failed began.
+
+        Nothing from that write on reached the disk, so the next write
+        takes its place and its sequence number: roll-forward follows
+        consecutive sequence numbers and stops at the first gap. A
+        segment that a later placement of the same call opened, and that
+        nothing was placed in, returns to the clean pool.
+        """
+        segment, offset, _, _, _, summary, cold, held = plan
+        before = set(self.open_segments())
+        if cold:
+            self.cold_segment, self.cold_offset = segment, offset
+        else:
+            self.current_segment, self.offset, self.next_segment = segment, offset, held
+        self.seq = summary.seq
+        for seg in before.difference(self.open_segments()):
+            if self.usage.get(seg).live_bytes == 0:
+                self.usage.mark_clean(seg)
 
     def _write(self, plan: tuple, cleaning: bool, barrier: bool) -> None:
-        """Serialize one placed partial write and issue it."""
-        segment, offset, start_addr, batch, kinds, summary, cold = plan
-        payloads = []
-        for item in batch:
-            payload = item.payload
-            payloads.append(payload if payload is not None else item.get_payload())
-        summary_block = summary.pack(payloads, self.config.block_size)
+        """Serialize one placed partial write and issue it; if that
+        raises, rewind the cursor to it."""
+        segment, offset, start_addr, batch, kinds, summary, cold, _ = plan
+        try:
+            payloads = []
+            for item in batch:
+                payload = item.payload
+                payloads.append(payload if payload is not None else item.get_payload())
+            summary_block = summary.pack(payloads, self.config.block_size)
+            payloads.insert(0, summary_block)
+            self.disk.write_blocks(start_addr, payloads, force_latency=barrier)
+        except BaseException:
+            self._rewind(plan)
+            raise
         block_crcs = self.block_crcs
         block_crcs[start_addr] = zlib.crc32(summary_block)
         for addr, entry in enumerate(summary.entries, start_addr + 1):
             block_crcs[addr] = entry.block_crc
-
-        payloads.insert(0, summary_block)
-        self.disk.write_blocks(start_addr, payloads, force_latency=barrier)
         obs = self.disk.obs
         if obs is not None:
             # Mirrors the stats.count() calls below exactly, so the

@@ -14,6 +14,7 @@ import random
 import pytest
 
 from repro.core.constants import BlockKind
+from repro.core.errors import MediaError
 from repro.core.filesystem import LFS
 from repro.disk.device import Disk
 from repro.disk.geometry import DiskGeometry
@@ -107,6 +108,94 @@ def test_many_partial_writes_recover_exactly(ending, monkeypatch):
         fs.sync()
     assert max(writes) >= 3
     fs.crash()
+    fs = LFS.mount(disk, fs.config)
+    for path, data in model.items():
+        assert fs.read(path) == data, path
+    assert sorted(fs.readdir("/")) == sorted(p[1:] for p in model)
+    fs.unmount()
+    report = check_filesystem(disk)
+    assert report.ok, report.errors
+
+
+# -- a partial write that fails leaves no gap in the log --------------------
+
+
+def fail_one_write(fs: LFS, nth: int) -> None:
+    """Make the ``nth`` disk write from now on fail past every retry,
+    before anything of it is stored."""
+    disk = fs.disk
+    real = disk.write_blocks
+    calls = []
+
+    def faulty(addr, blocks, **kwargs):
+        calls.append(addr)
+        if len(calls) == nth:
+            disk.media.add_transient(addr, failures=disk.retry.attempts)
+        return real(addr, blocks, **kwargs)
+
+    disk.write_blocks = faulty
+
+
+@pytest.mark.parametrize("ending", ["crash", "unmount", "unmount-at-once"])
+@pytest.mark.parametrize("failing", ["flush", "checkpoint"])
+def test_a_failed_write_leaves_no_gap(failing, ending):
+    # 8-block segments, so the failing call spans several partial writes
+    disk, fs, model = busy_fs(
+        segment_bytes=8 * 4096, clean_low_water=6, clean_high_water=10, reserved_segments=4
+    )
+    bs = fs.config.block_size
+    for i in range(12):
+        fs.write_file(f"/g{i}", bytes(2 * bs))
+    fs.checkpoint()
+    # overwrites only, so the flush holds nothing but the files' data
+    # blocks and inodes (no directory block, no directory-op record)
+    for i in range(12):
+        model[f"/g{i}"] = bytes([i + 1]) * (2 * bs)
+        fs.write_file(f"/g{i}", model[f"/g{i}"])
+    if failing == "flush":
+        seq = fs.writer.seq
+        fail_one_write(fs, 2)  # the sync's second partial write
+        with pytest.raises(MediaError):
+            fs.sync()
+        assert fs.writer.seq == seq + 1  # only the first partial write landed
+        # the failed write's blocks were placed, so the log has lost
+        # them: write the files again
+        for i in range(12):
+            fs.write_file(f"/g{i}", model[f"/g{i}"])
+    else:
+        # leave room for one block: the metadata spills into the next
+        # segment, so the failed write is not the call's last
+        model["/pad"] = b"p"
+        for _ in range(6):
+            fs.write_file("/pad", b"p")
+            fs.flush()
+            if fs.writer._remaining_in_segment() == 2:
+                break
+        seq = fs.writer.seq
+        placed = []
+        real_more = fs._build_meta_items
+
+        def counting(queued):
+            placed.append(fs.writer.seq)
+            return real_more(queued)
+
+        fs._build_meta_items = counting
+        fail_one_write(fs, 1)  # the first of its metadata partial writes
+        with pytest.raises(MediaError):
+            fs.checkpoint()
+        assert placed[-1] - seq >= 2  # later partial writes were placed too
+        assert fs.writer.seq == seq
+
+    if ending != "unmount-at-once":
+        # the writes after the fault are synced, and recovery must find them
+        for i in range(6):
+            model[f"/h{i}"] = bytes([50 + i]) * (3 * bs)
+            fs.write_file(f"/h{i}", model[f"/h{i}"])
+        fs.sync()
+    if ending == "crash":
+        fs.crash()
+    else:
+        fs.unmount()
     fs = LFS.mount(disk, fs.config)
     for path, data in model.items():
         assert fs.read(path) == data, path
