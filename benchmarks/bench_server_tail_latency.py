@@ -18,7 +18,7 @@ and regression-gates cleanly::
 The recorded metrics are keyed ``latency_p99[c1000/drr/cleaner]`` so
 ``repro bench-diff`` treats them as lower-better; a run over a subset
 grid diffs against the checked-in baseline on the shared keys. CI runs
-the full grid and pins its ``result_digest`` (``7a5396715fef287d``).
+the full grid and pins its ``result_digest`` (``6d2e55c685ce1b68``).
 
 Every point also runs with the flight recorder attached (sampling is
 passive, so the event and latency digests are identical to a bare run)
