@@ -33,6 +33,7 @@ runs over the churn experiment; any invariant break counts).
 from __future__ import annotations
 
 import argparse
+import collections
 import hashlib
 import pathlib
 import random
@@ -45,7 +46,8 @@ from repro.core.config import LFSConfig  # noqa: E402
 from repro.core.filesystem import LFS  # noqa: E402
 from repro.disk.device import Disk  # noqa: E402
 from repro.disk.geometry import DiskGeometry, FlashGeometry  # noqa: E402
-from repro.obs import Observation, SegmentLedger, Watchdog  # noqa: E402
+from repro.obs import Observation, Watchdog  # noqa: E402
+from repro.obs.events import FLASH_ERASE  # noqa: E402
 from repro.simulator.sweep import record_bench  # noqa: E402
 from repro.workloads.largefile import run_largefile  # noqa: E402
 from repro.workloads.smallfile import run_smallfile  # noqa: E402
@@ -116,8 +118,6 @@ def run_churn(seed: int, *, segregated: bool, rounds: int) -> dict:
     geo = FlashGeometry.nand(num_blocks=CHURN_BLOCKS, erase_block_blocks=64)
     disk = Disk(geo)
     obs = Observation(ring_capacity=None)
-    ledger = SegmentLedger()
-    ledger.install(obs)
     Watchdog().install(obs)
     # Wear leveling stays OFF in both runs: the nudge deliberately trades
     # some migration efficiency for wear spread, and this experiment
@@ -149,6 +149,7 @@ def run_churn(seed: int, *, segregated: bool, rounds: int) -> dict:
     log = fs.writer.stats
     app_blocks = log.total_blocks - log.cleaner_blocks
     flash = disk.flash_metrics()
+    reasons = collections.Counter(e.fields["reason"] for e in obs.tracer.events(FLASH_ERASE))
     out = {
         "migration_ratio": log.cleaner_blocks / app_blocks,
         "app_blocks": app_blocks,
@@ -158,7 +159,7 @@ def run_churn(seed: int, *, segregated: bool, rounds: int) -> dict:
         "erases_total": flash.erases_total,
         "wear_spread": flash.wear_spread,
         "trimmed_pages": flash.trimmed_pages,
-        "ledger_flash": ledger.stats().get("flash", {}),
+        "erases_by_reason": dict(sorted(reasons.items())),
         "elapsed": disk.clock.now,
         "write_cost": fs.write_cost,
     }
@@ -249,11 +250,8 @@ def main(argv: list[str] | None = None) -> int:
                 "churn_unsegregated": round(unseg["write_cost"], 6),
                 "churn_segregated": round(seg["write_cost"], 6),
             },
-            "churn_unsegregated": {
-                k: v for k, v in unseg.items() if k != "ledger_flash"
-            },
-            "churn_segregated": {k: v for k, v in seg.items() if k != "ledger_flash"},
-            "ledger_flash_segregated": seg["ledger_flash"],
+            "churn_unsegregated": unseg,
+            "churn_segregated": seg,
             **metrics,
         },
     )

@@ -482,13 +482,11 @@ def cmd_heatmap(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     """Run a workload under the full observatory and print a run report."""
-    from repro.obs import Observation, SegmentLedger, Watchdog, build_report, render_report
+    from repro.obs import Observation, Watchdog, build_report, render_report
 
     if _flash_refused(args):
         return 2
     obs = Observation(ring_capacity=args.ring if args.ring > 0 else None)
-    ledger = SegmentLedger()
-    ledger.install(obs)
     Watchdog().install(obs)
     if args.timeline:
         from repro.obs import TimelineRecorder
@@ -503,7 +501,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         obs.timeline.finish()
 
     sections = tuple(s for s in ("flash", "timeline") if getattr(args, s))
-    report = build_report(obs, obs._fs, ledger, name=args.workload, sections=sections)
+    report = build_report(obs, obs._fs, name=args.workload, sections=sections)
     if args.json_out:
         with open(args.json_out, "w") as fh:
             json.dump(report, fh, indent=2)
@@ -939,13 +937,13 @@ def build_parser() -> argparse.ArgumentParser:
         "report",
         help="run a workload under the full observatory and print a run report",
         description=(
-            "Run a workload with the tracer, time attribution, segment "
-            "ledger, and invariant watchdog all attached, then print one "
-            "consolidated report: write cost, busy-time by cause, "
-            "cleaning distributions (Figure 6 / Table 2 from the "
-            "cleaner's counters), and segment-lifecycle statistics from "
-            "the ledger. --json-out also "
-            "writes the report as JSON for archiving or diffing."
+            "Run a workload with the tracer, time attribution and "
+            "invariant watchdog attached, then print one consolidated "
+            "report: write cost, busy-time by cause, live bytes from the "
+            "usage table, cleaning distributions (Figure 6 / Table 2 from "
+            "the cleaner's counters), and the device's flash and NVM "
+            "counters. --json-out also writes the report as JSON for "
+            "archiving or diffing."
         ),
     )
     add_observed_workload(p, ring=4096, ring_help="ring capacity (0 = unbounded)")

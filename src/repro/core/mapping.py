@@ -142,16 +142,13 @@ class FileMap:
         each node as it goes (FFS) so also writes the L2 a child's move
         dirtied. The LFS flush queues every node before placing any, so
         it marks L2 dirty first whenever a child is dirty and writes it
-        in the same flush. An L2 never written goes out with its dirty
-        children either way: they need a home.
+        in the same flush.
         """
         dirty = self.dirty
-        children = sorted(node for node in dirty if node > 0)
-        yield from children
+        yield from sorted(node for node in dirty if node > 0)
         if L1 in dirty:
             yield L1
-        if L2 in dirty or (children and self.inode.dindirect == NULL_ADDR):
-            self.mark_dirty(L2)
+        if L2 in dirty:
             yield L2
 
     # ------------------------------------------------------------------

@@ -30,8 +30,8 @@ _FLAG_QUARANTINED = 0x01
 class SegmentUsage:
     """One segment's bookkeeping.
 
-    ``clean`` and ``in_log`` are in-memory state: a clean segment holds no
-    live data and is available for writing; a segment "in the log" has been
+    ``clean`` is in-memory state: a clean segment holds no live data and
+    is available for writing; a segment that is not clean is "in the log",
     (partially) written since it was last clean. ``quarantined`` is
     persistent: the segment suffered an unrecoverable media error and must
     never be allocated or cleaned again.
@@ -231,8 +231,9 @@ class SegmentUsageTable:
         """Replace usage-table block ``block_index`` from on-disk bytes.
 
         A segment with zero live bytes on disk is *not* necessarily clean:
-        the mount path decides cleanliness after roll-forward. Here we mark
-        any segment with live bytes as in-log and leave empties clean.
+        the mount path decides cleanliness after roll-forward. Here a
+        segment is clean when it holds no live bytes and is not
+        quarantined; every other segment is in the log.
         """
         if block_index < 0 or block_index >= self.num_blocks:
             raise InvalidOperationError(f"usage block {block_index} out of range")

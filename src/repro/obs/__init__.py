@@ -18,10 +18,8 @@ cleaner and log-writer counters (``CleanerStats.table2``/``figure6``,
 ``LFS.log_bandwidth_breakdown``) are their one accounting, and the trace
 records the same occurrences event by event.
 
-The segment-lifecycle observatory builds on the tracer's subscriber
-hook: :mod:`repro.obs.spans` adds nested scopes with simulated-time
-durations, :mod:`repro.obs.ledger` reconstructs every segment's life
-(birth, writes, death),
+The observatory builds on the tracer's subscriber hook:
+:mod:`repro.obs.spans` adds nested scopes with simulated-time durations,
 :mod:`repro.obs.watchdog` continuously asserts cross-layer invariants
 and raises a typed :class:`InvariantViolation` on the offending event,
 and :mod:`repro.obs.report` emits run reports and bench-to-bench
@@ -56,12 +54,10 @@ from repro.obs.tracer import (
 )
 
 # Loaded on first access (PEP 562): most runs never touch the report,
-# timeline, watchdog, ledger or framing code, so importing any
+# timeline, watchdog or framing code, so importing any
 # ``repro.obs`` module does not pay for them.
 _LAZY = {
     "FormatError": "framing",
-    "SegmentLedger": "ledger",
-    "SegmentLife": "ledger",
     "bench_diff": "report",
     "build_report": "report",
     "load_bench": "report",
@@ -110,8 +106,6 @@ __all__ = [
     "SLOObjective",
     "SLOTracker",
     "SYSTEM_TENANT",
-    "SegmentLedger",
-    "SegmentLife",
     "SpanTracker",
     "TIMELINE_SCHEMA",
     "TRACE_SCHEMA",

@@ -12,9 +12,9 @@ Two extension points layer on the bundle:
 - :meth:`span` opens a named nested scope (``span.begin``/``span.end``
   events; enclosed events carry a ``span`` field) — see
   :mod:`repro.obs.spans`;
-- :meth:`subscribe` registers a live consumer (the segment ledger, the
-  invariant watchdog) that sees every event as it is emitted, before the
-  ring's kind filter and capacity can drop it. Subscribers exposing
+- :meth:`subscribe` registers a live consumer (the invariant watchdog)
+  that sees every event as it is emitted, before the ring's kind filter
+  and capacity can drop it. Subscribers exposing
   ``on_attach(fs)`` are told when a file system attaches (immediately,
   if one already has), so they can wire counter-side hooks too.
 

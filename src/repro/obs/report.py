@@ -3,9 +3,12 @@
 Two consumers of the observatory:
 
 - :func:`build_report` folds one observed run — attribution, I/O
-  counters, write cost, cleaning distributions, segment-ledger stats —
-  into a single JSON-serializable dict; :func:`render_report` prints it
-  as text (``repro report`` emits both).
+  counters, write cost, cleaning distributions — into a single
+  JSON-serializable dict; :func:`render_report` prints it as text
+  (``repro report`` emits both). Each number is read from the counter
+  that owns it: the usage table, the cleaner's ``CleanerStats``, the
+  device and NVM registry sources, and the tracer's per-kind emit
+  counts.
 - :func:`bench_diff` compares any two ``BENCH_*.json`` files (the
   schema-1 records :func:`benchmarks.conftest.record_bench` writes) and
   issues per-metric regressed/improved/unchanged verdicts, so the bench
@@ -64,9 +67,7 @@ SECTION_TITLES = {
 }
 
 
-def build_report(
-    obs, fs=None, ledger=None, *, name: str = "run", latency=None, sections=()
-) -> dict:
+def build_report(obs, fs=None, *, name: str = "run", latency=None, sections=()) -> dict:
     """One run's observatory summary as a JSON-serializable dict.
 
     ``latency`` is an optional ``{name: LatencyHistogram}`` mapping; when
@@ -137,10 +138,9 @@ def build_report(
                 "live_blocks_moved": stats.live_blocks_moved,
                 "blocks_rescued": stats.blocks_rescued,
                 "blocks_lost": stats.blocks_lost,
+                "segments_quarantined": stats.segments_quarantined,
             }
         report["fs"] = fs_section
-    if ledger is not None:
-        report["ledger"] = ledger.stats()
     if hasattr(fs, "cleaner"):
         report["table2"] = fs.cleaner.stats.table2()
         report["figure6_distribution"] = fs.cleaner.stats.figure6()
@@ -213,10 +213,12 @@ def render_report(report: dict) -> str:
         if "disk_capacity_utilization" in fs_section:
             rows.append(["disk utilization",
                          f"{fs_section['disk_capacity_utilization']:.4f}"])
+        if "total_live_bytes" in fs_section:
+            rows.append(["total live bytes", str(fs_section["total_live_bytes"])])
         cleaning = fs_section.get("cleaning", {})
         for key in ("segments_cleaned", "empty_segments_cleaned",
-                    "live_blocks_seen", "live_blocks_moved",
-                    "blocks_rescued", "blocks_lost"):
+                    "segments_quarantined", "live_blocks_seen",
+                    "live_blocks_moved", "blocks_rescued", "blocks_lost"):
             if key in cleaning:
                 rows.append([key.replace("_", " "), str(cleaning[key])])
         if "fraction_empty" in cleaning:
@@ -229,27 +231,12 @@ def render_report(report: dict) -> str:
     flash = report.get("flash")
     if flash:
         rows = [[k.replace("_", " "), str(v)] for k, v in sorted(flash.items())]
-        flash_ledger = (report.get("ledger") or {}).get("flash")
-        if flash_ledger:
-            for key in ("erase_events", "trim_events", "trim_blocks",
-                        "lives_cold", "lives_trimmed"):
-                if key in flash_ledger:
-                    rows.append([key.replace("_", " "), str(flash_ledger[key])])
-            reasons = flash_ledger.get("erases_by_reason", {})
-            if reasons:
-                rows.append(["erases by reason",
-                             ", ".join(f"{k}={v}" for k, v in sorted(reasons.items()))])
         lines.append(render_table(["metric", "value"], rows,
                                   title="flash wear and TRIM"))
 
     nvm = report.get("nvm")
     if nvm:
         rows = [[k.replace("_", " "), str(v)] for k, v in sorted(nvm.items())]
-        nvm_ledger = (report.get("ledger") or {}).get("nvm")
-        if nvm_ledger:
-            for key in ("records_in_flight", "peak_used_bytes"):
-                if key in nvm_ledger:
-                    rows.append([key.replace("_", " "), str(nvm_ledger[key])])
         lines.append(render_table(["metric", "value"], rows,
                                   title="NVM staging"))
 
@@ -311,16 +298,6 @@ def render_report(report: dict) -> str:
         # rather than silently omitting the table the user asked for.
         if section in report and report[section] is None:
             lines.append(f"{title}: not enabled for this run")
-
-    ledger = report.get("ledger")
-    if ledger:
-        rows = [[k.replace("_", " "), str(v)] for k, v in sorted(ledger.items())
-                if not isinstance(v, (list, dict))]
-        rows.append(["death causes",
-                     ", ".join(f"{k}={v}" for k, v in
-                               sorted(ledger.get("death_causes", {}).items()))
-                     or "(none)"])
-        lines.append(render_table(["metric", "value"], rows, title="segment ledger"))
 
     fig6 = report.get("figure6_distribution")
     if fig6 and sum(fig6):

@@ -2,17 +2,16 @@
 
 The paper's headline evidence is longitudinal — write cost and segment
 utilization measured over months on /user6 — yet everything the obs
-stack produced so far is point-in-time: end-of-run snapshots, reports,
-and ledger biographies say *what* a run cost, never *when*. This module
+stack produced so far is point-in-time: end-of-run snapshots and
+reports say *what* a run cost, never *when*. This module
 records the when.
 
 Three cooperating pieces:
 
 - :class:`TimelineStore` — a compact columnar store: one aligned time
   axis plus one value column per metric, with bounded memory. When the
-  sample count would exceed ``max_samples`` the store *thins* exactly
-  like the segment ledger's utilization samples: drop every other
-  sample and double the sampling stride, so a run of any length keeps
+  sample count would exceed ``max_samples`` the store *thins*: drop
+  every other sample and double the sampling stride, so a run of any length keeps
   an evenly spaced history at a known resolution.
 - :class:`TimelineRecorder` — an :class:`~repro.obs.Observation`
   subscriber that samples every registered metrics source (flattened to
@@ -120,7 +119,7 @@ class TimelineAnnotation:
 
 
 class TimelineStore:
-    """Columnar (time, metric) samples with ledger-style thinning.
+    """Columnar (time, metric) samples with stride-doubling thinning.
 
     Columns appear lazily: a metric first seen at sample *k* is
     backfilled with ``None`` for samples ``0..k-1``, and a metric absent
@@ -159,9 +158,8 @@ class TimelineStore:
         return False
 
     def _thin(self) -> None:
-        # Same contract as the ledger's utilization samples: keep every
-        # other sample (the survivors stay evenly spaced) and double the
-        # stride so future appends arrive at the thinned rate.
+        # Keep every other sample (the survivors stay evenly spaced) and
+        # double the stride so future appends arrive at the thinned rate.
         self.times = self.times[1::2]
         for name, column in self.columns.items():
             self.columns[name] = column[1::2]

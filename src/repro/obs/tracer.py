@@ -9,7 +9,7 @@ kind filter and before ring eviction, so a summary stays truthful even
 when the ring dropped events; ``dropped`` counts ring evictions
 explicitly so a bounded run can *say* how much history it lost.
 
-Live consumers (the segment ledger, the invariant watchdog) register via
+Live consumers (the invariant watchdog) register via
 :meth:`Tracer.subscribe`; subscribers see **every** emitted event, before
 the kind filter and before ring eviction, so a bounded or filtered ring
 never starves them.

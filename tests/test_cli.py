@@ -218,6 +218,17 @@ class TestObservedWorkloads:
         report = json.loads(out.read_text())
         assert report["name"] == workload and report["attribution"]["total"] > 0
 
+    def test_report_with_flash(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert main(["report", "--workload", "smallfile", "--flash", "--json-out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["flash"]["erase_blocks"] > 0
+        assert report["flash"]["programmed_pages"] > 0
+        assert report["fs"]["total_live_bytes"] > 0
+        assert report["fs"]["cleaning"]["segments_quarantined"] == 0
+        assert report["tracer"]["emitted"]["log.segment_open"] > 0
+        assert "flash wear and TRIM" in capsys.readouterr().out
+
     def test_flash_needs_a_geometry_workload(self, capsys):
         assert main(["trace", "--workload", "andrew", "--flash"]) == 2
         assert "--flash" in capsys.readouterr().err

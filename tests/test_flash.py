@@ -29,8 +29,8 @@ from repro.core.filesystem import LFS
 from repro.core.policy import CleaningPolicy
 from repro.disk.device import Disk
 from repro.disk.geometry import DiskGeometry, FlashGeometry
-from repro.obs import Observation, SegmentLedger, Watchdog
-from repro.obs.events import FLASH_ERASE, FLASH_TRIM
+from repro.obs import Observation, Watchdog
+from repro.obs.events import FLASH_ERASE, FLASH_TRIM, LOG_SEGMENT_OPEN
 from repro.obs.report import build_report, render_report
 
 
@@ -265,8 +265,6 @@ class TestFlashFilesystem:
         rng = random.Random(7)
         disk = Disk(FlashGeometry.nand(num_blocks=512, erase_block_blocks=64))
         obs = Observation(ring_capacity=None)
-        ledger = SegmentLedger()
-        ledger.install(obs)
         Watchdog().install(obs)
         config = LFSConfig(
             hot_cold_segregation=segregated, wear_leveling=wear, **CHURN_CONFIG
@@ -285,7 +283,7 @@ class TestFlashFilesystem:
             if r % 3 == 2:
                 fs.checkpoint()
         fs.checkpoint()
-        return disk, obs, ledger, fs, config, paths
+        return disk, obs, fs, config, paths
 
     def test_segment_area_aligned_to_erase_blocks(self):
         disk = Disk(FlashGeometry.nand(num_blocks=512, erase_block_blocks=64))
@@ -303,13 +301,12 @@ class TestFlashFilesystem:
         # trim-covers-live, or erase-conservation break.
         # 30 rounds: with each metadata block written once, 20 rounds
         # leave no erase block wholly trimmed
-        disk, obs, ledger, fs, config, paths = self.churn(segregated=True, wear=True, rounds=30)
+        disk, obs, fs, config, paths = self.churn(segregated=True, wear=True, rounds=30)
         assert disk.stats.erases > 0
         assert disk.flash_metrics().trimmed_pages > 0
         assert obs.tracer.events(FLASH_TRIM)
-        flash_stats = ledger.stats()["flash"]
-        assert flash_stats["trim_events"] > 0
-        assert flash_stats["erases_by_reason"].get("trim", 0) > 0
+        # TRIM erases a wholly trimmed erase block ahead of its reuse
+        assert any(e.fields["reason"] == "trim" for e in obs.tracer.events(FLASH_ERASE))
         fs.unmount()
         fs2 = LFS.mount(disk, config)
         for p in paths:
@@ -336,7 +333,7 @@ class TestFlashFilesystem:
         assert not fs._pending_trims
 
     def test_trim_never_covers_live_bytes(self):
-        disk, obs, ledger, fs, config, paths = self.churn(segregated=False, wear=False)
+        disk, obs, fs, config, paths = self.churn(segregated=False, wear=False)
         layout = fs.layout
         seg_blocks = fs.config.segment_blocks
         for event in obs.tracer.events(FLASH_TRIM):
@@ -364,11 +361,11 @@ class TestFlashFilesystem:
             assert len(fs2.read(f"/f{i}")) == 6000
 
     def test_cold_cursor_writes_cold_segments(self):
-        disk, obs, ledger, fs, config, paths = self.churn(segregated=True, wear=False)
+        disk, obs, fs, config, paths = self.churn(segregated=True, wear=False)
         assert fs.writer.stats.cold_blocks > 0
         assert fs.writer.stats.cold_segments_opened > 0
-        all_lives = list(ledger.lives.values()) + ledger.history
-        assert any(life.cold for life in all_lives)
+        cold_opens = [e for e in obs.tracer.events(LOG_SEGMENT_OPEN) if e.fields.get("cold")]
+        assert len(cold_opens) == fs.writer.stats.cold_segments_opened
 
     def test_default_config_keeps_flash_knobs_off(self):
         config = LFSConfig()
@@ -376,11 +373,12 @@ class TestFlashFilesystem:
         assert config.wear_leveling is False
 
     def test_report_has_flash_section(self):
-        disk, obs, ledger, fs, config, paths = self.churn(segregated=True, wear=True)
+        disk, obs, fs, config, paths = self.churn(segregated=True, wear=True)
         assert "flash" in obs.registry.names()
-        report = build_report(obs, fs, ledger, name="flash-churn")
+        report = build_report(obs, fs, name="flash-churn")
         assert report["flash"]["erases_total"] == disk.stats.erases
-        assert report["ledger"]["flash"]["trim_events"] > 0
+        trims = report["tracer"]["emitted"]["flash.trim"]
+        assert trims == len(obs.tracer.events(FLASH_TRIM)) > 0
         text = render_report(report)
         assert "flash wear and TRIM" in text
 

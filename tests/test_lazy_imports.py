@@ -1,9 +1,9 @@
 """A server run and lfsck load no code they never call.
 
 ``derive_point_seed`` lives in ``repro.seeds`` (not the simulator),
-``repro.obs`` resolves its report, timeline, watchdog, ledger and framing
-names on first access, and the file system imports the NVM staging
-component only when a board is attached. Checked in a fresh interpreter,
+``repro.obs`` resolves its report, timeline, watchdog and framing names
+on first access, and the file system imports the NVM staging component
+only when a board is attached. Checked in a fresh interpreter,
 since this test process has loaded everything already.
 """
 

@@ -120,9 +120,18 @@ class TestDoubleIndirect:
         assert fmap.inode.dindirect == 700
 
     def test_a_never_written_double_goes_with_its_children(self, fmap):
+        # FFS places each node as write_order yields it: placing the
+        # child moves L2's pointer to it, so L2 follows in the same pass.
         fmap.set(NUM_DIRECT + PER + 1, 5)  # no ensure_structures: L2 unmarked
         assert fmap.dirty == {child(0)}
-        assert list(fmap.write_order()) == [child(0), L2]
+        order = []
+        for addr, node in enumerate(fmap.write_order(), start=600):
+            order.append(node)
+            fmap.place(node, addr)
+        assert order == [child(0), L2]
+        assert fmap.inode.dindirect == 601
+        assert fmap.load(L2)[0] == 600
+        assert not fmap.dirty
 
     def test_beyond_max_rejected(self, fmap):
         with pytest.raises(InvalidOperationError):

@@ -1,8 +1,7 @@
-"""Tests for the segment-lifecycle observatory: spans, the per-segment
-ledger (bit-identical against the legacy counters), the usage table
-against lfsck's exact recount, the invariant watchdog (clean runs +
-seeded violations), trace JSONL framing, and the report / bench-diff
-machinery."""
+"""Tests for the observatory: spans, the run report against the counters
+that own its numbers, the usage table against lfsck's exact recount, the
+invariant watchdog (clean runs + seeded violations), trace JSONL framing,
+and the report / bench-diff machinery."""
 
 import json
 
@@ -16,7 +15,6 @@ from repro.obs import (
     CLEANING_READ,
     InvariantViolation,
     Observation,
-    SegmentLedger,
     TRACE_SCHEMA,
     TraceFormatError,
     Watchdog,
@@ -47,14 +45,12 @@ from tests.test_obs import assert_trace_matches_counters
 
 
 def observed_fs(num_blocks=4096, **overrides):
-    """A small traced LFS with ledger + watchdog installed."""
+    """A small traced LFS with the watchdog installed."""
     obs = Observation(ring_capacity=None)
-    ledger = SegmentLedger()
-    ledger.install(obs)
     watchdog = Watchdog().install(obs)
     disk = Disk(DiskGeometry.wren4(num_blocks=num_blocks))
     fs = LFS.format(disk, small_config(**overrides), obs=obs)
-    return obs, ledger, watchdog, disk, fs
+    return obs, watchdog, disk, fs
 
 
 def churn(fs, rounds=10, nfiles=60):
@@ -141,7 +137,7 @@ class TestSpans:
         assert len(obs.tracer.events(SPAN_END)) == 1
 
     def test_checkpoint_emits_nested_spans(self):
-        obs, _, _, _, fs = observed_fs()
+        obs, _, _, fs = observed_fs()
         fs.write_file("/f", b"x" * 20000)
         fs.checkpoint()
         names = [e.fields["name"] for e in obs.tracer.events(SPAN_BEGIN)]
@@ -152,7 +148,7 @@ class TestSpans:
         assert any(c.name == "checkpoint.region" for c in cp.children)
 
     def test_clean_pass_emits_span(self):
-        obs, _, _, _, fs = observed_fs()
+        obs, _, _, fs = observed_fs()
         overwrite_churn(fs)
         fs.clean_now(fs.usage.clean_count + 4)
         fs.checkpoint()
@@ -164,19 +160,22 @@ class TestSpans:
 
 
 # ----------------------------------------------------------------------
-# the segment ledger: bit-identical against the legacy counters
+# the run report: each number read from the counter that owns it
 
 
-class TestSegmentLedger:
-    def test_figure6_and_table2_bit_identical(self):
-        obs, ledger, _, _, fs = observed_fs()
-        churn(fs, rounds=6)
-        overwrite_churn(fs)
+class TestReportOwners:
+    def test_each_number_equals_its_owner(self):
+        obs, _, _, fs = observed_fs()
+        overwrite_churn(fs)  # partly live victims: non-empty cleaning
+        fs.clean_now(fs.usage.clean_count + 6)
+        churn(fs, rounds=4)  # whole-file deletes: empty cleaning
         fs.clean_now(fs.usage.clean_count + 6)
         fs.checkpoint()
         stats = fs.cleaner.stats
-        assert stats.segments_cleaned > 0, "workload never triggered cleaning"
-        report = build_report(obs, fs, ledger)
+        assert stats.live_blocks_moved > 0, "workload never cleaned a live block"
+        assert stats.empty_segments_cleaned > 0, "workload never cleaned an empty segment"
+        report = build_report(obs, fs)
+        json.dumps(report)  # JSON-serializable end to end
         legacy_fig6 = [0] * 20
         for u in stats.cleaned_utilizations:
             legacy_fig6[min(19, int(u * 20))] += 1
@@ -188,33 +187,28 @@ class TestSegmentLedger:
             "fraction_empty": stats.empty_segments_cleaned / stats.segments_cleaned,
             "avg_nonempty_utilization": (sum(nonempty) / len(nonempty)) if nonempty else 0.0,
         }
-        assert report["ledger"]["segments_cleaned"] == stats.segments_cleaned
-
-    def test_lifecycles_recorded(self):
-        obs, ledger, _, _, fs = observed_fs()
-        overwrite_churn(fs)
-        fs.clean_now(fs.usage.clean_count + 6)
-        fs.checkpoint()
-        assert ledger.history, "no segment ever died"
-        for life in ledger.history:
-            assert life.closed
-            assert life.death_cause in ("cleaned", "cleaned-empty", "quarantined")
-            assert life.death_time is not None
-            assert life.age_at_death is not None and life.age_at_death >= 0.0
-        # at least one non-empty victim has a real biography
-        cleaned = [l for l in ledger.history if l.death_cause == "cleaned"]
-        assert any(l.writes > 0 for l in cleaned)
-        stats = ledger.stats()
-        assert stats["lives_closed"] == len(ledger.history)
-        assert stats["segments_cleaned"] == fs.cleaner.stats.segments_cleaned
-        json.dumps(stats)  # must be JSON-serializable for reports
+        cleaning = report["fs"]["cleaning"]
+        assert cleaning["segments_cleaned"] == stats.segments_cleaned
+        assert cleaning["segments_quarantined"] == stats.segments_quarantined == 0
+        usage = fs.usage
+        assert report["fs"]["total_live_bytes"] == sum(
+            usage.get(s).live_bytes for s in range(usage.num_segments)
+        )
+        # the tracer counts every emit, so each lifecycle edge it saw is
+        # one the owning counter counted
+        emitted = report["tracer"]["emitted"]
+        assert emitted["clean.segment"] == stats.segments_cleaned
+        assert emitted.get("clean.quarantine", 0) == stats.segments_quarantined
+        assert emitted["log.segment_open"] == fs.writer.stats.segments_opened
+        text = render_report(report)
+        assert "total live bytes" in text and "segments quarantined" in text
 
     def test_media_aborted_pass_counts_no_deaths(self):
         # A latent sector in a victim aborts its pass into a rescue. The
         # victims that pass never cleaned must not reach the trace: the
-        # ledger's deaths, the clean.segment utilizations and the counters
-        # agree after it.
-        obs, ledger, _, disk, fs = observed_fs()
+        # clean.segment utilizations, the report and the counters agree
+        # after it.
+        obs, _, disk, fs = observed_fs()
         overwrite_churn(fs)
         fs.checkpoint()
         sick = next(
@@ -229,28 +223,11 @@ class TestSegmentLedger:
         assert stats.segments_quarantined == 1, "no pass aborted into a rescue"
         assert fs.usage.get(sick).quarantined
         assert stats.segments_cleaned > 0
-        assert ledger.segments_cleaned == stats.segments_cleaned
-        cleaned = [l for l in ledger.history if l.death_cause.startswith("cleaned")]
-        assert len(cleaned) == stats.segments_cleaned
+        report = build_report(obs, fs)
+        assert report["fs"]["cleaning"]["segments_quarantined"] == 1
+        assert report["tracer"]["emitted"]["clean.quarantine"] == 1
+        assert report["table2"]["segments_cleaned"] == stats.segments_cleaned
         assert_trace_matches_counters(obs)
-
-    def test_survives_remount(self):
-        obs, ledger, _, disk, fs = observed_fs()
-        churn(fs, rounds=4)
-        fs.checkpoint()
-        fs.unmount()
-        assert check_filesystem(disk).ok
-        obs2 = Observation(ring_capacity=None)
-        ledger2 = SegmentLedger()
-        ledger2.install(obs2)
-        Watchdog().install(obs2)
-        fs2 = LFS.mount(disk, small_config(), obs=obs2)
-        churn(fs2, rounds=2, nfiles=20)
-        fs2.checkpoint()
-        assert ledger2.stats()["total_live_bytes"] == fs2.usage.total_live_bytes()
-        fs2.unmount()
-        report = check_filesystem(disk)
-        assert report.ok, report.errors
 
 
 # ----------------------------------------------------------------------
@@ -259,7 +236,7 @@ class TestSegmentLedger:
 
 class TestUsageRecount:
     def test_matches_recount_after_cleaning(self):
-        obs, _, _, disk, fs = observed_fs()
+        obs, _, disk, fs = observed_fs()
         churn(fs, rounds=4)
         overwrite_churn(fs)
         fs.clean_now(fs.usage.clean_count + 4)
@@ -271,7 +248,7 @@ class TestUsageRecount:
 
     @pytest.mark.parametrize("delta", [512, -512])
     def test_lfsck_names_tampered_segment(self, delta):
-        obs, _, _, disk, fs = observed_fs()
+        obs, _, disk, fs = observed_fs()
         for i in range(8):
             fs.write_file(f"/f{i}", b"x" * 60000)
         fs.checkpoint()
@@ -326,7 +303,7 @@ class TestWatchdog:
         assert watchdog.checks_run > 0
 
     def test_clean_under_churn_and_cleaning(self):
-        obs, _, watchdog, _, fs = observed_fs()
+        obs, watchdog, _, fs = observed_fs()
         churn(fs, rounds=6)
         overwrite_churn(fs)
         fs.clean_now(fs.usage.clean_count + 4)
@@ -335,7 +312,7 @@ class TestWatchdog:
         assert watchdog.checks_run > 0
 
     def test_fires_on_quarantined_reopen(self):
-        obs, _, watchdog, _, fs = observed_fs()
+        obs, watchdog, _, fs = observed_fs()
         for i in range(8):  # span several segments so one is sealed
             fs.write_file(f"/f{i}", b"x" * 60000)
         fs.sync()
@@ -351,7 +328,7 @@ class TestWatchdog:
         assert exc_info.value.event.fields["segment"] == victim
 
     def test_fires_on_drifted_clean_count(self):
-        obs, _, _, _, fs = observed_fs()
+        obs, _, _, fs = observed_fs()
         fs.write_file("/f", b"x" * 60000)
         fs.checkpoint()  # passes: the running count equals the scan
         fs.usage.clean_count += 1  # a lost flag edge
@@ -360,7 +337,7 @@ class TestWatchdog:
         assert exc_info.value.invariant == "clean-count-matches-scan"
 
     def test_fires_on_cleaner_counter_drift(self):
-        obs, _, _, _, fs = observed_fs()
+        obs, _, _, fs = observed_fs()
         fs.write_file("/f", b"x" * 9000)
         fs.cleaner.stats.live_blocks_seen += 3  # a block seen but unaccounted
         with pytest.raises(InvariantViolation) as exc_info:
@@ -534,21 +511,18 @@ class TestTraceJsonl:
 
 class TestRunReport:
     def test_build_and_render(self):
-        obs, ledger, _, _, fs = observed_fs()
+        obs, _, _, fs = observed_fs()
         churn(fs, rounds=4)
         overwrite_churn(fs)
         fs.clean_now(fs.usage.clean_count + 4)
         fs.checkpoint()
-        report = build_report(obs, fs, ledger, name="churn")
+        report = build_report(obs, fs, name="churn")
         json.dumps(report)  # JSON-serializable end to end
         assert report["schema"] == 1
         assert report["attribution"]["total"] > 0.0
         assert report["fs"]["write_cost"] >= 1.0
         assert report["fs"]["cleaning"]["live_blocks_seen"] == (
             fs.cleaner.stats.live_blocks_seen
-        )
-        assert report["ledger"]["segments_cleaned"] == (
-            fs.cleaner.stats.segments_cleaned
         )
         assert report["table2"] == fs.cleaner.stats.table2()
         text = render_report(report)
