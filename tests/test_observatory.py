@@ -29,6 +29,7 @@ from repro.obs import (
 )
 from repro.obs.events import (
     CHECKPOINT_WRITE,
+    CLEAN_SEGMENT,
     DISK_READ,
     DISK_WRITE,
     LOG_SEGMENT_OPEN,
@@ -163,19 +164,25 @@ class TestSpans:
 # the run report: each number read from the counter that owns it
 
 
+def cleaned_fs():
+    """A traced LFS that has cleaned both partly live and empty segments."""
+    obs, _, _, fs = observed_fs()
+    overwrite_churn(fs)  # partly live victims: non-empty cleaning
+    fs.clean_now(fs.usage.clean_count + 6)
+    churn(fs, rounds=4)  # whole-file deletes: empty cleaning
+    fs.clean_now(fs.usage.clean_count + 6)
+    fs.checkpoint()
+    stats = fs.cleaner.stats
+    assert stats.live_blocks_moved > 0, "workload never cleaned a live block"
+    assert stats.empty_segments_cleaned > 0, "workload never cleaned an empty segment"
+    return obs, fs
+
+
 class TestReportOwners:
-    def test_each_number_equals_its_owner(self):
-        obs, _, _, fs = observed_fs()
-        overwrite_churn(fs)  # partly live victims: non-empty cleaning
-        fs.clean_now(fs.usage.clean_count + 6)
-        churn(fs, rounds=4)  # whole-file deletes: empty cleaning
-        fs.clean_now(fs.usage.clean_count + 6)
-        fs.checkpoint()
+    def test_figure6_and_table2_bit_identical(self):
+        obs, fs = cleaned_fs()
         stats = fs.cleaner.stats
-        assert stats.live_blocks_moved > 0, "workload never cleaned a live block"
-        assert stats.empty_segments_cleaned > 0, "workload never cleaned an empty segment"
         report = build_report(obs, fs)
-        json.dumps(report)  # JSON-serializable end to end
         legacy_fig6 = [0] * 20
         for u in stats.cleaned_utilizations:
             legacy_fig6[min(19, int(u * 20))] += 1
@@ -187,6 +194,33 @@ class TestReportOwners:
             "fraction_empty": stats.empty_segments_cleaned / stats.segments_cleaned,
             "avg_nonempty_utilization": (sum(nonempty) / len(nonempty)) if nonempty else 0.0,
         }
+
+    def test_lifecycles_recorded(self):
+        # The trace records each segment's lifecycle edges, and each edge
+        # it saw is one the owning counter counted.
+        obs, fs = cleaned_fs()
+        stats = fs.cleaner.stats
+        opened = set()
+        deaths = []
+        for e in obs.tracer.events():
+            if e.kind == LOG_SEGMENT_OPEN:
+                opened.add(e.fields["segment"])
+            elif e.kind == CLEAN_SEGMENT:
+                seg = e.fields["segment"]
+                assert seg in opened, f"segment {seg} cleaned before it was opened"
+                assert e.fields["empty"] == (e.fields["utilization"] == 0.0)
+                deaths.append(e.fields["utilization"])
+        assert deaths == stats.cleaned_utilizations
+        emitted = build_report(obs, fs)["tracer"]["emitted"]
+        assert emitted["clean.segment"] == stats.segments_cleaned
+        assert emitted.get("clean.quarantine", 0) == stats.segments_quarantined
+        assert emitted["log.segment_open"] == fs.writer.stats.segments_opened
+
+    def test_each_number_equals_its_owner(self):
+        obs, fs = cleaned_fs()
+        stats = fs.cleaner.stats
+        report = build_report(obs, fs)
+        json.dumps(report)  # JSON-serializable end to end
         cleaning = report["fs"]["cleaning"]
         assert cleaning["segments_cleaned"] == stats.segments_cleaned
         assert cleaning["segments_quarantined"] == stats.segments_quarantined == 0
@@ -194,12 +228,6 @@ class TestReportOwners:
         assert report["fs"]["total_live_bytes"] == sum(
             usage.get(s).live_bytes for s in range(usage.num_segments)
         )
-        # the tracer counts every emit, so each lifecycle edge it saw is
-        # one the owning counter counted
-        emitted = report["tracer"]["emitted"]
-        assert emitted["clean.segment"] == stats.segments_cleaned
-        assert emitted.get("clean.quarantine", 0) == stats.segments_quarantined
-        assert emitted["log.segment_open"] == fs.writer.stats.segments_opened
         text = render_report(report)
         assert "total live bytes" in text and "segments quarantined" in text
 
